@@ -6,7 +6,6 @@ failure. Reports are deterministic for a fixed config (timing aside).
 
 import argparse
 import csv
-import os
 import sys
 import time
 from fractions import Fraction
@@ -245,9 +244,6 @@ def build_parser():
 
     def common(p, instance=True, budget=True, k_flag="--k"):
         p.add_argument("--output", "-o", help="write the JSON report here")
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("HEREDITARY_LAB_WORKERS", "1")))
-        p.add_argument("--seed", type=int, default=0)
         if budget:
             p.add_argument("--budget", type=int, default=None,
                            help="search-node budget override")
@@ -332,9 +328,6 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--spec")
     p.add_argument("--output", "-o")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("HEREDITARY_LAB_WORKERS", "1")))
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_instance)
 
     return parser

@@ -8,13 +8,14 @@ canonical type-diagram of every member.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from .diagrams import LocatedType, SyntacticDiagram, is_satisfiable, witness_structure
+from .diagrams import LocatedType
 from .errors import BudgetExceeded, InvalidArgument
-from .properties import is_member, realized_type_space
-from .templates import Template
+from .properties import realized_type_space
+from .templates import Template, block_checker
 
 DEFAULT_EDGE_BUDGET = 10 ** 7
 
@@ -47,7 +48,8 @@ class ContainerHypergraph(object):
 
 
 def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
-    """Materialize the hypergraph for containers analysis at size k."""
+    """Materialize the hypergraph for containers analysis at size k: the
+    edges of the block {1..k}, relabeled onto every k-subset."""
     r = H.signature.r
     if not H.forbidden:
         raise InvalidArgument("forbidden family must be nonempty")
@@ -61,26 +63,19 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     per_block = len(space) ** s
     if per_block * comb(n, k) > budget:
         raise BudgetExceeded("edge space exceeds budget")
+    checker = block_checker(H)
+    rel = list(itertools.combinations(range(1, k + 1), r))
+    rel_edges = [combo for combo in itertools.product(space, repeat=s)
+                 if not checker.merged_in_h(
+                     [LocatedType(A, p) for A, p in zip(rel, combo)], k)]
     edges_by_block = {}
-    alpha = None
     for block in itertools.combinations(range(1, n + 1), k):
-        rsubs = list(itertools.combinations(block, r))
-        edges = []
-        for combo in itertools.product(space, repeat=s):
-            entries = frozenset(LocatedType(A, p) for A, p in zip(rsubs, combo))
-            sigma = SyntacticDiagram(entries)
-            if not is_satisfiable(sigma):
-                edges.append(entries)
-                continue
-            w = witness_structure(sigma)
-            if not is_member(H, w):
-                edges.append(entries)
-        edges_by_block[block] = edges
-        if alpha is None:
-            alpha = len(edges)
-        elif alpha != len(edges):
-            raise AssertionError("alpha varies across k-subsets")
-    return ContainerHypergraph(H, n, k, vertices, edges_by_block, alpha)
+        rsubs = [tuple(block[i - 1] for i in A) for A in rel]
+        edges_by_block[block] = [
+            frozenset(LocatedType(A, p) for A, p in zip(rsubs, combo))
+            for combo in rel_edges]
+    return ContainerHypergraph(H, n, k, vertices, edges_by_block,
+                               len(rel_edges))
 
 
 def degree(Hg, sigma):
@@ -100,17 +95,18 @@ def degree(Hg, sigma):
 def max_codegrees(Hg, j):
     """d^(j)(v) for every vertex: max degree of a j-set through v.
 
-    Only j-sets inside some edge can have positive degree, so candidates
-    are drawn from the edges through v; vertices on no edge get 0.
+    Only j-sets inside some edge can have positive degree, so one pass
+    counts the edges through each of them; vertices on no edge get 0.
     """
-    out = {v: 0 for v in Hg.vertices}
-    for block, edges in Hg.edges_by_block.items():
+    degrees = Counter()
+    for edges in Hg.edges_by_block.values():
         for e in edges:
-            for sigma in itertools.combinations(sorted(e), j):
-                d = degree(Hg, sigma)
-                for v in sigma:
-                    if d > out[v]:
-                        out[v] = d
+            degrees.update(itertools.combinations(sorted(e), j))
+    out = {v: 0 for v in Hg.vertices}
+    for sigma, d in degrees.items():
+        for v in sigma:
+            if d > out[v]:
+                out[v] = d
     return out
 
 

@@ -4,18 +4,17 @@ The search assigns choice sets to r-subsets in colexicographic order with
 (a) candidate sets drawn from the realized type space, (b) a partial-product
 upper bound against the incumbent, (c) incremental membership checks on
 every newly completed block of size <= k, and (d) an incremental error scan
-for mixed-arity signatures.
+when some realized type has a fact on fewer than r points.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from .diagrams import LocatedType, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, _BlockChecker, r_subsets, sub_count,
-                        has_subarity_relations)
+from .templates import (Template, block_checker, has_low_facts, pair_ok,
+                        r_subsets, sub_count)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
@@ -121,37 +120,19 @@ class _SearchEngine(object):
         self.max_card = max(len(c) for c in self.cands)
         self.kk = min(max(H.k, self.r), n)
         self.schedule = _completion_schedule(n, self.r, self.kk, self.subsets)
-        self.mixed = has_subarity_relations(H.signature)
+        self.mixed = has_low_facts(realized_type_space(H))
         self.partners = _error_partners(self.subsets, self.r) if self.mixed else None
-        self.checker = _BlockChecker(H)
+        self.checker = block_checker(H)
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
-        self._pair_sat_cache = {}
-
-    def _pair_ok(self, A1, s1, A2, s2):
-        # no unsatisfiable located pair across the two choice sets
-        key = (A1, tuple(sorted(t.facts for t in s1)),
-               A2, tuple(sorted(t.facts for t in s2)))
-        cached = self._pair_sat_cache.get(key)
-        if cached is not None:
-            return cached
-        ok = True
-        for p in s1:
-            for q in s2:
-                if merge_entries([LocatedType(A1, p), LocatedType(A2, q)]) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        self._pair_sat_cache[key] = ok
-        return ok
 
     def _blocks_ok(self, i, assigned):
         A_i = self.subsets[i]
         if self.mixed:
             for B in self.partners[i]:
-                if not self._pair_ok(B, assigned[B], A_i, assigned[A_i]):
+                if not all(pair_ok(B, p, A_i, q)
+                           for p in assigned[B] for q in assigned[A_i]):
                     return False
         for block in self.schedule[i]:
             cmap = {A: assigned[A]

@@ -156,8 +156,10 @@ def dumps(data):
 
 
 def load_path(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgument("%s: line %d: %s" % (path, exc.lineno, exc.msg))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgument("%s: line %d: %s" % (path, exc.lineno, exc.msg))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument("%s: cannot read: %s" % (path, exc))

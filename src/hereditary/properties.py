@@ -59,6 +59,9 @@ class HereditaryProperty(object):
         self.name = name
         self.k = max((f.structure.n for f in entries), default=0)
         self._member_cache = {}
+        # Built on first use: see realized_type_space and block_checker.
+        self._type_space = None
+        self._checker = None
 
     def entry_matches(self, entry, M):
         """Does M contain the entry under its matching mode?"""
@@ -173,12 +176,13 @@ def realized_type_space(H):
     Computed by enumerating the r-point members; valid because the property
     is hereditary by construction. Every r-point member, including ones with
     repeated-entry facts, contributes the type of its identity enumeration.
+    The enumeration runs once per property; every call returns a new list.
     """
-    r = H.signature.r
-    out = set()
-    for M in enumerate_members(H, r):
-        out.add(qftp(M, tuple(range(1, r + 1))))
-    return sorted(out)
+    if H._type_space is None:
+        r = H.signature.r
+        H._type_space = tuple(sorted({qftp(M, tuple(range(1, r + 1)))
+                                      for M in enumerate_members(H, r)}))
+    return list(H._type_space)
 
 
 def closure(H, K, budget=DEFAULT_ENUM_BUDGET):

@@ -8,12 +8,12 @@ over subsets and lexicographic over type fact-vectors, for determinism.
 
 import itertools
 import math
+from functools import lru_cache
 
 from .diagrams import LocatedType, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import is_member
-from .qftypes import qftp
-from .structures import induced_substructure
+from .qftypes import atoms, qftp
 
 DEFAULT_CHI_BUDGET = 10 ** 6
 
@@ -104,8 +104,20 @@ def subpattern_of_choice(T, chi):
     return merge_entries(entries, n=T.n, signature=T.property.signature)
 
 
-def has_subarity_relations(signature):
-    return any(arity < signature.r for _, arity in signature.relations)
+def has_low_facts(types):
+    """Does some type have a true atom on fewer than r distinct variables?
+
+    Only such facts are shared by two distinct r-subsets, so located types
+    without one always merge: errors need a true low fact somewhere.
+    """
+    return any(b and len(set(varmap)) < p.r for p in types
+               for (_, varmap), b in zip(atoms(p.signature, p.r), p.facts))
+
+
+@lru_cache(maxsize=1 << 16)
+def pair_ok(A1, p, A2, q):
+    """Do p located on A1 and q located on A2 agree on their shared facts?"""
+    return merge_entries([LocatedType(A1, p), LocatedType(A2, q)]) is not None
 
 
 def detect_errors(T):
@@ -113,7 +125,7 @@ def detect_errors(T):
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
     r = T.property.signature.r
-    if not has_subarity_relations(T.property.signature):
+    if not has_low_facts(p for A in T.subsets for p in T.choices[A]):
         return []
     found = []
     seen = set()
@@ -123,7 +135,7 @@ def detect_errors(T):
             continue
         for p in sorted(T.choices[A1]):
             for q in sorted(T.choices[A2]):
-                if merge_entries([LocatedType(A1, p), LocatedType(A2, q)]) is None:
+                if not pair_ok(A1, p, A2, q):
                     if union not in seen:
                         seen.add(union)
                         found.append((union, (A1, p), (A2, q)))
@@ -177,20 +189,26 @@ def is_flaw_free(T):
 
 
 class _BlockChecker(object):
-    """Memoized check that every local choice merge on a block lies in H.
+    """Memoized checks that located choices merge to members of H.
 
     Keys are relative configurations (choice sets per relative r-subset), so
-    results are shared across blocks in the same position pattern.
+    results are shared across blocks in the same position pattern. One
+    checker lives on each property (see block_checker).
     """
 
     def __init__(self, H):
         self.H = H
         self.cache = {}
 
+    def merged_in_h(self, entries, size):
+        """None when located types on {1..size} do not merge (they disagree
+        on a fact); otherwise whether their merge is a member of H."""
+        merged = merge_entries(entries, n=size, signature=self.H.signature)
+        return None if merged is None else is_member(self.H, merged)
+
     def block_ok(self, block, choice_map):
         """block: sorted point tuple; choice_map: A -> frozenset of types."""
         r = self.H.signature.r
-        pos = {a: i + 1 for i, a in enumerate(block)}
         rel_subsets = list(itertools.combinations(range(1, len(block) + 1), r))
         abs_subsets = [tuple(block[i - 1] for i in A) for A in rel_subsets]
         key = tuple(tuple(sorted(t.facts for t in choice_map[A]))
@@ -201,27 +219,29 @@ class _BlockChecker(object):
         ok = True
         pools = [sorted(choice_map[A]) for A in abs_subsets]
         for combo in itertools.product(*pools):
-            entries = [LocatedType(tuple(pos[a] for a in A), p)
-                       for A, p in zip(abs_subsets, combo)]
-            merged = merge_entries(entries, n=len(block),
-                                   signature=self.H.signature)
-            if merged is None:
-                continue
-            if not is_member(self.H, merged):
+            entries = [LocatedType(A, p) for A, p in zip(rel_subsets, combo)]
+            if self.merged_in_h(entries, len(block)) is False:
                 ok = False
                 break
         self.cache[key] = ok
         return ok
 
 
-def is_h_random(T, checker=None):
+def block_checker(H):
+    """The property's one _BlockChecker, built on first use."""
+    if H._checker is None:
+        H._checker = _BlockChecker(H)
+    return H._checker
+
+
+def is_h_random(T):
     """Prop.-random style test: error-free and no small block of choices
     merges to a non-member (block sizes r..k, k = max forbidden size)."""
     _require_complete(T)
     if not is_error_free(T):
         return False
     H = T.property
-    checker = checker or _BlockChecker(H)
+    checker = block_checker(H)
     k = min(max(H.k, H.signature.r), T.n)
     for size in range(H.signature.r, k + 1):
         for block in itertools.combinations(range(1, T.n + 1), size):

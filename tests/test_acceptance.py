@@ -150,8 +150,9 @@ def _agreement(H, n, sample, rng_seed):
 
 
 def test_criterion_07_h_random_equivalence():
-    # exhaustive where the template space is enumerable; dense seeded
-    # samples for the 15^6-sized spaces (ledgered)
+    # exhaustive where the template space is enumerable; for the two
+    # 15^6-sized spaces, 10^4 templates drawn with fixed seeds, so every
+    # run checks the same templates at a bounded cost
     jobs = [
         (metric.metric_instance(3), 3, None),
         (metric.metric_instance(3), 4, None),

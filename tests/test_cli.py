@@ -34,6 +34,22 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "nonsense")
     assert code == 2
+    missing = str(tmp_path / "missing.json")
+    for argv in (["extremal", "--property", missing, "--n", "3"],
+                 ["hrandom", "--template", missing],
+                 ["types", "--instance", "colored", "--spec", missing],
+                 ["extremal", "--property", str(tmp_path), "--n", "3"]):
+        assert cli.main(argv) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+
+def test_config_has_no_unused_options(capsys, monkeypatch):
+    monkeypatch.setenv("HEREDITARY_LAB_WORKERS", "two")
+    code, out = run(capsys, "types", "--instance", "triples")
+    assert code == 0
+    assert not {"workers", "seed"} & set(json.loads(out)["config"])
+    code, _ = run(capsys, "types", "--instance", "triples", "--workers", "2")
+    assert code == 2
 
 
 def test_exit_code_budget(capsys):

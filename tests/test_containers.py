@@ -11,7 +11,7 @@ from hereditary.containers import (build_hypergraph,
                                    suggested_tau)
 from hereditary.diagrams import type_diagram
 from hereditary.errors import InvalidArgument
-from hereditary.instances import digraphs, triples
+from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import enumerate_members, is_member
 from hereditary.templates import is_h_random
 
@@ -60,6 +60,23 @@ def test_codegree_report():
     assert rep.threshold is not None
     with pytest.raises(InvalidArgument):
         codegree_function(Hg, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("make, k, n", [
+    (lambda: digraphs.digraph_instance(2), 3, 4),
+    (lambda: metric.metric_instance(3), 4, 4)], ids=["digraph-k2", "metric-r3"])
+def test_max_codegrees_match_degree_definition(make, k, n):
+    Hg = build_hypergraph(make(), k, n)
+    for j in range(1, Hg.s + 1):
+        # j-sets inside no edge have degree 0
+        inside = {sigma for e in Hg.edges()
+                  for sigma in itertools.combinations(sorted(e), j)}
+        want = {v: 0 for v in Hg.vertices}
+        for sigma in inside:
+            d = degree(Hg, sigma)
+            for v in sigma:
+                want[v] = max(want[v], d)
+        assert max_codegrees(Hg, j) == want
 
 
 def test_edgeless_case_gives_zero_delta():

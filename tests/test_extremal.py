@@ -1,14 +1,19 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from hereditary.errors import InvalidArgument
-from hereditary.extremal import (density_sequence, e_delta_membership,
-                                 e_membership, near_extremal_set, pow_geq,
-                                 search_extremal, stability_probe)
+from hereditary.extremal import (candidate_sets, density_sequence,
+                                 e_delta_membership, e_membership,
+                                 near_extremal_set, pow_geq, search_extremal,
+                                 stability_probe)
 from hereditary.instances import colored, digraphs, metric, triples
-from hereditary.templates import sub_count
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty)
+from hereditary.structures import Structure
+from hereditary.templates import Template, is_h_random, r_subsets, sub_count
 
 
 def test_pow_geq_exact_ties():
@@ -49,6 +54,21 @@ def test_triples_extremal_values():
         assert rep.ex == expected and rep.exact
         images = {frozenset(triples.psi(T)) for T in rep.extremal_templates}
         assert images == set(triples.tripartite_family(n))
+
+
+def test_search_prunes_loop_fact_errors():
+    # Arcs are forbidden and loops are free, so S_2(H) is the four loop
+    # patterns. Two pairs through a point must agree on its loop, so only
+    # single structures are error-free: ex(3) = 1.
+    arc = Structure(digraphs.SIG, 2, {"E": [(1, 2)]})
+    H = HereditaryProperty(digraphs.SIG, [ForbiddenEntry(arc, NON_INDUCED)],
+                           mode=NON_INDUCED)
+    subsets = r_subsets(3, 2)
+    templates = [Template(H, 3, dict(zip(subsets, sets)))
+                 for sets in itertools.product(candidate_sets(H), repeat=3)]
+    assert max(sub_count(T)[0] for T in templates if is_h_random(T)) == 1
+    rep = search_extremal(H, 3)
+    assert (rep.ex, rep.exact) == (1, True)
 
 
 def test_density_sequence_monotone():

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from hereditary import properties
 from hereditary.errors import InvalidArgument
 from hereditary.instances import digraphs, metric, triples
-from hereditary.properties import (ForbiddenEntry, HereditaryProperty, closure,
-                                   count_members, enumerate_members, is_member,
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, closure, count_members,
+                                   enumerate_members, is_member,
                                    is_trivial_up_to, realized_type_space)
 from hereditary.structures import (Structure, induced_substructure,
                                    is_isomorphic)
@@ -78,6 +80,22 @@ def test_realized_type_space():
     Hd = digraphs.digraph_instance(2)
     assert set(realized_type_space(Hd)) == {digraphs.P1, digraphs.P2,
                                             digraphs.P3, digraphs.P4}
+
+
+def test_realized_type_space_is_computed_once(monkeypatch):
+    # a fresh property: the instance singletons are shared with other tests
+    H = HereditaryProperty(DIGRAPH_SIG, digraphs.digraph_instance(2).forbidden,
+                           mode=NON_INDUCED)
+    first = realized_type_space(H)
+    expected = list(first)
+
+    def enumerate_again(*args, **kwargs):
+        raise AssertionError("r-point members enumerated a second time")
+
+    monkeypatch.setattr(properties, "enumerate_members", enumerate_again)
+    first.clear()
+    assert realized_type_space(H) == expected
+    assert realized_type_space(H) is not realized_type_space(H)
 
 
 def test_closure_digraph():

@@ -4,7 +4,10 @@ import pytest
 
 from hereditary.errors import InvalidArgument
 from hereditary.instances import digraphs, metric, mixed
-from hereditary.properties import is_member
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, is_member)
+from hereditary.qftypes import type_from_structure
+from hereditary.structures import Structure
 from hereditary.templates import (Template, choice_count, choice_functions,
                                   detect_errors, full_subpatterns,
                                   geometric_mean_identity_gap, is_error_free,
@@ -69,6 +72,26 @@ def test_mixed_arity_error_template():
     value, error_free = sub_count(T)
     assert not error_free
     assert value == 0 < choice_count(T)
+
+
+def test_loop_fact_errors_are_detected():
+    # Only T_3 is forbidden, so loops are allowed. A loop type on {1,2} and
+    # a loop-free type on {1,3} disagree on E(1,1), a fact both pairs share.
+    H = HereditaryProperty(digraphs.SIG, [ForbiddenEntry(
+        digraphs.transitive_tournament(3), NON_INDUCED)], mode=NON_INDUCED)
+    loop = type_from_structure(Structure(digraphs.SIG, 2, {"E": [(1, 1)]}))
+    empty = type_from_structure(Structure(digraphs.SIG, 2))
+    T = Template(H, 3, {(1, 2): {loop}, (1, 3): {empty}, (2, 3): {empty}})
+    assert [e[0] for e in detect_errors(T)] == [(1, 2, 3)]
+    assert sub_count(T) == (0, False)
+    assert full_subpatterns(T) == []
+    assert not is_h_random(T)
+    assert not is_h_random_direct(T)
+    # the same loop on both pairs through 1 is no error
+    T = Template(H, 3, {(1, 2): {loop}, (1, 3): {loop}, (2, 3): {empty}})
+    assert detect_errors(T) == []
+    assert sub_count(T) == (1, True)
+    assert is_h_random(T) and is_h_random_direct(T)
 
 
 def test_flaw_detection():

@@ -6,6 +6,7 @@ failure. Reports are deterministic for a fixed config (timing aside).
 
 import argparse
 import csv
+import io
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +25,16 @@ EXIT_VERIFY = 4
 
 class VerificationFailure(Exception):
     pass
+
+
+def _write(path, text):
+    """Write an output file; an unwritable path is invalid input."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgument("cannot write %s: %s"
+                              % (path, exc.strerror or exc))
 
 
 def _frac(x):
@@ -124,11 +135,12 @@ def cmd_density(args):
         H, args.nmax, node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
     rows = [_template_report(rep) for rep in reps]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "ex", "b_n"])
-            for rep in reps:
-                writer.writerow([rep.n, rep.ex, rep.b_n])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["n", "ex", "b_n"])
+        for rep in reps:
+            writer.writerow([rep.n, rep.ex, rep.b_n])
+        _write(args.csv, buf.getvalue())
     return {"sequence": rows, "non_increasing": True}
 
 
@@ -369,8 +381,11 @@ def main(argv=None):
                   "timing_seconds": round(time.time() - started, 3)}
     text = jsonio.dumps(report)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            _write(args.output, text + "\n")
+        except InvalidArgument as exc:
+            print("invalid input: %s" % exc, file=sys.stderr)
+            return EXIT_INVALID
     else:
         print(text)
     return status

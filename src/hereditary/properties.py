@@ -5,6 +5,13 @@ either induced (isomorphism of an induced substructure, on the entry's own
 signature, which may be a reduct of the property signature) or non-induced
 (an injection carrying every positive fact of the entry into the structure).
 The property-level mode is the default for entries that do not override it.
+
+On first use the family is compiled into copy tables (see copy_tables): for
+each entry size m, the fact masks of every relabeling of every entry on
+{1..m}. Membership and enumeration then look each m-point subset up in the
+table for m. HereditaryProperty.entry_matches keeps the direct definition,
+matching one entry by isomorphism or embedding search; it is the slow,
+independent path the tests compare against.
 """
 
 import itertools
@@ -59,9 +66,11 @@ class HereditaryProperty(object):
         self.name = name
         self.k = max((f.structure.n for f in entries), default=0)
         self._member_cache = {}
-        # Built on first use: see realized_type_space and block_checker.
+        # Built on first use: see realized_type_space, block_checker and
+        # copy_tables.
         self._type_space = None
         self._checker = None
+        self._copy_tables = None
 
     def entry_matches(self, entry, M):
         """Does M contain the entry under its matching mode?"""
@@ -81,15 +90,88 @@ class HereditaryProperty(object):
             self.name or repr(self.signature), len(self.forbidden), self.mode)
 
 
+def _fact_mask(M, A):
+    """M[A], relabeled order-preservingly onto {1..|A|}, as a bit mask.
+
+    Bit i is the i-th fact on {1..|A|}: relations in signature order, each
+    relation's tuples in lexicographic order (the order of _fact_index).
+    """
+    mask, bit = 0, 1
+    for name, arity in M.signature.relations:
+        tuples = M.relations[name]
+        for t in itertools.product(A, repeat=arity):
+            if t in tuples:
+                mask |= bit
+            bit <<= 1
+    return mask
+
+
+def _fact_index(signature, m):
+    """The bit of every fact on {1..m}, in _fact_mask order."""
+    facts = [(name, t) for name, arity in signature.relations
+             for t in itertools.product(range(1, m + 1), repeat=arity)]
+    return {fact: i for i, fact in enumerate(facts)}
+
+
+def copy_tables(H):
+    """The forbidden family as labeled-copy tables, built on first use.
+
+    Maps each entry size m to (induced, non_induced). A copy is the fact
+    mask of one of the m! relabelings of an entry. `induced` pairs the mask
+    of an entry signature's relations with the copies of the induced
+    entries on that signature; `non_induced` holds the copies of the
+    non-induced entries.
+    """
+    if H._copy_tables is None:
+        tables = {}
+        for f in H.forbidden:
+            F = f.structure
+            index = _fact_index(H.signature, F.n)
+            copies = {sum(1 << index[(name, tuple(perm[x - 1] for x in t))]
+                          for name, t in F.facts())
+                      for perm in itertools.permutations(range(1, F.n + 1))}
+            induced, non_induced = tables.setdefault(F.n, ({}, set()))
+            if f.resolved_match(H.mode) == NON_INDUCED:
+                non_induced |= copies
+            else:
+                names = set(F.signature.names())
+                relmask = sum(1 << i for (name, _), i in index.items()
+                              if name in names)
+                induced.setdefault(relmask, set()).update(copies)
+        H._copy_tables = {m: (tuple((relmask, frozenset(copies))
+                                    for relmask, copies in induced.items()),
+                              tuple(sorted(non_induced)))
+                          for m, (induced, non_induced) in tables.items()}
+    return H._copy_tables
+
+
+def _matches(table, x):
+    """Does the m-point structure with fact mask x contain a copy?"""
+    induced, non_induced = table
+    for relmask, copies in induced:
+        if (x & relmask) in copies:
+            return True
+    outside = ~x
+    return any(not c & outside for c in non_induced)
+
+
 def is_member(H, M):
-    """M is in Forb(F): no forbidden entry matches."""
+    """M is in Forb(F): no m-subset of M holds a copy of a size-m entry.
+
+    Each m-subset A is relabeled onto {1..m} and looked up in the copy
+    tables: induced entries match when M[A], restricted to the entry's
+    relations, is one of their copies; non-induced entries match when one
+    of their copies is a subset of M[A]'s facts.
+    """
     if not (M.signature == H.signature):
         raise InvalidArgument("signature mismatch")
     key = M._key
     cached = H._member_cache.get(key)
     if cached is not None:
         return cached
-    ok = not any(H.entry_matches(f, M) for f in H.forbidden)
+    ok = not any(_matches(table, _fact_mask(M, A))
+                 for m, table in copy_tables(H).items() if m <= M.n
+                 for A in itertools.combinations(M.domain(), m))
     if len(H._member_cache) < 500000:
         H._member_cache[key] = ok
     return ok
@@ -113,56 +195,84 @@ def _groups(signature, n):
     return [(S, sorted(group_map.get(frozenset(S), []))) for S in subsets]
 
 
+def _spreader(positions, shift=0):
+    """Tables moving bit i of a value to bit positions[i], 8 bits a table.
+
+    Each part is (shift, width mask, table): OR-ing table[v >> shift & mask]
+    over the parts spreads the value v that starts at bit `shift`.
+    """
+    parts = []
+    for lo in range(0, len(positions), 8):
+        table = [0]
+        for p in positions[lo:lo + 8]:
+            table += [x | 1 << p for x in table]
+        parts.append((shift + lo, len(table) - 1, table))
+    return parts
+
+
 def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
-    Depth-first over fact groups (one group per point subset, colex order).
-    After completing the group on S, forbidden entries of size |S| are
-    checked against M[S]; non-induced entries are additionally pruned as
-    soon as all their positive facts appear. Budget counts DFS nodes.
+    Depth-first over fact groups (one group per point subset, colex order);
+    the chosen facts are one bit mask over the groups' facts. After the
+    group on S is chosen, M[S] is complete: its fact mask is gathered from
+    the masks of the groups inside S and looked up in the copy table for
+    |S| (see is_member). Budget counts DFS nodes.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     groups = _groups(H.signature, n)
-    sizes = set(f.structure.n for f in H.forbidden)
+    tables = copy_tables(H)
+    offsets, facts = {}, []
+    for S, group in groups:
+        offsets[S] = len(facts)
+        facts.extend(group)
+    plan = []
+    for S, group in groups:
+        table = tables.get(len(S))
+        check = None
+        if table is not None:
+            local = {(name, tuple(S[x - 1] for x in t)): i for (name, t), i
+                     in _fact_index(H.signature, len(S)).items()}
+            inner = [(T, facts_T) for T, facts_T in groups
+                     if T != S and set(T) <= set(S)]
+            gather = [part for T, facts_T in inner for part in
+                      _spreader([local[f] for f in facts_T], offsets[T])]
+            own = _spreader([local[f] for f in group])
+            check = (gather, own, table)
+        plan.append((offsets[S], len(group), check))
     counter = [0]
-    check_cache = {}
 
-    def check_new_subset(rels, S):
-        if len(S) not in sizes:
-            return True
-        pos = {a: i + 1 for i, a in enumerate(S)}
-        inside = set(S)
-        sub_rels = {name: [tuple(pos[x] for x in t) for t in ts
-                           if inside.issuperset(t)]
-                    for name, ts in rels.items()}
-        sub = Structure(H.signature, len(S), sub_rels)
-        cached = check_cache.get(sub._key)
-        if cached is not None:
-            return cached
-        ok = not any(f.structure.n == len(S) and H.entry_matches(f, sub)
-                     for f in H.forbidden)
-        check_cache[sub._key] = ok
-        return ok
-
-    def rec(gi, rels):
+    def rec(gi, chosen):
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded("enumeration budget exhausted at n=%d" % n)
-        if gi == len(groups):
+        if gi == len(plan):
+            rels = {}
+            while chosen:
+                low = chosen & -chosen
+                name, t = facts[low.bit_length() - 1]
+                rels.setdefault(name, []).append(t)
+                chosen ^= low
             yield Structure(H.signature, n, rels)
             return
-        S, facts = groups[gi]
-        for mask in range(1 << len(facts)):
-            chosen = [facts[i] for i in range(len(facts)) if (mask >> i) & 1]
-            new_rels = dict(rels)
-            for name, t in chosen:
-                new_rels[name] = new_rels.get(name, ()) + (t,)
-            if not check_new_subset(new_rels, S):
-                continue
-            yield from rec(gi + 1, new_rels)
+        offset, width, check = plan[gi]
+        if check is None:
+            for c in range(1 << width):
+                yield from rec(gi + 1, chosen | c << offset)
+            return
+        gather, own, table = check
+        base = 0
+        for shift, mask, spread in gather:
+            base |= spread[chosen >> shift & mask]
+        for c in range(1 << width):
+            x = base
+            for shift, mask, spread in own:
+                x |= spread[c >> shift & mask]
+            if not _matches(table, x):
+                yield from rec(gi + 1, chosen | c << offset)
 
-    yield from rec(0, {})
+    yield from rec(0, 0)
 
 
 def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):

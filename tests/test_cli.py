@@ -43,6 +43,17 @@ def test_exit_code_invalid_input(capsys, tmp_path):
         assert "invalid input" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_invalid_input(capsys, tmp_path):
+    missing_dir = tmp_path / "nonexistent-dir"
+    for argv in (["types", "--instance", "triples",
+                  "-o", str(missing_dir / "x.json")],
+                 ["density", "--instance", "triples", "--nmax", "3",
+                  "--csv", str(missing_dir / "x.csv")]):
+        assert cli.main(argv) == 2
+        assert "invalid input" in capsys.readouterr().err
+    assert not missing_dir.exists()
+
+
 def test_config_has_no_unused_options(capsys, monkeypatch):
     monkeypatch.setenv("HEREDITARY_LAB_WORKERS", "two")
     code, out = run(capsys, "types", "--instance", "triples")

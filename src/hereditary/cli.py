@@ -6,7 +6,6 @@ failure. Reports are deterministic for a fixed config (timing aside).
 
 import argparse
 import csv
-import io
 import sys
 import time
 from fractions import Fraction
@@ -25,16 +24,6 @@ EXIT_VERIFY = 4
 
 class VerificationFailure(Exception):
     pass
-
-
-def _write(path, text):
-    """Write an output file; an unwritable path is invalid input."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidArgument("cannot write %s: %s"
-                              % (path, exc.strerror or exc))
 
 
 def _frac(x):
@@ -135,12 +124,15 @@ def cmd_density(args):
         H, args.nmax, node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
     rows = [_template_report(rep) for rep in reps]
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "ex", "b_n"])
-        for rep in reps:
-            writer.writerow([rep.n, rep.ex, rep.b_n])
-        _write(args.csv, buf.getvalue())
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["n", "ex", "b_n"])
+                for rep in reps:
+                    writer.writerow([rep.n, rep.ex, rep.b_n])
+        except OSError as exc:
+            raise InvalidArgument("cannot write %s: %s"
+                                  % (args.csv, exc.strerror or exc))
     return {"sequence": rows, "non_increasing": True}
 
 
@@ -382,9 +374,11 @@ def main(argv=None):
     text = jsonio.dumps(report)
     if getattr(args, "output", None):
         try:
-            _write(args.output, text + "\n")
-        except InvalidArgument as exc:
-            print("invalid input: %s" % exc, file=sys.stderr)
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("invalid input: cannot write %s: %s"
+                  % (args.output, exc.strerror or exc), file=sys.stderr)
             return EXIT_INVALID
     else:
         print(text)

@@ -6,15 +6,18 @@ signature, which may be a reduct of the property signature) or non-induced
 (an injection carrying every positive fact of the entry into the structure).
 The property-level mode is the default for entries that do not override it.
 
-On first use the family is compiled into copy tables (see copy_tables): for
-each entry size m, the fact masks of every relabeling of every entry on
+The family is compiled into copy tables (see copy_table), one per entry
+size m, each built the first time a structure or subset of m points is
+checked: the fact masks of every relabeling of every size-m entry on
 {1..m}. Membership and enumeration then look each m-point subset up in the
 table for m. HereditaryProperty.entry_matches keeps the direct definition,
-matching one entry by isomorphism or embedding search; it is the slow,
-independent path the tests compare against.
+matching one entry by isomorphism or embedding search; it is the
+independent path the tests compare against, and it matches the entries too
+large to compile (more than COPY_LIMIT relabelings).
 """
 
 import itertools
+import math
 
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
@@ -25,6 +28,9 @@ INDUCED = "induced"
 NON_INDUCED = "non-induced"
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
+# Most relabelings compiled per entry: entries on up to 6 points. A larger
+# entry would cost m! masks (40320 at 8 points) to build and to scan.
+COPY_LIMIT = 720
 
 
 class ForbiddenEntry(object):
@@ -67,10 +73,11 @@ class HereditaryProperty(object):
         self.k = max((f.structure.n for f in entries), default=0)
         self._member_cache = {}
         # Built on first use: see realized_type_space, block_checker and
-        # copy_tables.
+        # copy_table (one slot per entry size, ascending).
         self._type_space = None
         self._checker = None
-        self._copy_tables = None
+        self._copy_tables = dict.fromkeys(sorted({f.structure.n
+                                                  for f in entries}))
 
     def entry_matches(self, entry, M):
         """Does M contain the entry under its matching mode?"""
@@ -113,24 +120,30 @@ def _fact_index(signature, m):
     return {fact: i for i, fact in enumerate(facts)}
 
 
-def copy_tables(H):
-    """The forbidden family as labeled-copy tables, built on first use.
+def copy_table(H, m):
+    """The labeled-copy table of the size-m entries, built on first use.
 
-    Maps each entry size m to (induced, non_induced). A copy is the fact
-    mask of one of the m! relabelings of an entry. `induced` pairs the mask
-    of an entry signature's relations with the copies of the induced
-    entries on that signature; `non_induced` holds the copies of the
-    non-induced entries.
+    A triple (induced, non_induced, direct). A copy is the fact mask of one
+    of the m! relabelings of an entry. `induced` pairs the mask of an entry
+    signature's relations with the copies of the induced entries on that
+    signature; `non_induced` holds the copies of the non-induced entries.
+    Entries with more than COPY_LIMIT relabelings (more than 6 points) are
+    not compiled: `direct` holds them, for HereditaryProperty.entry_matches.
     """
-    if H._copy_tables is None:
-        tables = {}
+    table = H._copy_tables[m]
+    if table is None:
+        induced, non_induced, direct = {}, set(), []
+        index = _fact_index(H.signature, m)
         for f in H.forbidden:
             F = f.structure
-            index = _fact_index(H.signature, F.n)
+            if F.n != m:
+                continue
+            if math.factorial(m) > COPY_LIMIT:
+                direct.append(f)
+                continue
             copies = {sum(1 << index[(name, tuple(perm[x - 1] for x in t))]
                           for name, t in F.facts())
-                      for perm in itertools.permutations(range(1, F.n + 1))}
-            induced, non_induced = tables.setdefault(F.n, ({}, set()))
+                      for perm in itertools.permutations(range(1, m + 1))}
             if f.resolved_match(H.mode) == NON_INDUCED:
                 non_induced |= copies
             else:
@@ -138,16 +151,16 @@ def copy_tables(H):
                 relmask = sum(1 << i for (name, _), i in index.items()
                               if name in names)
                 induced.setdefault(relmask, set()).update(copies)
-        H._copy_tables = {m: (tuple((relmask, frozenset(copies))
-                                    for relmask, copies in induced.items()),
-                              tuple(sorted(non_induced)))
-                          for m, (induced, non_induced) in tables.items()}
-    return H._copy_tables
+        table = H._copy_tables[m] = (
+            tuple((relmask, frozenset(copies))
+                  for relmask, copies in induced.items()),
+            tuple(sorted(non_induced)), tuple(direct))
+    return table
 
 
 def _matches(table, x):
-    """Does the m-point structure with fact mask x contain a copy?"""
-    induced, non_induced = table
+    """Does the structure with fact mask x contain a compiled copy?"""
+    induced, non_induced, _ = table
     for relmask, copies in induced:
         if (x & relmask) in copies:
             return True
@@ -155,13 +168,25 @@ def _matches(table, x):
     return any(not c & outside for c in non_induced)
 
 
+def _structure(signature, n, facts, mask):
+    """The structure on {1..n} holding facts[i] for every set bit i of mask."""
+    rels = {}
+    while mask:
+        low = mask & -mask
+        name, t = facts[low.bit_length() - 1]
+        rels.setdefault(name, []).append(t)
+        mask ^= low
+    return Structure(signature, n, rels)
+
+
 def is_member(H, M):
     """M is in Forb(F): no m-subset of M holds a copy of a size-m entry.
 
     Each m-subset A is relabeled onto {1..m} and looked up in the copy
-    tables: induced entries match when M[A], restricted to the entry's
+    table for m: induced entries match when M[A], restricted to the entry's
     relations, is one of their copies; non-induced entries match when one
-    of their copies is a subset of M[A]'s facts.
+    of their copies is a subset of M[A]'s facts. Entries too large to
+    compile are matched on M by entry_matches.
     """
     if not (M.signature == H.signature):
         raise InvalidArgument("signature mismatch")
@@ -169,9 +194,17 @@ def is_member(H, M):
     cached = H._member_cache.get(key)
     if cached is not None:
         return cached
-    ok = not any(_matches(table, _fact_mask(M, A))
-                 for m, table in copy_tables(H).items() if m <= M.n
-                 for A in itertools.combinations(M.domain(), m))
+    ok = True
+    for m in H._copy_tables:
+        if m > M.n:
+            continue
+        table = copy_table(H, m)
+        compiled = table[0] or table[1]
+        if (compiled and any(_matches(table, _fact_mask(M, A))
+                             for A in itertools.combinations(M.domain(), m))
+                or any(H.entry_matches(f, M) for f in table[2])):
+            ok = False
+            break
     if len(H._member_cache) < 500000:
         H._member_cache[key] = ok
     return ok
@@ -195,51 +228,36 @@ def _groups(signature, n):
     return [(S, sorted(group_map.get(frozenset(S), []))) for S in subsets]
 
 
-def _spreader(positions, shift=0):
-    """Tables moving bit i of a value to bit positions[i], 8 bits a table.
-
-    Each part is (shift, width mask, table): OR-ing table[v >> shift & mask]
-    over the parts spreads the value v that starts at bit `shift`.
-    """
-    parts = []
-    for lo in range(0, len(positions), 8):
-        table = [0]
-        for p in positions[lo:lo + 8]:
-            table += [x | 1 << p for x in table]
-        parts.append((shift + lo, len(table) - 1, table))
-    return parts
-
-
 def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
     Depth-first over fact groups (one group per point subset, colex order);
     the chosen facts are one bit mask over the groups' facts. After the
-    group on S is chosen, M[S] is complete: its fact mask is gathered from
-    the masks of the groups inside S and looked up in the copy table for
-    |S| (see is_member). Budget counts DFS nodes.
+    group on S is chosen, M[S] is complete: its fact mask on {1..|S|} is
+    gathered bit by bit from the groups inside S and looked up in the copy
+    table for |S| (see is_member). Budget counts DFS nodes.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     groups = _groups(H.signature, n)
-    tables = copy_tables(H)
     offsets, facts = {}, []
     for S, group in groups:
         offsets[S] = len(facts)
         facts.extend(group)
     plan = []
     for S, group in groups:
-        table = tables.get(len(S))
         check = None
-        if table is not None:
-            local = {(name, tuple(S[x - 1] for x in t)): i for (name, t), i
-                     in _fact_index(H.signature, len(S)).items()}
-            inner = [(T, facts_T) for T, facts_T in groups
-                     if T != S and set(T) <= set(S)]
-            gather = [part for T, facts_T in inner for part in
-                      _spreader([local[f] for f in facts_T], offsets[T])]
-            own = _spreader([local[f] for f in group])
-            check = (gather, own, table)
+        if len(S) in H._copy_tables:
+            index = _fact_index(H.signature, len(S))
+            local = {(name, tuple(S[x - 1] for x in t)): 1 << i
+                     for (name, t), i in index.items()}
+            # (global bit, local bit) for the facts of the groups inside S,
+            # then (bit in the group's choice, local bit) for its own facts
+            inner = [(1 << offsets[T] + j, local[f]) for T, facts_T in groups
+                     if T != S and set(T) <= set(S)
+                     for j, f in enumerate(facts_T)]
+            own = [(1 << j, local[f]) for j, f in enumerate(group)]
+            check = (inner, own, copy_table(H, len(S)), len(S), list(index))
         plan.append((offsets[S], len(group), check))
     counter = [0]
 
@@ -248,29 +266,30 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
         if counter[0] > budget:
             raise BudgetExceeded("enumeration budget exhausted at n=%d" % n)
         if gi == len(plan):
-            rels = {}
-            while chosen:
-                low = chosen & -chosen
-                name, t = facts[low.bit_length() - 1]
-                rels.setdefault(name, []).append(t)
-                chosen ^= low
-            yield Structure(H.signature, n, rels)
+            yield _structure(H.signature, n, facts, chosen)
             return
         offset, width, check = plan[gi]
         if check is None:
             for c in range(1 << width):
                 yield from rec(gi + 1, chosen | c << offset)
             return
-        gather, own, table = check
+        inner, own, table, m, local_facts = check
         base = 0
-        for shift, mask, spread in gather:
-            base |= spread[chosen >> shift & mask]
+        for g, bit in inner:
+            if chosen & g:
+                base |= bit
         for c in range(1 << width):
             x = base
-            for shift, mask, spread in own:
-                x |= spread[c >> shift & mask]
-            if not _matches(table, x):
-                yield from rec(gi + 1, chosen | c << offset)
+            for g, bit in own:
+                if c & g:
+                    x |= bit
+            if _matches(table, x):
+                continue
+            if table[2]:
+                sub = _structure(H.signature, m, local_facts, x)
+                if any(H.entry_matches(f, sub) for f in table[2]):
+                    continue
+            yield from rec(gi + 1, chosen | c << offset)
 
     yield from rec(0, 0)
 

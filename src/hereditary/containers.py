@@ -63,11 +63,13 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     per_block = len(space) ** s
     if per_block * comb(n, k) > budget:
         raise BudgetExceeded("edge space exceeds budget")
+    # the type assignments on {1..k} whose merge is not a member
     checker = block_checker(H)
+    ids = [checker.type_id(p) for p in space]
+    rel_edges = [[checker.types[t] for t in combo]
+                 for combo in itertools.product(ids, repeat=s)
+                 if checker.outcome(k, combo) is not True]
     rel = list(itertools.combinations(range(1, k + 1), r))
-    rel_edges = [combo for combo in itertools.product(space, repeat=s)
-                 if not checker.merged_in_h(
-                     [LocatedType(A, p) for A, p in zip(rel, combo)], k)]
     edges_by_block = {}
     for block in itertools.combinations(range(1, n + 1), k):
         rsubs = [tuple(block[i - 1] for i in A) for A in rel]

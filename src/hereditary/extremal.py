@@ -2,18 +2,20 @@
 
 The search assigns choice sets to r-subsets in colexicographic order with
 (a) candidate sets drawn from the realized type space, (b) a partial-product
-upper bound against the incumbent, (c) incremental membership checks on
-every newly completed block of size <= k, and (d) an incremental error scan
-when some realized type has a fact on fewer than r points.
+upper bound against the incumbent, (c) one block-kernel lookup per newly
+completed block of size <= k (see templates._BlockChecker), and (d) an
+incremental error scan when some realized type has a fact on fewer than r
+points.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, block_checker, has_low_facts, pair_ok,
+from .templates import (Template, block_checker, block_subsets, pair_ok,
                         r_subsets, sub_count)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -86,58 +88,62 @@ def candidate_sets(H, limit=1 << 14):
     return sets
 
 
-def _completion_schedule(n, r, kk, subsets):
-    """For each step i: the blocks (size r+1..kk) whose r-subsets all lie in
-    subsets[0..i] and which include subsets[i] as their colex-last subset."""
-    index = {A: i for i, A in enumerate(subsets)}
-    schedule = [[] for _ in subsets]
+def _completion_schedule(n, r, kk):
+    """For each step i: (size, itemgetter of its r-subset indices) of every
+    block (size r+1..kk) whose colex-last r-subset is subsets[i]."""
+    schedule = [[] for _ in range(math.comb(n, r))]
     for size in range(r + 1, kk + 1):
-        for block in itertools.combinations(range(1, n + 1), size):
-            last = max(index[A] for A in itertools.combinations(block, r))
-            schedule[last].append(block)
+        for idx in block_subsets(n, r, size):
+            schedule[max(idx)].append((size, itemgetter(*idx)))
     return schedule
 
 
 def _error_partners(subsets, r):
-    """For each step i: earlier subsets overlapping subsets[i] with union
-    size strictly between r and 2r (the error window)."""
-    partners = [[] for _ in subsets]
-    for i, A in enumerate(subsets):
-        for j in range(i):
-            u = len(set(A) | set(subsets[j]))
-            if r < u < 2 * r:
-                partners[i].append(subsets[j])
-    return partners
+    """For each step i: the indices of earlier subsets overlapping
+    subsets[i] with union size strictly between r and 2r (the error
+    window)."""
+    return [[j for j in range(i) if r < len(set(A) | set(subsets[j])) < 2 * r]
+            for i, A in enumerate(subsets)]
 
 
 class _SearchEngine(object):
+    """DFS over choice-set assignments, read through the block kernel.
+
+    The current assignment is an int array of choice-set ids, one per
+    r-subset; each scheduled block is checked by one lookup of its
+    (size, id tuple) in the kernel's block verdicts.
+    """
+
     def __init__(self, H, n, node_budget=DEFAULT_NODE_BUDGET):
         self.H = H
         self.n = n
         self.r = H.signature.r
         self.subsets = r_subsets(n, self.r)
-        self.cands = candidate_sets(H)
-        self.max_card = max(len(c) for c in self.cands)
-        self.kk = min(max(H.k, self.r), n)
-        self.schedule = _completion_schedule(n, self.r, self.kk, self.subsets)
-        self.mixed = has_low_facts(realized_type_space(H))
-        self.partners = _error_partners(self.subsets, self.r) if self.mixed else None
         self.checker = block_checker(H)
+        cands = candidate_sets(H)
+        # (size, choice-set id) per candidate, and each id's set
+        self.cands = [(len(c), self.checker.set_id(c)) for c in cands]
+        self.sets = {cid: c for (_, cid), c in zip(self.cands, cands)}
+        self.max_card = max(len(c) for c in cands)
+        self.kk = min(max(H.k, self.r), n)
+        self.schedule = _completion_schedule(n, self.r, self.kk)
+        self.mixed = any(self.checker.set_low[cid] for _, cid in self.cands)
+        self.partners = _error_partners(self.subsets, self.r) if self.mixed else None
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
 
-    def _blocks_ok(self, i, assigned):
-        A_i = self.subsets[i]
+    def _blocks_ok(self, i, cur):
         if self.mixed:
-            for B in self.partners[i]:
-                if not all(pair_ok(B, p, A_i, q)
-                           for p in assigned[B] for q in assigned[A_i]):
+            A, sets = self.subsets[i], self.sets
+            for j in self.partners[i]:
+                B = self.subsets[j]
+                if not all(pair_ok(B, p, A, q)
+                           for p in sets[cur[j]] for q in sets[cur[i]]):
                     return False
-        for block in self.schedule[i]:
-            cmap = {A: assigned[A]
-                    for A in itertools.combinations(block, self.r)}
-            if not self.checker.block_ok(block, cmap):
+        verdict = self.checker.block_verdict
+        for size, get in self.schedule[i]:
+            if not verdict(size, get(cur)):
                 return False
         # size-r validity is structural: candidates are subsets of S_r(H)
         return True
@@ -149,8 +155,8 @@ class _SearchEngine(object):
         product passes qualifies(product); lower_bound() returns the current
         pruning floor (leaves with bound < floor are cut).
         """
-        subsets = self.subsets
-        assigned = {}
+        subsets, sets, cands = self.subsets, self.sets, self.cands
+        cur = [None] * len(subsets)  # choice-set ids of subsets[0..i]
 
         def rec(i, product):
             self.nodes += 1
@@ -158,22 +164,21 @@ class _SearchEngine(object):
                 raise BudgetExceeded("search node budget exhausted")
             if i == len(subsets):
                 if qualifies(product):
-                    collect(dict(assigned), product)
+                    collect({A: sets[c] for A, c in zip(subsets, cur)},
+                            product)
                 return
-            remaining = len(subsets) - i - 1
-            A = subsets[i]
-            for cand in self.cands:
-                bound = product * len(cand) * self.max_card ** remaining
+            cap = self.max_card ** (len(subsets) - i - 1)
+            for pos, (size, cid) in enumerate(cands):
                 floor = lower_bound()
-                if floor is not None and bound < floor:
-                    self.pruned += 1
-                    continue
-                assigned[A] = cand
-                if self._blocks_ok(i, assigned):
-                    rec(i + 1, product * len(cand))
+                if floor is not None and product * size * cap < floor:
+                    # sizes never grow along cands: the rest are cut too
+                    self.pruned += len(cands) - pos
+                    break
+                cur[i] = cid
+                if self._blocks_ok(i, cur):
+                    rec(i + 1, product * size)
                 else:
                     self.pruned += 1
-                del assigned[A]
 
         rec(0, 1)
 

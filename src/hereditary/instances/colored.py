@@ -13,7 +13,8 @@ from ..errors import InvalidArgument
 from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                           HereditaryProperty)
 from ..qftypes import QfType, atoms
-from ..structures import Signature, Structure, is_isomorphic
+from ..structures import (Signature, Structure, first_of_classes,
+                          structure_from_mask)
 from ..templates import Template
 
 
@@ -47,25 +48,16 @@ def _loop_entries(k, colors):
 
 
 def _bad_block_entries(k, colors):
-    """k-point structures that are not one full symmetric single color."""
-    sig = signature(k, colors)
+    """k-point structures that are not one full symmetric single color, one
+    per isomorphism class (the first in mask order)."""
     perms = list(itertools.permutations(range(1, k + 1)))
     facts = [("c%s" % c, t) for c in colors for t in perms]
-    good = set()
-    for c in colors:
-        good.add(frozenset(("c%s" % c, t) for t in perms))
-    reps = []
-    for mask in range(1 << len(facts)):
-        chosen = frozenset(facts[i] for i in range(len(facts)) if (mask >> i) & 1)
-        if chosen in good:
-            continue
-        rels = {}
-        for name, t in chosen:
-            rels.setdefault(name, []).append(t)
-        M = Structure(sig, k, rels)
-        if not any(is_isomorphic(M, rep) for rep in reps):
-            reps.append(M)
-    return [ForbiddenEntry(M, INDUCED) for M in reps]
+    block = (1 << len(perms)) - 1
+    good = {block << i * len(perms) for i in range(len(colors))}
+    masks = [mask for mask in range(1 << len(facts)) if mask not in good]
+    return [ForbiddenEntry(structure_from_mask(signature(k, colors), k,
+                                               facts, mask), INDUCED)
+            for mask in first_of_classes(k, facts, masks)]
 
 
 def coloring_structure(k, colors, n, coloring):

@@ -12,7 +12,8 @@ from ..errors import InvalidArgument
 from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                           HereditaryProperty)
 from ..qftypes import QfType, atoms
-from ..structures import Signature, Structure, is_isomorphic
+from ..structures import (Signature, Structure, first_of_classes,
+                          structure_from_mask)
 from ..templates import Template
 
 
@@ -42,25 +43,15 @@ def _loop_entries(r):
 
 
 def _bad_pair_entries(r):
-    """Loop-free 2-point structures that are not a single symmetric distance."""
-    sig = signature(r)
+    """Loop-free 2-point structures that are not a single symmetric distance,
+    one per isomorphism class (the first in mask order)."""
     facts = [("R%d" % i, t) for i in range(1, r + 1)
              for t in ((1, 2), (2, 1))]
-    good = set()
-    for i in range(1, r + 1):
-        good.add(frozenset((("R%d" % i, (1, 2)), ("R%d" % i, (2, 1)))))
-    reps = []
-    for mask in range(1 << len(facts)):
-        chosen = frozenset(facts[j] for j in range(len(facts)) if (mask >> j) & 1)
-        if chosen in good:
-            continue
-        rels = {}
-        for name, t in chosen:
-            rels.setdefault(name, []).append(t)
-        M = Structure(sig, 2, rels)
-        if not any(is_isomorphic(M, rep) for rep in reps):
-            reps.append(M)
-    return [ForbiddenEntry(M, INDUCED) for M in reps]
+    good = {0b11 << 2 * i for i in range(r)}  # both directions of one R_i
+    masks = [mask for mask in range(1 << len(facts)) if mask not in good]
+    return [ForbiddenEntry(structure_from_mask(signature(r), 2, facts, mask),
+                           INDUCED)
+            for mask in first_of_classes(2, facts, masks)]
 
 
 def _violating_triangles(r):

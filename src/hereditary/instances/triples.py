@@ -14,7 +14,8 @@ from math import comb
 from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                           HereditaryProperty)
 from ..qftypes import QfType, atoms
-from ..structures import Signature, Structure, is_isomorphic
+from ..structures import (Signature, Structure, first_of_classes,
+                          structure_from_mask)
 from ..templates import Template
 
 SIG = Signature([("E", 3)])
@@ -39,15 +40,11 @@ def _loop_entries():
 
 
 def _asymmetry_entries():
-    """3-point structures whose edge orbit is a proper nonempty subset."""
-    perms = list(itertools.permutations((1, 2, 3)))
-    reps = []
-    for mask in range(1, (1 << 6) - 1):
-        chosen = [perms[i] for i in range(6) if (mask >> i) & 1]
-        M = Structure(SIG, 3, {"E": chosen})
-        if not any(is_isomorphic(M, rep) for rep in reps):
-            reps.append(M)
-    return [ForbiddenEntry(M, INDUCED) for M in reps]
+    """3-point structures whose edge orbit is a proper nonempty subset, one
+    per isomorphism class (the first in mask order)."""
+    facts = [("E", t) for t in itertools.permutations((1, 2, 3))]
+    return [ForbiddenEntry(structure_from_mask(SIG, 3, facts, mask), INDUCED)
+            for mask in first_of_classes(3, facts, range(1, (1 << 6) - 1))]
 
 
 def triangle_patterns():

@@ -22,7 +22,7 @@ import math
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
 from .structures import (Structure, embeds_noninduced, induced_substructure,
-                         is_isomorphic)
+                         is_isomorphic, structure_from_mask)
 
 INDUCED = "induced"
 NON_INDUCED = "non-induced"
@@ -168,17 +168,6 @@ def _matches(table, x):
     return any(not c & outside for c in non_induced)
 
 
-def _structure(signature, n, facts, mask):
-    """The structure on {1..n} holding facts[i] for every set bit i of mask."""
-    rels = {}
-    while mask:
-        low = mask & -mask
-        name, t = facts[low.bit_length() - 1]
-        rels.setdefault(name, []).append(t)
-        mask ^= low
-    return Structure(signature, n, rels)
-
-
 def is_member(H, M):
     """M is in Forb(F): no m-subset of M holds a copy of a size-m entry.
 
@@ -231,8 +220,9 @@ def _groups(signature, n):
 def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
-    Depth-first over fact groups (one group per point subset, colex order);
-    the chosen facts are one bit mask over the groups' facts. After the
+    Depth-first over fact groups (one group per point subset, colex order;
+    a subset with no facts and no entry of its size is no level); the
+    chosen facts are one bit mask over the groups' facts. After the
     group on S is chosen, M[S] is complete: its fact mask on {1..|S|} is
     gathered bit by bit from the groups inside S and looked up in the copy
     table for |S| (see is_member). Budget counts DFS nodes.
@@ -258,7 +248,9 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
                      for j, f in enumerate(facts_T)]
             own = [(1 << j, local[f]) for j, f in enumerate(group)]
             check = (inner, own, copy_table(H, len(S)), len(S), list(index))
-        plan.append((offsets[S], len(group), check))
+        # a subset with no facts and no check would be a level of one child
+        if group or check is not None:
+            plan.append((offsets[S], len(group), check))
     counter = [0]
 
     def rec(gi, chosen):
@@ -266,7 +258,7 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
         if counter[0] > budget:
             raise BudgetExceeded("enumeration budget exhausted at n=%d" % n)
         if gi == len(plan):
-            yield _structure(H.signature, n, facts, chosen)
+            yield structure_from_mask(H.signature, n, facts, chosen)
             return
         offset, width, check = plan[gi]
         if check is None:
@@ -286,7 +278,7 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
             if _matches(table, x):
                 continue
             if table[2]:
-                sub = _structure(H.signature, m, local_facts, x)
+                sub = structure_from_mask(H.signature, m, local_facts, x)
                 if any(H.entry_matches(f, sub) for f in table[2]):
                     continue
             yield from rec(gi + 1, chosen | c << offset)

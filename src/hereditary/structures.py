@@ -137,6 +137,40 @@ def induced_substructure(M, A, relabel=True):
     return Structure(M.signature, M.n, rels)
 
 
+def structure_from_mask(signature, n, facts, mask):
+    """The structure on {1..n} holding facts[i] for every set bit i of mask."""
+    rels = {}
+    while mask:
+        low = mask & -mask
+        name, t = facts[low.bit_length() - 1]
+        rels.setdefault(name, []).append(t)
+        mask ^= low
+    return Structure(signature, n, rels)
+
+
+def first_of_classes(n, facts, masks):
+    """The masks, in the given order, that come first in their isomorphism
+    class.
+
+    A mask is a set of facts on {1..n}: bit i stands for facts[i], a list
+    of (relation, tuple) closed under relabeling. Two masks are isomorphic
+    when a permutation of {1..n} maps one onto the other, so the least mask
+    over the n! relabelings is a key of the class.
+    """
+    index = {f: i for i, f in enumerate(facts)}
+    images = [[1 << index[(name, tuple(perm[x - 1] for x in t))]
+               for name, t in facts]
+              for perm in itertools.permutations(range(1, n + 1))]
+    seen, out = set(), []
+    for mask in masks:
+        bits = [i for i in range(len(facts)) if mask >> i & 1]
+        key = min(sum(image[i] for i in bits) for image in images)
+        if key not in seen:
+            seen.add(key)
+            out.append(mask)
+    return out
+
+
 def _incidence_profile(M, v):
     # Per-vertex invariant used to prune isomorphism search: for each
     # relation, the multiset of position sets at which v occurs in its tuples.

@@ -1,9 +1,16 @@
 """Templates: choice sets, choice functions, subpattern counting, errors,
-flaw checks, H-randomness, restriction.
+flaw checks, H-randomness, restriction, and the block kernel.
 
 A template maps each r-subset of {1..n} to a nonempty set of realized types
 (canonical sorted-support form). Iteration order is always colexicographic
 over subsets and lexicographic over type fact-vectors, for determinism.
+
+The block kernel (_BlockChecker, one per property) answers the question
+that H-randomness, the extremal search and the containers hypergraph share:
+does every choice of types on the r-subsets of a small block merge to a
+member? It interns types and choice sets as small ints and memoizes one
+verdict per type assignment and one per choice-set assignment, per block
+size; block_subsets gives the r-subset indices of every block.
 """
 
 import itertools
@@ -104,13 +111,14 @@ def subpattern_of_choice(T, chi):
     return merge_entries(entries, n=T.n, signature=T.property.signature)
 
 
-def has_low_facts(types):
-    """Does some type have a true atom on fewer than r distinct variables?
+def has_low_facts(p):
+    """Does p have a true atom on fewer than r distinct variables?
 
     Only such facts are shared by two distinct r-subsets, so located types
-    without one always merge: errors need a true low fact somewhere.
+    without one always merge: errors need a true low fact somewhere. The
+    kernel computes this once per type (_BlockChecker.set_low).
     """
-    return any(b and len(set(varmap)) < p.r for p in types
+    return any(b and len(set(varmap)) < p.r
                for (_, varmap), b in zip(atoms(p.signature, p.r), p.facts))
 
 
@@ -125,7 +133,9 @@ def detect_errors(T):
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
     r = T.property.signature.r
-    if not has_low_facts(p for A in T.subsets for p in T.choices[A]):
+    checker = block_checker(T.property)
+    if not any(checker.set_low[checker.set_id(T.choices[A])]
+               for A in T.subsets):
         return []
     found = []
     seen = set()
@@ -188,17 +198,60 @@ def is_flaw_free(T):
     return validate_template(T)[0]
 
 
-class _BlockChecker(object):
-    """Memoized checks that located choices merge to members of H.
+@lru_cache(maxsize=256)
+def block_subsets(n, r, size):
+    """For every size-point block of {1..n}, in lexicographic order: the
+    indices in r_subsets(n, r) of its r-subsets, in lexicographic order
+    (the order of the relative r-subsets of {1..size})."""
+    index = {A: i for i, A in enumerate(r_subsets(n, r))}
+    return tuple(tuple(index[A] for A in itertools.combinations(block, r))
+                 for block in itertools.combinations(range(1, n + 1), size))
 
-    Keys are relative configurations (choice sets per relative r-subset), so
-    results are shared across blocks in the same position pattern. One
-    checker lives on each property (see block_checker).
+
+class _BlockChecker(object):
+    """The compiled block kernel of one property (see block_checker).
+
+    Types and choice sets get small int ids on first sight; the kernel
+    never enumerates S_r(H) itself, since is_h_random and detect_errors
+    also serve properties whose type space is out of reach (mixed has
+    about 3 * 10^9 members on 3 points). A type outside S_r(H) is one
+    more id, and its size-r outcome is False. For a block of
+    s points, an assignment is a tuple of ids on the relative r-subsets of
+    {1..s} (lexicographic). Two tables, both keyed by (s, id tuple):
+    `outcomes` holds merged_in_h of each type assignment, computed once;
+    `cache` holds the verdict of each choice-set assignment, the AND over
+    its product of "the merge is not a non-member". They hold at most
+    |types|^C(s,r) and |choice sets|^C(s,r) entries per size.
     """
 
     def __init__(self, H):
         self.H = H
+        self.r = H.signature.r
+        self.types = []      # type id -> QfType
+        self.type_ids = {}   # QfType -> type id
+        self.sets = []       # choice-set id -> tuple of type ids
+        self.set_ids = {}    # frozenset of types -> choice-set id
+        self.set_low = []    # choice-set id -> has_low_facts of some type
+        self.outcomes = {}
         self.cache = {}
+
+    def type_id(self, p):
+        t = self.type_ids.get(p)
+        if t is None:
+            t = self.type_ids[p] = len(self.types)
+            self.types.append(p)
+        return t
+
+    def set_id(self, types):
+        """The id of a choice set (any iterable of types). New types get
+        ids in fact order, so ids do not depend on hashing."""
+        types = frozenset(types)
+        c = self.set_ids.get(types)
+        if c is None:
+            c = self.set_ids[types] = len(self.sets)
+            self.sets.append(tuple(map(self.type_id, sorted(types))))
+            self.set_low.append(any(map(has_low_facts, types)))
+        return c
 
     def merged_in_h(self, entries, size):
         """None when located types on {1..size} do not merge (they disagree
@@ -206,25 +259,34 @@ class _BlockChecker(object):
         merged = merge_entries(entries, n=size, signature=self.H.signature)
         return None if merged is None else is_member(self.H, merged)
 
-    def block_ok(self, block, choice_map):
-        """block: sorted point tuple; choice_map: A -> frozenset of types."""
-        r = self.H.signature.r
-        rel_subsets = list(itertools.combinations(range(1, len(block) + 1), r))
-        abs_subsets = [tuple(block[i - 1] for i in A) for A in rel_subsets]
-        key = tuple(tuple(sorted(t.facts for t in choice_map[A]))
-                    for A in abs_subsets)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        ok = True
-        pools = [sorted(choice_map[A]) for A in abs_subsets]
-        for combo in itertools.product(*pools):
-            entries = [LocatedType(A, p) for A, p in zip(rel_subsets, combo)]
-            if self.merged_in_h(entries, len(block)) is False:
-                ok = False
-                break
-        self.cache[key] = ok
+    def outcome(self, s, ids):
+        """merged_in_h of the types `ids` on the relative r-subsets of
+        {1..s}, memoized."""
+        key = (s, ids)
+        if key not in self.outcomes:
+            rel = itertools.combinations(range(1, s + 1), self.r)
+            self.outcomes[key] = self.merged_in_h(
+                [LocatedType(A, self.types[t]) for A, t in zip(rel, ids)], s)
+        return self.outcomes[key]
+
+    def block_verdict(self, s, cids):
+        """Does no choice from the choice sets `cids` on the relative
+        r-subsets of {1..s} merge to a non-member?"""
+        key = (s, cids)
+        ok = self.cache.get(key)
+        if ok is None:
+            pools = [self.sets[c] for c in cids]
+            ok = self.cache[key] = all(
+                self.outcome(s, ids) is not False
+                for ids in itertools.product(*pools))
         return ok
+
+    def block_ok(self, block, choice_map):
+        """block_verdict for callers holding a choice map: block is a sorted
+        point tuple, choice_map maps its r-subsets to sets of types."""
+        cids = tuple(self.set_id(choice_map[A])
+                     for A in itertools.combinations(block, self.r))
+        return self.block_verdict(len(block), cids)
 
 
 def block_checker(H):
@@ -241,13 +303,12 @@ def is_h_random(T):
     if not is_error_free(T):
         return False
     H = T.property
+    r = H.signature.r
     checker = block_checker(H)
-    k = min(max(H.k, H.signature.r), T.n)
-    for size in range(H.signature.r, k + 1):
-        for block in itertools.combinations(range(1, T.n + 1), size):
-            cmap = {A: T.choices[A]
-                    for A in itertools.combinations(block, H.signature.r)}
-            if not checker.block_ok(block, cmap):
+    cids = [checker.set_id(T.choices[A]) for A in T.subsets]
+    for size in range(r, min(max(H.k, r), T.n) + 1):
+        for idx in block_subsets(T.n, r, size):
+            if not checker.block_verdict(size, tuple(cids[i] for i in idx)):
                 return False
     return True
 

@@ -7,7 +7,8 @@ from hereditary.errors import InvalidArgument
 from hereditary.extremal import search_extremal
 from hereditary.instances import colored, digraphs, metric, mixed, triples
 from hereditary.instances.colored import all_one_triangle
-from hereditary.properties import is_member
+from hereditary.properties import INDUCED, is_member
+from hereditary.structures import Structure, is_isomorphic
 from hereditary.templates import (is_h_random, r_subsets, sub_count)
 
 from helpers import seeded
@@ -197,3 +198,50 @@ def test_mixed_sample_type_is_valid(
     for _ in range(25):
         p = mixed.sample_type(rng)
         assert is_member(H, p.realizing_structure())
+
+
+# ---------- iso-class dedup of the generated families ----------
+
+def _pairwise_classes(signature, n, facts, good):
+    """Structures over every fact subset not in `good`, in mask order,
+    keeping the first of each isomorphism class by pairwise is_isomorphic."""
+    reps = []
+    for mask in range(1 << len(facts)):
+        chosen = [facts[i] for i in range(len(facts)) if mask >> i & 1]
+        if frozenset(chosen) in good:
+            continue
+        rels = {}
+        for name, t in chosen:
+            rels.setdefault(name, []).append(t)
+        M = Structure(signature, n, rels)
+        if not any(is_isomorphic(M, rep) for rep in reps):
+            reps.append(M)
+    return reps
+
+
+def _symmetric_blocks(names, k):
+    perms = list(itertools.permutations(range(1, k + 1)))
+    facts = [(name, t) for name in names for t in perms]
+    good = {frozenset((name, t) for t in perms) for name in names}
+    return facts, good
+
+
+@pytest.mark.parametrize("case", ["metric-r3", "metric-r4", "metric-r5",
+                                  "triples", "colored-2", "colored-3"])
+def test_generated_families_match_pairwise_dedup(case):
+    if case.startswith("metric"):
+        r = int(case[-1])
+        facts, good = _symmetric_blocks(["R%d" % i for i in range(1, r + 1)], 2)
+        sig, n, entries = metric.signature(r), 2, metric._bad_pair_entries(r)
+    elif case == "triples":
+        facts, _ = _symmetric_blocks(["E"], 3)
+        good = {frozenset(), frozenset(facts)}
+        sig, n, entries = triples.SIG, 3, triples._asymmetry_entries()
+    else:
+        colors = list(range(1, int(case[-1]) + 1))
+        facts, good = _symmetric_blocks(["c%d" % c for c in colors], 2)
+        sig, n = colored.signature(2, colors), 2
+        entries = colored._bad_block_entries(2, colors)
+    assert [f.structure for f in entries] == _pairwise_classes(
+        sig, n, facts, good)
+    assert all(f.match == INDUCED for f in entries)

@@ -1,4 +1,5 @@
-"""Hereditary properties Forb(F): membership, labeled enumeration, closure.
+"""Hereditary properties Forb(F): membership, labeled enumeration, counting
+over isomorphism classes, closure.
 
 A property is given by a finite forbidden family. Each entry is matched
 either induced (isomorphism of an induced substructure, on the entry's own
@@ -14,6 +15,12 @@ table for m. HereditaryProperty.entry_matches keeps the direct definition,
 matching one entry by isomorphism or embedding search; it is the
 independent path the tests compare against, and it matches the entries too
 large to compile (more than COPY_LIMIT relabelings).
+
+enumerate_members and count_members walk one plan (_plan): the fact groups
+of the point subsets in colex order, each checked against the copy tables
+once complete. enumerate_members streams every labeled member;
+count_members extends one representative per isomorphism class by one
+point at a time and weighs each extension count by the class's orbit.
 """
 
 import itertools
@@ -21,8 +28,9 @@ import math
 
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
-from .structures import (Structure, embeds_noninduced, induced_substructure,
-                         is_isomorphic, structure_from_mask)
+from .structures import (Structure, class_key, embeds_noninduced,
+                         first_of_classes, induced_substructure,
+                         is_isomorphic, relabelings, structure_from_mask)
 
 INDUCED = "induced"
 NON_INDUCED = "non-induced"
@@ -31,6 +39,9 @@ DEFAULT_ENUM_BUDGET = 10 ** 7
 # Most relabelings compiled per entry: entries on up to 6 points. A larger
 # entry would cost m! masks (40320 at 8 points) to build and to scan.
 COPY_LIMIT = 720
+# Most realized types: one per r-point member. mixed has about 3 * 10^9
+# members on 3 points, the built-in families at most a few dozen.
+TYPE_SPACE_LIMIT = 10 ** 4
 
 
 class ForbiddenEntry(object):
@@ -126,7 +137,8 @@ def copy_table(H, m):
     A triple (induced, non_induced, direct). A copy is the fact mask of one
     of the m! relabelings of an entry. `induced` pairs the mask of an entry
     signature's relations with the copies of the induced entries on that
-    signature; `non_induced` holds the copies of the non-induced entries.
+    signature; `non_induced` holds the copies of the non-induced entries as
+    (lowest bit, copies with that lowest bit) pairs.
     Entries with more than COPY_LIMIT relabelings (more than 6 points) are
     not compiled: `direct` holds them, for HereditaryProperty.entry_matches.
     """
@@ -151,21 +163,33 @@ def copy_table(H, m):
                 relmask = sum(1 << i for (name, _), i in index.items()
                               if name in names)
                 induced.setdefault(relmask, set()).update(copies)
+        by_low = {}
+        for c in sorted(non_induced):
+            by_low.setdefault(c & -c, []).append(c)
         table = H._copy_tables[m] = (
             tuple((relmask, frozenset(copies))
                   for relmask, copies in induced.items()),
-            tuple(sorted(non_induced)), tuple(direct))
+            tuple((low, tuple(by_low[low])) for low in sorted(by_low)),
+            tuple(direct))
     return table
 
 
 def _matches(table, x):
-    """Does the structure with fact mask x contain a compiled copy?"""
+    """Does the structure with fact mask x contain a compiled copy?
+
+    A non-induced copy fits when it is a subset of x, so only the copies
+    whose lowest bit is set in x are read (and the empty copy, if any).
+    """
     induced, non_induced, _ = table
     for relmask, copies in induced:
         if (x & relmask) in copies:
             return True
-    outside = ~x
-    return any(not c & outside for c in non_induced)
+    for low, copies in non_induced:
+        if x & low or not low:
+            for c in copies:
+                if c & x == c:
+                    return True
+    return False
 
 
 def is_member(H, M):
@@ -217,32 +241,36 @@ def _groups(signature, n):
     return [(S, sorted(group_map.get(frozenset(S), []))) for S in subsets]
 
 
-def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
-    """Stream every labeled member on {1..n} exactly once, deterministically.
+def _plan(H, n):
+    """The facts on {1..n} and the steps of the member DFS over them.
 
-    Depth-first over fact groups (one group per point subset, colex order;
-    a subset with no facts and no entry of its size is no level); the
-    chosen facts are one bit mask over the groups' facts. After the
-    group on S is chosen, M[S] is complete: its fact mask on {1..|S|} is
-    gathered bit by bit from the groups inside S and looked up in the copy
-    table for |S| (see is_member). Budget counts DFS nodes.
+    One step (offset, width, check) per fact group (see _groups): the
+    group's facts are facts[offset:offset + width], one bit each in a fact
+    mask. A subset with no facts and no entry of its size is no step. When
+    entries of size |S| exist, check = (inner, own, table, |S|, local
+    facts): after the group on S is chosen, M[S] is complete, and its fact
+    mask on {1..|S|} is gathered from `inner` (global bit, local bit) for
+    the groups inside S and from `own` (bit in the group's choice, local
+    bit), then looked up in the copy table for |S| (see _chooser).
+
+    Groups are colex, so the steps and facts of the subsets of {1..m} are
+    a prefix, the same for every n >= m: a mask of a member on {1..m} is a
+    partial assignment of the plan for {1..n}. ends[m] is the length of
+    that prefix of steps, so the steps of the subsets whose largest point
+    is m are plan[ends[m - 1]:ends[m]].
     """
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
     groups = _groups(H.signature, n)
     offsets, facts = {}, []
     for S, group in groups:
         offsets[S] = len(facts)
         facts.extend(group)
-    plan = []
+    plan, ends = [], [0] * (n + 1)
     for S, group in groups:
         check = None
         if len(S) in H._copy_tables:
             index = _fact_index(H.signature, len(S))
             local = {(name, tuple(S[x - 1] for x in t)): 1 << i
                      for (name, t), i in index.items()}
-            # (global bit, local bit) for the facts of the groups inside S,
-            # then (bit in the group's choice, local bit) for its own facts
             inner = [(1 << offsets[T] + j, local[f]) for T, facts_T in groups
                      if T != S and set(T) <= set(S)
                      for j, f in enumerate(facts_T)]
@@ -251,44 +279,130 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
         # a subset with no facts and no check would be a level of one child
         if group or check is not None:
             plan.append((offsets[S], len(group), check))
-    counter = [0]
+        ends[S[-1]] = len(plan)
+    return facts, plan, ends
 
-    def rec(gi, chosen):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("enumeration budget exhausted at n=%d" % n)
-        if gi == len(plan):
-            yield structure_from_mask(H.signature, n, facts, chosen)
-            return
-        offset, width, check = plan[gi]
+
+def _chooser(H, plan):
+    """choose(gi, chosen): the choices c (bit masks over the group of step
+    gi) that keep M[S] a member, given the facts `chosen` of the earlier
+    steps. They depend only on the mask of M[S] gathered from `chosen`,
+    and are memoized on it per step."""
+    memo = {}
+
+    def choose(gi, chosen):
+        _, width, check = plan[gi]
         if check is None:
-            for c in range(1 << width):
-                yield from rec(gi + 1, chosen | c << offset)
-            return
+            return range(1 << width)
         inner, own, table, m, local_facts = check
         base = 0
         for g, bit in inner:
             if chosen & g:
                 base |= bit
-        for c in range(1 << width):
-            x = base
-            for g, bit in own:
-                if c & g:
-                    x |= bit
-            if _matches(table, x):
-                continue
-            if table[2]:
-                sub = structure_from_mask(H.signature, m, local_facts, x)
-                if any(H.entry_matches(f, sub) for f in table[2]):
+        out = memo.get((gi, base))
+        if out is None:
+            out = memo[gi, base] = []
+            for c in range(1 << width):
+                x = base
+                for g, bit in own:
+                    if c & g:
+                        x |= bit
+                if _matches(table, x):
                     continue
+                if table[2]:
+                    sub = structure_from_mask(H.signature, m, local_facts, x)
+                    if any(H.entry_matches(f, sub) for f in table[2]):
+                        continue
+                out.append(c)
+        return out
+    return choose
+
+
+def _budget_counter(budget, n):
+    """tick(k=1) counts k units of work (DFS nodes) and raises past the
+    budget."""
+    counter = [0]
+
+    def tick(k=1):
+        counter[0] += k
+        if counter[0] > budget:
+            raise BudgetExceeded("enumeration budget exhausted at n=%d" % n)
+    return tick
+
+
+def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
+    """Stream every labeled member on {1..n} exactly once, deterministically.
+
+    Depth-first over the steps of _plan, one fact group per point subset in
+    colex order; the chosen facts are one bit mask over the plan's facts,
+    and each step keeps only the choices that leave M[S] a member (see
+    is_member). Budget counts DFS nodes. This is the labeled stream, and
+    the oracle of count_members.
+    """
+    if n < 1:
+        raise InvalidArgument("n must be >= 1")
+    facts, plan, _ = _plan(H, n)
+    choose = _chooser(H, plan)
+    tick = _budget_counter(budget, n)
+
+    def rec(gi, chosen):
+        tick()
+        if gi == len(plan):
+            yield structure_from_mask(H.signature, n, facts, chosen)
+            return
+        offset = plan[gi][0]
+        for c in choose(gi, chosen):
             yield from rec(gi + 1, chosen | c << offset)
 
     yield from rec(0, 0)
 
 
 def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
-    """|H_n| as an exact integer."""
-    return sum(1 for _ in enumerate_members(H, n, budget))
+    """|H_n| as an exact integer, counted over isomorphism classes.
+
+    Every member on {1..m} is a member on {1..m-1} plus the point m, and
+    the number ext(R) of ways to add the point depends only on the class of
+    R, so |H_m| = sum over classes R of H_{m-1} of orbit(R) * ext(R), with
+    orbit(R) = (m-1)!/|Aut R| (see structures.class_key). Level by level,
+    each class representative is extended through the plan steps of the
+    subsets whose largest point is m (a counting DFS, with the checks of
+    enumerate_members); the extensions are deduplicated by class key into
+    the representatives of H_m. The last level is counted, not collected.
+    Budget counts the nodes of every extension DFS, and m! per key.
+    """
+    if n < 1:
+        raise InvalidArgument("n must be >= 1")
+    facts, plan, ends = _plan(H, n)
+    choose = _chooser(H, plan)
+    tick = _budget_counter(budget, n)
+
+    def extend(gi, end, chosen, leaves):
+        """The number of extensions of chosen through plan[gi:end]; each
+        is appended to leaves unless leaves is None."""
+        tick()
+        if gi == end:
+            if leaves is not None:
+                leaves.append(chosen)
+            return 1
+        offset = plan[gi][0]
+        return sum(extend(gi + 1, end, chosen | c << offset, leaves)
+                   for c in choose(gi, chosen))
+
+    classes = [(0, 1)]  # (representative mask, orbit) of the classes of H_0
+    for m in range(1, n):
+        images = relabelings(m, [f for f in facts if max(f[1]) <= m])
+        found = {}
+        for rep, _ in classes:
+            leaves = []
+            extend(ends[m - 1], ends[m], rep, leaves)
+            for mask in leaves:
+                tick(len(images))
+                key, orbit = class_key(images, mask)
+                if key not in found:
+                    found[key] = (mask, orbit)
+        classes = list(found.values())
+    return sum(orbit * extend(ends[n - 1], ends[n], rep, None)
+               for rep, orbit in classes)
 
 
 def realized_type_space(H):
@@ -296,21 +410,31 @@ def realized_type_space(H):
 
     Computed by enumerating the r-point members; valid because the property
     is hereditary by construction. Every r-point member, including ones with
-    repeated-entry facts, contributes the type of its identity enumeration.
-    The enumeration runs once per property; every call returns a new list.
+    repeated-entry facts, contributes the type of its identity enumeration,
+    so the types are as many as the members; past TYPE_SPACE_LIMIT of them
+    the enumeration stops with BudgetExceeded. The enumeration runs once
+    per property; every call returns a new list.
     """
     if H._type_space is None:
         r = H.signature.r
-        H._type_space = tuple(sorted({qftp(M, tuple(range(1, r + 1)))
-                                      for M in enumerate_members(H, r)}))
+        identity = tuple(range(1, r + 1))
+        types = set()
+        for M in enumerate_members(H, r):
+            types.add(qftp(M, identity))
+            if len(types) > TYPE_SPACE_LIMIT:
+                raise BudgetExceeded(
+                    "more than %d realized types" % TYPE_SPACE_LIMIT)
+        H._type_space = tuple(sorted(types))
     return list(H._type_space)
 
 
 def closure(H, K, budget=DEFAULT_ENUM_BUDGET):
     """cl_K(F): size-K non-members, one representative per isomorphism class.
 
-    Enumerates the raw labeled fact space of size-K structures, so it is
-    budget-guarded; tractable for binary signatures at desk scale.
+    Walks the raw labeled fact space of size-K structures in mask order,
+    so it is budget-guarded; tractable for binary signatures at desk scale.
+    The representative of a class is its first non-member in that order
+    (structures.first_of_classes).
     """
     if K < H.k:
         raise InvalidArgument("K must be at least the max forbidden size")
@@ -321,18 +445,11 @@ def closure(H, K, budget=DEFAULT_ENUM_BUDGET):
     if 1 << len(facts) > budget:
         raise BudgetExceeded(
             "closure space 2^%d exceeds budget" % len(facts))
-    reps = []
-    for mask in range(1 << len(facts)):
-        rels = {}
-        for i, (name, t) in enumerate(facts):
-            if (mask >> i) & 1:
-                rels.setdefault(name, []).append(t)
-        M = Structure(H.signature, K, rels)
-        if is_member(H, M):
-            continue
-        if not any(is_isomorphic(M, rep) for rep in reps):
-            reps.append(M)
-    return reps
+    non_members = [
+        mask for mask in range(1 << len(facts))
+        if not is_member(H, structure_from_mask(H.signature, K, facts, mask))]
+    return [structure_from_mask(H.signature, K, facts, mask)
+            for mask in first_of_classes(K, facts, non_members)]
 
 
 def is_trivial_up_to(H, n_max):

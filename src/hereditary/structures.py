@@ -148,23 +148,43 @@ def structure_from_mask(signature, n, facts, mask):
     return Structure(signature, n, rels)
 
 
-def first_of_classes(n, facts, masks):
-    """The masks, in the given order, that come first in their isomorphism
-    class.
+def relabelings(n, facts):
+    """Per permutation of {1..n}, the image bit of each fact.
 
     A mask is a set of facts on {1..n}: bit i stands for facts[i], a list
-    of (relation, tuple) closed under relabeling. Two masks are isomorphic
-    when a permutation of {1..n} maps one onto the other, so the least mask
-    over the n! relabelings is a key of the class.
+    of (relation, tuple) closed under relabeling. The result is the input
+    of class_key.
     """
     index = {f: i for i, f in enumerate(facts)}
-    images = [[1 << index[(name, tuple(perm[x - 1] for x in t))]
-               for name, t in facts]
-              for perm in itertools.permutations(range(1, n + 1))]
+    return [[1 << index[(name, tuple(perm[x - 1] for x in t))]
+             for name, t in facts]
+            for perm in itertools.permutations(range(1, n + 1))]
+
+
+def class_key(images, mask):
+    """(key, orbit) of a mask's isomorphism class, for images =
+    relabelings(n, facts).
+
+    Two masks are isomorphic when a permutation of {1..n} maps one onto the
+    other, so the least mask over the n! relabelings is a key of the class.
+    The orbit is the number of distinct masks among them, n!/|Aut|.
+    """
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    seen = {sum(image[i] for i in bits) for image in images}
+    return min(seen), len(seen)
+
+
+def first_of_classes(n, facts, masks):
+    """The masks, in the given order, that come first in their isomorphism
+    class (see class_key)."""
+    images = relabelings(n, facts)
     seen, out = set(), []
     for mask in masks:
-        bits = [i for i in range(len(facts)) if mask >> i & 1]
-        key = min(sum(image[i] for i in bits) for image in images)
+        key = class_key(images, mask)[0]
         if key not in seen:
             seen.add(key)
             out.append(mask)

@@ -17,10 +17,11 @@ import itertools
 import math
 from functools import lru_cache
 
-from .diagrams import LocatedType, merge_entries
+from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
-from .properties import is_member
+from .properties import _fact_index, is_member
 from .qftypes import atoms, qftp
+from .structures import structure_from_mask
 
 DEFAULT_CHI_BUDGET = 10 ** 6
 
@@ -313,16 +314,48 @@ def is_h_random(T):
     return True
 
 
+@lru_cache(maxsize=1 << 16)
+def _located_masks(signature, n, A, p):
+    """p located on A as (true facts, false facts): masks over the facts
+    on {1..n}, in _fact_index order."""
+    index = _fact_index(signature, n)
+    true = false = 0
+    for fact, b in located_facts(A, p).items():
+        if b:
+            true |= 1 << index[fact]
+        else:
+            false |= 1 << index[fact]
+    return true, false
+
+
+@lru_cache(maxsize=1 << 16)
+def _mask_is_member(H, n, mask):
+    facts = list(_fact_index(H.signature, n))
+    return is_member(H, structure_from_mask(H.signature, n, facts, mask))
+
+
 def is_h_random_direct(T, budget=DEFAULT_CHI_BUDGET):
-    """Direct-definition oracle: every choice function merges to a member."""
+    """Direct-definition oracle: every choice function merges to a member.
+
+    A located type fixes every fact on its r-subset, so it is a pair of
+    fact masks on {1..n}: (true facts, false facts). A choice function
+    merges to the OR of its true masks, and is unsatisfiable when that
+    meets the OR of its false masks. The pairs are ORed subset by subset,
+    keeping each distinct partial merge once; each distinct merge is then
+    checked with is_member (memoized by mask, since templates share them).
+    """
     _require_complete(T)
     if choice_count(T) > budget:
         raise BudgetExceeded("direct H-randomness oracle over budget")
-    for chi in choice_functions(T):
-        N = subpattern_of_choice(T, chi)
-        if N is None or not is_member(T.property, N):
-            return False
-    return True
+    signature = T.property.signature
+    merges = {(0, 0)}
+    for A in T.subsets:
+        pool = [_located_masks(signature, T.n, A, p) for p in T.choices[A]]
+        merges = {(t | pt, f | pf) for t, f in merges for pt, pf in pool}
+    if any(t & f for t, f in merges):
+        return False
+    return all(_mask_is_member(T.property, T.n, t)
+               for t in {t for t, _ in merges})
 
 
 def restrict(T, A):

@@ -32,6 +32,15 @@ def _frac(x):
     return {"exact": "%d/%d" % (f.numerator, f.denominator), "float": float(f)}
 
 
+def _parse_fraction(text, option):
+    """An exact rational from a command-line value such as 1/10 or 0.05."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(
+            "%s must be a fraction, got %r" % (option, text)) from None
+
+
 def _load_property(args):
     if getattr(args, "property", None):
         data = jsonio.load_path(args.property)
@@ -180,7 +189,7 @@ def cmd_containers(args):
         if not 0 < tau < Fraction(1, 2):
             tau = Fraction(1, 4)
     else:
-        tau = Fraction(args.tau)
+        tau = _parse_fraction(args.tau, "--tau")
     rep = containers_mod.codegree_function(Hg, tau, epsilon=args.epsilon)
     return {"v": Hg.num_vertices(), "e": Hg.num_edges(), "alpha": Hg.alpha,
             "s": Hg.s, "m": _frac(m), "tau": _frac(tau),
@@ -194,7 +203,7 @@ def cmd_containers(args):
 def cmd_probe_stability(args):
     H = _load_property(args)
     probe = extremal.stability_probe(
-        H, args.n, Fraction(args.epsilon),
+        H, args.n, _parse_fraction(args.epsilon, "--epsilon"),
         node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
     return {"n": probe.n, "epsilon": _frac(probe.epsilon),
             "near_extremal_count": len(probe.near_extremal),

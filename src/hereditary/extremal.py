@@ -2,21 +2,25 @@
 
 The search assigns choice sets to r-subsets in colexicographic order with
 (a) candidate sets drawn from the realized type space, (b) a partial-product
-upper bound against the incumbent, (c) one block-kernel lookup per newly
-completed block of size <= k (see templates._BlockChecker), and (d) an
-incremental error scan when some realized type has a fact on fewer than r
-points.
+upper bound against the incumbent, (c) one candidate mask per newly
+completed block of size <= k, read from the block kernel's allowed types
+(see templates._BlockChecker), and (d) when some realized type has a fact
+on fewer than r points, one candidate mask per earlier r-subset in the
+error window, from fact-mask agreement. The masks of a step are ANDed, so
+each node tests one bit per candidate. The stability probe measures
+distances as Hamming distances between choice-set id vectors.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from functools import partial
+from operator import itemgetter, ne
 
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, block_checker, block_subsets, pair_ok,
-                        r_subsets, sub_count)
+from .templates import (Template, block_checker, block_subsets,
+                        located_agree, r_subsets, sub_count)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
@@ -89,12 +93,17 @@ def candidate_sets(H, limit=1 << 14):
 
 
 def _completion_schedule(n, r, kk):
-    """For each step i: (size, itemgetter of its r-subset indices) of every
-    block (size r+1..kk) whose colex-last r-subset is subsets[i]."""
+    """For each step i: (size, getter) for every block (size r+1..kk)
+    whose colex-last r-subset is subsets[i]; the getter reads the tuple of
+    its other r-subsets' entries (in lexicographic order) from the
+    assignment."""
     schedule = [[] for _ in range(math.comb(n, r))]
     for size in range(r + 1, kk + 1):
         for idx in block_subsets(n, r, size):
-            schedule[max(idx)].append((size, itemgetter(*idx)))
+            prefix = idx[:-1]
+            get = (itemgetter(*prefix) if len(prefix) > 1
+                   else lambda cur, j=prefix[0]: (cur[j],))
+            schedule[idx[-1]].append((size, get))
     return schedule
 
 
@@ -110,8 +119,14 @@ class _SearchEngine(object):
     """DFS over choice-set assignments, read through the block kernel.
 
     The current assignment is an int array of choice-set ids, one per
-    r-subset; each scheduled block is checked by one lookup of its
-    (size, id tuple) in the kernel's block verdicts.
+    r-subset. At step i the candidates that pass are one bit mask over the
+    candidate list, the AND of one mask per check of the step. A check is
+    a block closing at step i, whose mask holds the candidates inside the
+    kernel's allowed types for the block's other choice sets; or, when
+    some type has a fact on fewer than r points, an error partner j,
+    whose mask holds the candidates whose every type agrees with every
+    type of the choice set on subsets[j]. Each check memoizes its masks by
+    the ids it reads.
     """
 
     def __init__(self, H, n, node_budget=DEFAULT_NODE_BUDGET):
@@ -125,28 +140,52 @@ class _SearchEngine(object):
         self.cands = [(len(c), self.checker.set_id(c)) for c in cands]
         self.sets = {cid: c for (_, cid), c in zip(self.cands, cands)}
         self.max_card = max(len(c) for c in cands)
+        self.type_mask = 0  # every candidate's types
+        for _, cid in self.cands:
+            self.type_mask |= self.checker.set_masks[cid]
         self.kk = min(max(H.k, self.r), n)
-        self.schedule = _completion_schedule(n, self.r, self.kk)
+        self.fits = {}  # type mask -> the candidates inside it
+        # per step: (memo, getter of the ids read, mask of those ids)
+        self.checks = [[] for _ in self.subsets]
+        block_masks = {}  # shared by the blocks of one size
+        for i, blocks in enumerate(_completion_schedule(n, self.r, self.kk)):
+            for size, get in blocks:
+                self.checks[i].append((block_masks.setdefault(size, {}), get,
+                                       partial(self._block_mask, size)))
         self.mixed = any(self.checker.set_low[cid] for _, cid in self.cands)
-        self.partners = _error_partners(self.subsets, self.r) if self.mixed else None
+        if self.mixed:
+            for i, js in enumerate(_error_partners(self.subsets, self.r)):
+                for j in js:
+                    self.checks[i].append(({}, itemgetter(j),
+                                           partial(self._pair_mask, j, i)))
+        # size-r validity is structural: candidates are subsets of S_r(H)
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
 
-    def _blocks_ok(self, i, cur):
-        if self.mixed:
-            A, sets = self.subsets[i], self.sets
-            for j in self.partners[i]:
-                B = self.subsets[j]
-                if not all(pair_ok(B, p, A, q)
-                           for p in sets[cur[j]] for q in sets[cur[i]]):
-                    return False
-        verdict = self.checker.block_verdict
-        for size, get in self.schedule[i]:
-            if not verdict(size, get(cur)):
-                return False
-        # size-r validity is structural: candidates are subsets of S_r(H)
-        return True
+    def _fit(self, types):
+        """The candidates whose types all lie in the type mask `types`."""
+        out = self.fits.get(types)
+        if out is None:
+            masks = self.checker.set_masks
+            out = self.fits[types] = sum(
+                1 << pos for pos, (_, cid) in enumerate(self.cands)
+                if not masks[cid] & ~types)
+        return out
+
+    def _block_mask(self, size, prefix):
+        return self._fit(self.checker.allowed(size, prefix, self.type_mask))
+
+    def _pair_mask(self, j, i, cid):
+        signature, n = self.H.signature, self.n
+        B, A = self.subsets[j], self.subsets[i]
+        types = 0
+        for t, q in enumerate(self.checker.types):
+            if self.type_mask >> t & 1 and all(
+                    located_agree(signature, n, B, p, A, q)
+                    for p in self.sets[cid]):
+                types |= 1 << t
+        return self._fit(types)
 
     def run(self, collect, qualifies, lower_bound):
         """Generic DFS.
@@ -155,32 +194,57 @@ class _SearchEngine(object):
         product passes qualifies(product); lower_bound() returns the current
         pruning floor (leaves with bound < floor are cut).
         """
-        subsets, sets, cands = self.subsets, self.sets, self.cands
-        cur = [None] * len(subsets)  # choice-set ids of subsets[0..i]
+        subsets, sets, cands, checks = (self.subsets, self.sets, self.cands,
+                                        self.checks)
+        depth, width, budget = len(subsets), len(cands), self.node_budget
+        caps = [self.max_card ** (depth - i - 1) for i in range(depth)]
+        every = (1 << width) - 1
+        cur = [None] * depth  # choice-set ids of subsets[0..i]
+        nodes, pruned = self.nodes, self.pruned
 
         def rec(i, product):
-            self.nodes += 1
-            if self.nodes > self.node_budget:
+            nonlocal nodes, pruned
+            nodes += 1
+            if nodes > budget:
                 raise BudgetExceeded("search node budget exhausted")
-            if i == len(subsets):
+            if i == depth:
                 if qualifies(product):
                     collect({A: sets[c] for A, c in zip(subsets, cur)},
                             product)
                 return
-            cap = self.max_card ** (len(subsets) - i - 1)
-            for pos, (size, cid) in enumerate(cands):
+            mask = every
+            for memo, get, miss in checks[i]:
+                key = get(cur)
+                m = memo.get(key)
+                if m is None:
+                    m = memo[key] = miss(key)
+                mask &= m
+            # Candidates are visited in list order. One that fails a check
+            # is pruned; so is every candidate from the first one below the
+            # bound on, since sizes never grow along cands. Only the
+            # candidates in the mask are tested against the bound: the
+            # floor moves only in a child, and a size below the bound at a
+            # failed candidate is below it at the next one in the mask too.
+            cap = caps[i]
+            nxt = 0  # the position after the last candidate visited
+            while mask:
+                low = mask & -mask
+                pos = low.bit_length() - 1
+                size, cid = cands[pos]
                 floor = lower_bound()
                 if floor is not None and product * size * cap < floor:
-                    # sizes never grow along cands: the rest are cut too
-                    self.pruned += len(cands) - pos
                     break
+                pruned += pos - nxt
+                nxt = pos + 1
                 cur[i] = cid
-                if self._blocks_ok(i, cur):
-                    rec(i + 1, product * size)
-                else:
-                    self.pruned += 1
+                rec(i + 1, product * size)
+                mask ^= low
+            pruned += width - nxt
 
-        rec(0, 1)
+        try:
+            rec(0, 1)
+        finally:
+            self.nodes, self.pruned = nodes, pruned
 
 
 def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
@@ -275,13 +339,25 @@ def near_extremal_set(H, n, epsilon, report=None,
 
 def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     """worst_gap = max over near-extremal templates of their min distance
-    to the extremal set (template distance, exact rational)."""
-    from .distances import template_dist
+    to the extremal set (template distance, exact rational).
+
+    A template is read as its vector of choice-set ids, so the number of
+    r-subsets where two templates differ (distances.template_diff) is the
+    Hamming distance of their vectors.
+    """
     near, report = near_extremal_set(H, n, epsilon, node_budget=node_budget)
+    checker = block_checker(H)
+
+    def ids(T):
+        return [checker.set_id(T.choices[A]) for A in T.subsets]
+
+    extremal = [ids(E) for E in report.extremal_templates]
+    total = math.comb(n, H.signature.r)
     rows = []
     worst = Fraction(0)
     for T, value in near:
-        gap = min(template_dist(T, E) for E in report.extremal_templates)
+        vec = ids(T)
+        gap = Fraction(min(sum(map(ne, vec, E)) for E in extremal), total)
         rows.append((T, value, gap))
         worst = max(worst, gap)
     return StabilityProbe(n, Fraction(epsilon), rows, worst)

@@ -25,6 +25,7 @@ point at a time and weighs each extension count by the class's orbit.
 
 import itertools
 import math
+from functools import lru_cache
 
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
@@ -192,32 +193,69 @@ def _matches(table, x):
     return False
 
 
-def is_member(H, M):
-    """M is in Forb(F): no m-subset of M holds a copy of a size-m entry.
+@lru_cache(maxsize=256)
+def _gathers(signature, n, m):
+    """How to read each m-subset B of {1..n} (lexicographic) out of a fact
+    mask on {1..n}: M[B], relabeled onto {1..m}, is the OR over the runs
+    (shift, width mask, local shift) of (mask >> shift & width) << local.
+    A run is a stretch of facts on {1..m} whose images are consecutive."""
+    index = _fact_index(signature, n)
+    out = []
+    for B in itertools.combinations(range(1, n + 1), m):
+        runs = []
+        for (name, t), local in _fact_index(signature, m).items():
+            bit = index[(name, tuple(B[x - 1] for x in t))]
+            if runs and runs[-1][0] + runs[-1][1] == bit and (
+                    runs[-1][2] + runs[-1][1] == local):
+                runs[-1][1] += 1
+            else:
+                runs.append([bit, 1, local])
+        out.append(tuple((bit, (1 << width) - 1, local)
+                         for bit, width, local in runs))
+    return tuple(out)
 
-    Each m-subset A is relabeled onto {1..m} and looked up in the copy
-    table for m: induced entries match when M[A], restricted to the entry's
-    relations, is one of their copies; non-induced entries match when one
-    of their copies is a subset of M[A]'s facts. Entries too large to
-    compile are matched on M by entry_matches.
+
+def mask_is_member(H, n, mask):
+    """Is the structure on {1..n} with fact mask `mask` (bits in
+    _fact_index order) in Forb(F)? No m-subset holds a copy of a size-m
+    entry.
+
+    The mask of each m-subset, relabeled onto {1..m}, is gathered (see
+    _gathers) and looked up in the copy table for m: induced entries match
+    when it, restricted to the entry's relations, is one of their copies;
+    non-induced entries match when one of their copies is a subset of it.
+    Only the entries too large to compile need the structure, for
+    entry_matches.
     """
+    for m in H._copy_tables:
+        if m > n:
+            continue
+        table = copy_table(H, m)
+        if table[0] or table[1]:
+            for runs in _gathers(H.signature, n, m):
+                x = 0
+                for bit, width, local in runs:
+                    x |= (mask >> bit & width) << local
+                if _matches(table, x):
+                    return False
+        if table[2]:
+            M = structure_from_mask(H.signature, n,
+                                    list(_fact_index(H.signature, n)), mask)
+            if any(H.entry_matches(f, M) for f in table[2]):
+                return False
+    return True
+
+
+def is_member(H, M):
+    """M is in Forb(F): mask_is_member of M's fact mask, memoized per
+    structure in the property's member cache."""
     if not (M.signature == H.signature):
         raise InvalidArgument("signature mismatch")
     key = M._key
     cached = H._member_cache.get(key)
     if cached is not None:
         return cached
-    ok = True
-    for m in H._copy_tables:
-        if m > M.n:
-            continue
-        table = copy_table(H, m)
-        compiled = table[0] or table[1]
-        if (compiled and any(_matches(table, _fact_mask(M, A))
-                             for A in itertools.combinations(M.domain(), m))
-                or any(H.entry_matches(f, M) for f in table[2])):
-            ok = False
-            break
+    ok = mask_is_member(H, M.n, _fact_mask(M, M.domain()))
     if len(H._member_cache) < 500000:
         H._member_cache[key] = ok
     return ok

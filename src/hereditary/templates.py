@@ -8,9 +8,16 @@ over subsets and lexicographic over type fact-vectors, for determinism.
 The block kernel (_BlockChecker, one per property) answers the question
 that H-randomness, the extremal search and the containers hypergraph share:
 does every choice of types on the r-subsets of a small block merge to a
-member? It interns types and choice sets as small ints and memoizes one
-verdict per type assignment and one per choice-set assignment, per block
-size; block_subsets gives the r-subset indices of every block.
+member? It works on ints and bit masks only. Types and choice sets are
+interned as small ints, and a choice set is also a mask of type ids. A
+located type is a pair of fact masks (true facts, false facts), so a merge
+is an OR of pairs, unsatisfiable when the two ORs meet, and its membership
+is read from the copy tables (properties.mask_is_member); no Structure is
+built. The kernel memoizes one outcome per type assignment and, per block
+size and choice sets on all but the block's last r-subset, the mask of the
+types allowed on the last one; block_subsets gives the r-subset indices of
+every block. Two located types agree when neither's true facts meet the
+other's false facts (located_agree), which is how errors are found.
 """
 
 import itertools
@@ -19,7 +26,7 @@ from functools import lru_cache
 
 from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
-from .properties import _fact_index, is_member
+from .properties import _fact_index, is_member, mask_is_member
 from .qftypes import atoms, qftp
 from .structures import structure_from_mask
 
@@ -124,16 +131,34 @@ def has_low_facts(p):
 
 
 @lru_cache(maxsize=1 << 16)
-def pair_ok(A1, p, A2, q):
-    """Do p located on A1 and q located on A2 agree on their shared facts?"""
-    return merge_entries([LocatedType(A1, p), LocatedType(A2, q)]) is not None
+def _located_masks(signature, n, A, p):
+    """p located on A as (true facts, false facts): masks over the facts
+    on {1..n}, in _fact_index order."""
+    index = _fact_index(signature, n)
+    true = false = 0
+    for fact, b in located_facts(A, p).items():
+        if b:
+            true |= 1 << index[fact]
+        else:
+            false |= 1 << index[fact]
+    return true, false
+
+
+def located_agree(signature, n, A1, p, A2, q):
+    """Do p located on A1 and q located on A2 (r-subsets of {1..n}) agree
+    on their shared facts? Neither's true facts meet the other's false
+    facts."""
+    t1, f1 = _located_masks(signature, n, A1, p)
+    t2, f2 = _located_masks(signature, n, A2, q)
+    return not (t1 & f2 or f1 & t2)
 
 
 def detect_errors(T):
     """All error witnesses: subsets X, r < |X| < 2r, carrying two located
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
-    r = T.property.signature.r
+    signature = T.property.signature
+    r = signature.r
     checker = block_checker(T.property)
     if not any(checker.set_low[checker.set_id(T.choices[A])]
                for A in T.subsets):
@@ -146,7 +171,7 @@ def detect_errors(T):
             continue
         for p in sorted(T.choices[A1]):
             for q in sorted(T.choices[A2]):
-                if not pair_ok(A1, p, A2, q):
+                if not located_agree(signature, T.n, A1, p, A2, q):
                     if union not in seen:
                         seen.add(union)
                         found.append((union, (A1, p), (A2, q)))
@@ -216,13 +241,24 @@ class _BlockChecker(object):
     never enumerates S_r(H) itself, since is_h_random and detect_errors
     also serve properties whose type space is out of reach (mixed has
     about 3 * 10^9 members on 3 points). A type outside S_r(H) is one
-    more id, and its size-r outcome is False. For a block of
-    s points, an assignment is a tuple of ids on the relative r-subsets of
-    {1..s} (lexicographic). Two tables, both keyed by (s, id tuple):
-    `outcomes` holds merged_in_h of each type assignment, computed once;
-    `cache` holds the verdict of each choice-set assignment, the AND over
-    its product of "the merge is not a non-member". They hold at most
-    |types|^C(s,r) and |choice sets|^C(s,r) entries per size.
+    more id, and its size-r outcome is False. A choice set is also a bit
+    mask over type ids (`set_masks`). For a block of s points, an
+    assignment is a tuple of ids on the relative r-subsets of {1..s}
+    (lexicographic, so the colex-last subset comes last). Two tables:
+    `outcomes`, keyed by (s, type ids), holds the merge outcome of each
+    type assignment, computed once from fact masks (see outcome); `cache`,
+    keyed by (s, choice-set ids of all but the last subset), holds the
+    types allowed on the last subset: those whose every completion by a
+    choice from the others does not merge to a non-member. It is filled
+    type by type, as [types checked, types allowed] masks. A block verdict
+    is then one subset test. The tables hold at most |types|^C(s,r) and
+    |choice sets|^(C(s,r)-1) entries per size.
+
+    The search reads `allowed` for all its candidate types at once;
+    is_h_random and block_ok read it through block_verdict. The containers
+    hypergraph reads `outcome`, since its edges include the unsatisfiable
+    merges, which a verdict allows (errors are checked apart). The kernel
+    writes nothing to the property's member cache.
     """
 
     def __init__(self, H):
@@ -232,6 +268,7 @@ class _BlockChecker(object):
         self.type_ids = {}   # QfType -> type id
         self.sets = []       # choice-set id -> tuple of type ids
         self.set_ids = {}    # frozenset of types -> choice-set id
+        self.set_masks = []  # choice-set id -> bit mask of its type ids
         self.set_low = []    # choice-set id -> has_low_facts of some type
         self.outcomes = {}
         self.cache = {}
@@ -250,37 +287,59 @@ class _BlockChecker(object):
         c = self.set_ids.get(types)
         if c is None:
             c = self.set_ids[types] = len(self.sets)
-            self.sets.append(tuple(map(self.type_id, sorted(types))))
+            ids = tuple(map(self.type_id, sorted(types)))
+            self.sets.append(ids)
+            self.set_masks.append(sum(1 << t for t in ids))
             self.set_low.append(any(map(has_low_facts, types)))
         return c
 
-    def merged_in_h(self, entries, size):
-        """None when located types on {1..size} do not merge (they disagree
-        on a fact); otherwise whether their merge is a member of H."""
-        merged = merge_entries(entries, n=size, signature=self.H.signature)
-        return None if merged is None else is_member(self.H, merged)
-
     def outcome(self, s, ids):
-        """merged_in_h of the types `ids` on the relative r-subsets of
-        {1..s}, memoized."""
+        """The types `ids` on the relative r-subsets of {1..s}, merged:
+        None when they disagree on a fact, else whether the merge is a
+        member of H. Memoized.
+
+        Each located type is a (true facts, false facts) pair of masks on
+        {1..s}; the merge is the OR of the pairs, and it is unsatisfiable
+        when the two ORs meet. Membership is read from the true mask
+        (properties.mask_is_member)."""
         key = (s, ids)
         if key not in self.outcomes:
+            signature, true, false = self.H.signature, 0, 0
             rel = itertools.combinations(range(1, s + 1), self.r)
-            self.outcomes[key] = self.merged_in_h(
-                [LocatedType(A, self.types[t]) for A, t in zip(rel, ids)], s)
+            for A, t in zip(rel, ids):
+                pt, pf = _located_masks(signature, s, A, self.types[t])
+                true |= pt
+                false |= pf
+            self.outcomes[key] = (None if true & false
+                                  else mask_is_member(self.H, s, true))
         return self.outcomes[key]
+
+    def allowed(self, s, prefix, need):
+        """The types, among the type mask `need`, allowed on the last
+        relative r-subset of {1..s} after the choice sets `prefix` on the
+        others: a type mask (see the cache)."""
+        key = (s, prefix)
+        entry = self.cache.get(key)
+        if entry is None:
+            entry = self.cache[key] = [0, 0]
+        todo = need & ~entry[0]
+        if todo:
+            combos = list(itertools.product(*[self.sets[c] for c in prefix]))
+            outcome = self.outcome
+            while todo:
+                low = todo & -todo
+                t = low.bit_length() - 1
+                if all(outcome(s, ids + (t,)) is not False for ids in combos):
+                    entry[1] |= low
+                entry[0] |= low
+                todo ^= low
+        return entry[1]
 
     def block_verdict(self, s, cids):
         """Does no choice from the choice sets `cids` on the relative
         r-subsets of {1..s} merge to a non-member?"""
-        key = (s, cids)
-        ok = self.cache.get(key)
-        if ok is None:
-            pools = [self.sets[c] for c in cids]
-            ok = self.cache[key] = all(
-                self.outcome(s, ids) is not False
-                for ids in itertools.product(*pools))
-        return ok
+        need = self.set_masks[cids[-1]]
+        return not need & ~self.allowed(s, cids[:-1], need)
 
     def block_ok(self, block, choice_map):
         """block_verdict for callers holding a choice map: block is a sorted
@@ -312,20 +371,6 @@ def is_h_random(T):
             if not checker.block_verdict(size, tuple(cids[i] for i in idx)):
                 return False
     return True
-
-
-@lru_cache(maxsize=1 << 16)
-def _located_masks(signature, n, A, p):
-    """p located on A as (true facts, false facts): masks over the facts
-    on {1..n}, in _fact_index order."""
-    index = _fact_index(signature, n)
-    true = false = 0
-    for fact, b in located_facts(A, p).items():
-        if b:
-            true |= 1 << index[fact]
-        else:
-            false |= 1 << index[fact]
-    return true, false
 
 
 @lru_cache(maxsize=1 << 16)

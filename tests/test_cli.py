@@ -43,6 +43,21 @@ def test_exit_code_invalid_input(capsys, tmp_path):
         assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe-stability", "--instance", "metric", "--r", "3", "--n", "3",
+     "--epsilon", "abc"],
+    ["probe-stability", "--instance", "metric", "--r", "3", "--n", "3",
+     "--epsilon", "1/0"],
+    ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "4",
+     "--k", "3", "--tau", "abc"],
+], ids=["epsilon-abc", "epsilon-1/0", "tau-abc"])
+def test_bad_fraction_is_invalid_input(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid input" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unwritable_output_is_invalid_input(capsys, tmp_path):
     missing_dir = tmp_path / "nonexistent-dir"
     for argv in (["types", "--instance", "triples",

@@ -1,0 +1,182 @@
+"""The block kernel on fact masks against the direct definitions.
+
+The kernel merges located types as (true facts, false facts) mask pairs
+and reads membership from copy tables (properties.mask_is_member). The
+oracles here share none of that: merge_entries builds the merged
+structure, and membership is `not any(entry_matches)` over the forbidden
+family. Each property is built fresh, so every table is computed by the
+test; with COPY_LIMIT patched low, every entry on 3 or more points goes
+through the entry_matches fallback of the kernel too.
+"""
+
+import itertools
+from math import comb
+
+import pytest
+
+from hereditary import properties, templates
+from hereditary.diagrams import LocatedType, merge_entries
+from hereditary.extremal import _SearchEngine, search_extremal
+from hereditary.instances import colored, digraphs, metric, triples
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, realized_type_space)
+from hereditary.structures import Structure
+from hereditary.templates import block_checker, located_agree, r_subsets
+
+from helpers import seeded
+
+FAMILIES = {
+    "metric-r3": lambda: metric.metric_instance(3),
+    "metric-r4": lambda: metric.metric_instance(4),
+    "digraph-k2": lambda: digraphs.digraph_instance(2),
+    "digraph-k3": lambda: digraphs.digraph_instance(3),
+    "triples": triples.triples_instance,
+    "colored": lambda: colored.colored_instance(
+        2, [1, 2], [colored.all_one_triangle()]),
+    # loops free, T_3 forbidden: located types can disagree on a loop
+    "loop-digraphs": lambda: HereditaryProperty(digraphs.SIG, [ForbiddenEntry(
+        digraphs.transitive_tournament(3), NON_INDUCED)], mode=NON_INDUCED),
+}
+ARC = Structure(digraphs.SIG, 2, {"E": [(1, 2)]})
+LOOPS = Structure(digraphs.SIG, 3, {"E": [(1, 1), (2, 2), (3, 3)]})
+# Mixed properties with at most 12 types, so the search runs on them.
+MIXED = {
+    "loop-arcs": lambda: HereditaryProperty(
+        digraphs.SIG, [ForbiddenEntry(ARC, NON_INDUCED)], mode=NON_INDUCED),
+    "loop-triangles": lambda: HereditaryProperty(
+        digraphs.SIG, [ForbiddenEntry(ARC, NON_INDUCED),
+                       ForbiddenEntry(LOOPS, NON_INDUCED)], mode=NON_INDUCED),
+}
+
+
+def fresh(name, monkeypatch, fallback):
+    """A new copy of the property (no cached tables); with `fallback`,
+    only entries on at most 2 points are compiled."""
+    H = {**FAMILIES, **MIXED}[name]()
+    if fallback:
+        monkeypatch.setattr(properties, "COPY_LIMIT", 2)
+    return HereditaryProperty(H.signature, H.forbidden, mode=H.mode)
+
+
+_DIRECT = {}
+
+
+def direct(H, size, types):
+    """None when the types on the relative r-subsets of {1..size} disagree,
+    else whether their merge contains no forbidden entry. Memoized on the
+    family, since copies share it."""
+    key = (H.forbidden, H.mode, size, types)
+    if key not in _DIRECT:
+        _DIRECT[key] = _direct(H, size, types)
+    return _DIRECT[key]
+
+
+def _direct(H, size, types):
+    rel = itertools.combinations(range(1, size + 1), H.signature.r)
+    N = merge_entries([LocatedType(A, p) for A, p in zip(rel, types)],
+                      n=size, signature=H.signature)
+    if N is None:
+        return None
+    return not any(H.entry_matches(f, N) for f in H.forbidden)
+
+
+def pair_ok(A1, p, A2, q):
+    """The former pair check: do the two located types merge?"""
+    return merge_entries([LocatedType(A1, p), LocatedType(A2, q)]) is not None
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_outcome_matches_the_direct_definition(name, fallback,
+                                                     monkeypatch):
+    H = fresh(name, monkeypatch, fallback)
+    r = H.signature.r
+    space = realized_type_space(H)
+    checker = block_checker(H)
+    ids = {p: checker.type_id(p) for p in space}
+    for size in range(r, max(H.k, r) + 1):
+        for types in itertools.product(space, repeat=comb(size, r)):
+            want = direct(H, size, types)
+            assert checker.outcome(size, tuple(ids[p] for p in types)) is want
+    assert H._member_cache == {}
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_allowed_types_are_the_and_over_the_product(name, fallback,
+                                                    monkeypatch):
+    H = fresh(name, monkeypatch, fallback)
+    r = H.signature.r
+    space = realized_type_space(H)
+    checker = block_checker(H)
+    every = sum(1 << checker.type_id(p) for p in space)
+    options = [frozenset(c) for m in range(1, min(3, len(space)) + 1)
+               for c in itertools.combinations(space, m)]
+    rng = seeded(707)
+    for size in range(r, max(H.k, r) + 1):
+        for _ in range(15):
+            sets = [rng.choice(options) for _ in range(comb(size, r) - 1)]
+            prefix = tuple(checker.set_id(c) for c in sets)
+            allowed = checker.allowed(size, prefix, every)
+            for q in space:
+                want = all(direct(H, size, types + (q,)) is not False
+                           for types in itertools.product(*sets))
+                assert bool(allowed >> checker.type_id(q) & 1) == want
+            # a later query reads the same table
+            last = frozenset(rng.choice(options))
+            assert checker.block_verdict(size, prefix + (
+                checker.set_id(last),)) == all(
+                    allowed >> checker.type_id(q) & 1 for q in last)
+
+
+@pytest.mark.parametrize("name", ["loop-digraphs"] + sorted(MIXED))
+def test_located_agree_is_the_former_pair_ok(name, monkeypatch):
+    H = fresh(name, monkeypatch, False)
+    r = H.signature.r
+    space = realized_type_space(H)
+    n = 4
+    for A1, A2 in itertools.permutations(r_subsets(n, r), 2):
+        for p, q in itertools.product(space, repeat=2):
+            assert located_agree(H.signature, n, A1, p, A2, q) == pair_ok(
+                A1, p, A2, q)
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_search_masks_are_the_former_checks(name, monkeypatch):
+    # Every check mask of the search against the former per-candidate
+    # checks: pair_ok over both choice sets, and the block verdict.
+    H = fresh(name, monkeypatch, False)
+    engine = _SearchEngine(H, 4)
+    assert engine.mixed
+    sets, cands = engine.sets, engine.cands
+    for i, A in enumerate(engine.subsets):
+        for j in range(i):
+            B = engine.subsets[j]
+            for _, cid in cands:
+                want = sum(1 << pos for pos, (_, c) in enumerate(cands)
+                           if all(pair_ok(B, p, A, q)
+                                  for p in sets[cid] for q in sets[c]))
+                got = engine._pair_mask(j, i, cid)
+                assert got == want
+    checker = engine.checker
+    rng = seeded(909)
+    for size in range(engine.r + 1, engine.kk + 1):
+        for _ in range(20):
+            prefix = tuple(rng.choice(cands)[1]
+                           for _ in range(comb(size, engine.r) - 1))
+            want = sum(1 << pos for pos, (_, c) in enumerate(cands)
+                       if checker.block_verdict(size, prefix + (c,)))
+            assert engine._block_mask(size, prefix) == want
+
+
+@pytest.mark.parametrize("name", ["metric-r3", "digraph-k2", "triples"])
+def test_search_builds_no_merge_and_no_member_lookup(name, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search kernel called the slow path")
+
+    H = fresh(name, monkeypatch, False)
+    monkeypatch.setattr(templates, "merge_entries", forbidden)
+    monkeypatch.setattr(templates, "is_member", forbidden)
+    monkeypatch.setattr(properties, "is_member", forbidden)
+    assert search_extremal(H, 4).exact
+    assert H._member_cache == {}

@@ -1,0 +1,156 @@
+"""Search trees, maximizers and stability rows pinned to recorded values.
+
+The values were recorded from the search before its block kernel worked on
+bit masks; any change to the tree (nodes, prunes), the maximizers or the
+near-extremal rows shows here. Templates are written with their types
+named by position in realized_type_space, and long lists are pinned by a
+digest of their repr.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from hereditary.distances import template_dist
+from hereditary.extremal import search_extremal, stability_probe
+from hereditary.instances import digraphs, metric, triples
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, realized_type_space)
+from hereditary.structures import Structure
+
+ARC = Structure(digraphs.SIG, 2, {"E": [(1, 2)]})
+
+
+def loop_arcs():
+    """Arcs forbidden, loops free (as in test_search_prunes_loop_fact_errors):
+    every pair through a point must agree on its loop."""
+    return HereditaryProperty(digraphs.SIG, [ForbiddenEntry(ARC, NON_INDUCED)],
+                              mode=NON_INDUCED)
+
+
+def loop_triangles():
+    """Arcs forbidden and no three looped points: errors and 3-blocks."""
+    loops = Structure(digraphs.SIG, 3, {"E": [(1, 1), (2, 2), (3, 3)]})
+    return HereditaryProperty(
+        digraphs.SIG, [ForbiddenEntry(ARC, NON_INDUCED),
+                       ForbiddenEntry(loops, NON_INDUCED)], mode=NON_INDUCED)
+
+
+def named(T):
+    """T's choice sets as tuples of positions in realized_type_space."""
+    space = realized_type_space(T.property)
+    return tuple(tuple(space.index(p) for p in sorted(T.choices[A]))
+                 for A in T.subsets)
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+DIGRAPH_N5_MAXIMIZERS = [
+    ((0,), (0,), (0,), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 2),
+     (0, 1, 2), (0,)),
+    ((0,), (0, 1, 2), (0, 1, 2), (0,), (0,), (0, 1, 2), (0, 1, 2), (0, 1, 2),
+     (0,), (0, 1, 2)),
+    ((0,), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0,), (0,), (0,),
+     (0, 1, 2), (0, 1, 2)),
+    ((0,), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0,), (0, 1, 2),
+     (0, 1, 2), (0,), (0,)),
+    ((0, 1, 2), (0,), (0, 1, 2), (0,), (0, 1, 2), (0,), (0, 1, 2), (0,),
+     (0, 1, 2), (0, 1, 2)),
+    ((0, 1, 2), (0,), (0, 1, 2), (0, 1, 2), (0,), (0, 1, 2), (0,), (0, 1, 2),
+     (0,), (0, 1, 2)),
+    ((0, 1, 2), (0,), (0, 1, 2), (0, 1, 2), (0,), (0, 1, 2), (0, 1, 2), (0,),
+     (0, 1, 2), (0,)),
+    ((0, 1, 2), (0, 1, 2), (0,), (0,), (0, 1, 2), (0, 1, 2), (0,), (0, 1, 2),
+     (0, 1, 2), (0,)),
+    ((0, 1, 2), (0, 1, 2), (0,), (0,), (0, 1, 2), (0, 1, 2), (0, 1, 2), (0,),
+     (0,), (0, 1, 2)),
+    ((0, 1, 2), (0, 1, 2), (0,), (0, 1, 2), (0,), (0,), (0,), (0, 1, 2),
+     (0, 1, 2), (0, 1, 2)),
+]
+
+LOOP_ARCS_N3_MAXIMIZERS = [
+    ((0,), (0,), (0,)), ((0,), (1,), (1,)), ((1,), (0,), (2,)),
+    ((1,), (1,), (3,)), ((2,), (2,), (0,)), ((2,), (3,), (1,)),
+    ((3,), (2,), (2,)), ((3,), (3,), (3,)),
+]
+
+
+def test_digraph_n5_tree_and_maximizers():
+    rep = search_extremal(digraphs.digraph_instance(2), 5)
+    assert rep.exact and not rep.truncated
+    assert (rep.ex, rep.stats["nodes"], rep.stats["pruned"]) == (
+        729, 128368, 1796988)
+    assert [named(T) for T in rep.extremal_templates] == DIGRAPH_N5_MAXIMIZERS
+    assert digest(DIGRAPH_N5_MAXIMIZERS) == "32b198182ce9f04f"
+
+
+@pytest.mark.parametrize("make, n, want, count, keys", [
+    (lambda: metric.metric_instance(3), 6, (110592, 213743, 1282242), 15,
+     "836ffdf1e392b4e7"),
+    (loop_arcs, 3, (1, 42, 469), 8, "fad2926d2a0c36f4"),
+    (loop_triangles, 3, (1, 41, 470), 7, "7885bcc949969a75"),
+    (loop_triangles, 4, (1, 86, 1040), 11, "1d76bb11e187d529"),
+    (loop_triangles, 5, (1, 175, 2211), 16, "4247fdc79f6af0db"),
+], ids=["metric-r3-n6", "loop-arcs-n3", "loop-triangles-n3",
+        "loop-triangles-n4", "loop-triangles-n5"])
+def test_search_tree_and_maximizers_are_pinned(make, n, want, count, keys):
+    rep = search_extremal(make(), n)
+    assert rep.exact and not rep.truncated
+    assert (rep.ex, rep.stats["nodes"], rep.stats["pruned"]) == want
+    found = [named(T) for T in rep.extremal_templates]
+    assert len(found) == count
+    assert digest(found) == keys
+
+
+def test_loop_arcs_maximizers_are_the_single_structures():
+    rep = search_extremal(loop_arcs(), 3)
+    assert [named(T) for T in rep.extremal_templates] == LOOP_ARCS_N3_MAXIMIZERS
+
+
+PROBES = [
+    (lambda: metric.metric_instance(3), 5, Fraction(1, 10), 590,
+     Fraction(2, 5), {0, Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
+                      Fraction(2, 5)},
+     {1152, 1296, 1536, 1728, 2304}, "b7cab77598e84503"),
+    (lambda: metric.metric_instance(4), 4, Fraction(5, 100), 1, 0, {0},
+     {729}, "12ba21a41b7a8100"),
+    (lambda: digraphs.digraph_instance(2), 4, Fraction(1, 4), 253,
+     Fraction(5, 6), {0, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
+                      Fraction(5, 6)},
+     {27, 32, 36, 54, 81}, "5d304957ac4aeb1e"),
+    (triples.triples_instance, 5, Fraction(1, 4), 145, Fraction(3, 10),
+     {0, Fraction(1, 10), Fraction(3, 10)}, {8, 16}, "dcb2f462d6656f53"),
+    (loop_triangles, 4, Fraction(1, 2), 11, 0, {0}, {1}, "564d7c3c8c8f4ff3"),
+]
+
+
+@pytest.mark.parametrize("make, n, eps, count, worst, gaps, subs, rows",
+                         PROBES, ids=["metric-r3-n5", "metric-r4-n4",
+                                      "digraph-k2-n4", "triples-n5",
+                                      "loop-triangles-n4"])
+def test_stability_rows_are_pinned(make, n, eps, count, worst, gaps, subs,
+                                   rows):
+    probe = stability_probe(make(), n, eps)
+    found = [(named(T), v, g) for T, v, g in probe.near_extremal]
+    assert len(found) == count
+    assert probe.worst_gap == worst
+    assert {g for _, _, g in found} == gaps
+    assert {v for _, v, _ in found} == subs
+    assert digest(found) == rows
+
+
+@pytest.mark.parametrize("make, n, eps", [
+    (lambda: metric.metric_instance(3), 5, Fraction(1, 10)),
+    (lambda: digraphs.digraph_instance(2), 4, Fraction(1, 4)),
+    (triples.triples_instance, 5, Fraction(1, 4)),
+], ids=["metric-r3-n5", "digraph-k2-n4", "triples-n5"])
+def test_stability_gaps_equal_min_template_dist(make, n, eps):
+    H = make()
+    probe = stability_probe(H, n, eps)
+    extremal = search_extremal(H, n).extremal_templates
+    assert probe.near_extremal
+    for T, _, gap in probe.near_extremal:
+        assert gap == min(template_dist(T, E) for E in extremal)

@@ -190,7 +190,9 @@ def cmd_containers(args):
             tau = Fraction(1, 4)
     else:
         tau = _parse_fraction(args.tau, "--tau")
-    rep = containers_mod.codegree_function(Hg, tau, epsilon=args.epsilon)
+    epsilon = (None if args.epsilon is None
+               else _parse_fraction(args.epsilon, "--epsilon"))
+    rep = containers_mod.codegree_function(Hg, tau, epsilon=epsilon)
     return {"v": Hg.num_vertices(), "e": Hg.num_edges(), "alpha": Hg.alpha,
             "s": Hg.s, "m": _frac(m), "tau": _frac(tau),
             "d": _frac(rep.d),
@@ -320,7 +322,7 @@ def build_parser():
                    help="digraph tournament bound when using --instance")
     p.add_argument("--tau", default="auto")
     p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", default=None)
     common(p, k_flag=None)
     p.set_defaults(func=cmd_containers)
 

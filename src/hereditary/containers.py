@@ -5,51 +5,115 @@ Vertices are the located realized types of the property over {1..n}; edges
 are the syntactic k-diagrams over those vertices that are unsatisfiable or
 whose witness structure is not a member. Independent sets contain the
 canonical type-diagram of every member.
+
+Every k-block's edges are the edges of the relative block {1..k},
+relabeled order-preservingly, so the hypergraph is kept as that block: the
+type assignments on its r-subsets whose merge is not a member, as tuples of
+type ids of the block kernel (templates._BlockChecker). Co-degrees count the
+j-sets of those tuples once and add the counts into every block through
+int vertex keys; independence is one lookup per block. Edges as frozensets
+of located types are built only on request, block by block.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
 
 from .diagrams import LocatedType
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import Template, block_checker
+from .templates import Template, block_checker, block_subsets, r_subsets
 
 DEFAULT_EDGE_BUDGET = 10 ** 7
 
 
 class ContainerHypergraph(object):
-    def __init__(self, H, n, k, vertices, edges_by_block, alpha):
+    """The hypergraph at block size k on {1..n}, kept as its relative block.
+
+    `rel_edges` lists the edges of the block {1..k}: tuples of type ids
+    (the block kernel's, `types` maps them back) on the relative r-subsets
+    of {1..k}, in lexicographic order. `edges_by_block` is a lazy mapping:
+    it iterates the k-subsets of {1..n} in lexicographic order, and
+    `[block]` builds that block's edges as frozensets of located types, in
+    the order of `rel_edges`. Co-degrees key a vertex by the int
+    `subset_index * width + type_id`, with its r-subset's index in
+    r_subsets(n, r) (the indices templates.block_subsets gives); `width`
+    exceeds every type id of the vertices.
+    """
+
+    def __init__(self, H, n, k, vertices, rel_edges):
+        checker = block_checker(H)
         self.property = H
         self.n = n
         self.k = k
         self.r = H.signature.r
         self.s = comb(k, self.r)  # uniformity
         self.vertices = vertices
-        self.edges_by_block = edges_by_block
-        self.alpha = alpha
+        self.rel_edges = rel_edges
+        self.alpha = len(rel_edges)
+        self.types = checker.types        # type id -> QfType
+        self.type_ids = checker.type_ids  # QfType -> type id
+        self.width = len(self.types)
+        self.edges_by_block = _BlockEdges(self)
+        self._rel_counts = {}
 
     def edges(self):
-        for block in sorted(self.edges_by_block):
-            yield from self.edges_by_block[block]
+        for edges in self.edges_by_block.values():
+            yield from edges
 
     def num_vertices(self):
         return len(self.vertices)
 
     def num_edges(self):
-        return sum(len(es) for es in self.edges_by_block.values())
+        return self.alpha * comb(self.n, self.k)
 
     def average_degree(self):
         if not self.vertices:
             raise InvalidArgument("empty vertex set")
         return Fraction(self.num_edges() * self.s, self.num_vertices())
 
+    def rel_counts(self, j):
+        """The j-sets of the relative edges, counted: for each j relative
+        positions (increasing), the number of edges holding each tuple of
+        type ids there. Memoized."""
+        counts = self._rel_counts.get(j)
+        if counts is None:
+            columns = [[e[p] for e in self.rel_edges] for p in range(self.s)]
+            counts = self._rel_counts[j] = {
+                pos: Counter(zip(*[columns[p] for p in pos]))
+                for pos in itertools.combinations(range(self.s), j)}
+        return counts
+
+
+class _BlockEdges(Mapping):
+    """ContainerHypergraph.edges_by_block: each block's edges, as frozensets
+    of located types, built on lookup."""
+
+    def __init__(self, Hg):
+        self.Hg = Hg
+
+    def __iter__(self):
+        return itertools.combinations(range(1, self.Hg.n + 1), self.Hg.k)
+
+    def __len__(self):
+        return comb(self.Hg.n, self.Hg.k)
+
+    def __getitem__(self, block):
+        Hg = self.Hg
+        if not (isinstance(block, tuple) and len(block) == Hg.k
+                and list(block) == sorted(set(block))
+                and 1 <= block[0] and block[-1] <= Hg.n):
+            raise KeyError(block)
+        rsubs = list(itertools.combinations(block, Hg.r))
+        return [frozenset(LocatedType(A, Hg.types[t]) for A, t in zip(rsubs, e))
+                for e in Hg.rel_edges]
+
 
 def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
-    """Materialize the hypergraph for containers analysis at size k: the
-    edges of the block {1..k}, relabeled onto every k-subset."""
+    """The hypergraph for containers analysis at size k: the edges of the
+    block {1..k}, which every k-subset of {1..n} repeats."""
     r = H.signature.r
     if not H.forbidden:
         raise InvalidArgument("forbidden family must be nonempty")
@@ -66,50 +130,83 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     # the type assignments on {1..k} whose merge is not a member
     checker = block_checker(H)
     ids = [checker.type_id(p) for p in space]
-    rel_edges = [[checker.types[t] for t in combo]
-                 for combo in itertools.product(ids, repeat=s)
+    rel_edges = [combo for combo in itertools.product(ids, repeat=s)
                  if checker.outcome(k, combo) is not True]
-    rel = list(itertools.combinations(range(1, k + 1), r))
-    edges_by_block = {}
-    for block in itertools.combinations(range(1, n + 1), k):
-        rsubs = [tuple(block[i - 1] for i in A) for A in rel]
-        edges_by_block[block] = [
-            frozenset(LocatedType(A, p) for A, p in zip(rsubs, combo))
-            for combo in rel_edges]
-    return ContainerHypergraph(H, n, k, vertices, edges_by_block,
-                               len(rel_edges))
+    return ContainerHypergraph(H, n, k, vertices, rel_edges)
 
 
 def degree(Hg, sigma):
     """d(sigma) = number of edges containing the vertex set sigma."""
-    sigma = frozenset(sigma)
-    support = set()
-    for v in sigma:
-        support.update(v.support)
-    count = 0
-    for block, edges in Hg.edges_by_block.items():
-        if not support.issubset(block):
-            continue
-        count += sum(1 for e in edges if sigma.issubset(e))
-    return count
+    sigma = sorted(frozenset(sigma))
+    if not sigma:
+        return Hg.num_edges()
+    supports = [v.support for v in sigma]
+    if len(set(supports)) < len(supports):
+        return 0  # two types on one r-subset: no edge holds both
+    types = tuple(Hg.type_ids.get(v.qftype, -1) for v in sigma)
+    counts = Hg.rel_counts(len(sigma))
+    points = set().union(*supports)
+    total = 0
+    for block in Hg.edges_by_block:
+        if points.issubset(block):
+            position = {A: i for i, A in
+                        enumerate(itertools.combinations(block, Hg.r))}
+            total += counts[tuple(map(position.get, supports))][types]
+    return total
+
+
+def _max_codegree_keys(Hg, j):
+    """d^(j) by int vertex key, for the vertices on some edge.
+
+    The j-sets of the relative edges are counted once (rel_counts). A
+    j-set whose r-subsets cover all k points lies in one block only, so its
+    degree is its count, and its largest count through each (position, type)
+    is found once for all blocks. The other j-sets lie in several blocks:
+    their counts are added up block by block. Within a block a j-set's
+    vertices come in the lexicographic order of their r-subsets, which
+    relabeling preserves, so the same j-set gets the same key tuple from
+    every block holding it.
+    """
+    width = Hg.width
+    rel = list(itertools.combinations(range(1, Hg.k + 1), Hg.r))
+    top = defaultdict(int)  # (position, type id) -> count
+    shared = []
+    for pos, counts in Hg.rel_counts(j).items():
+        if len(set().union(*[rel[p] for p in pos])) == Hg.k:
+            for types, d in counts.items():
+                for key in zip(pos, types):
+                    top[key] = max(top[key], d)
+        else:
+            shared.append((pos, list(counts.items())))
+    top = list(top.items())
+    best = defaultdict(int)
+    degrees = defaultdict(int)
+    for idx in block_subsets(Hg.n, Hg.r, Hg.k):
+        for (p, t), d in top:
+            v = idx[p] * width + t
+            if d > best[v]:
+                best[v] = d
+        for pos, items in shared:
+            base = [idx[p] * width for p in pos]
+            for types, d in items:
+                degrees[tuple(map(int.__add__, base, types))] += d
+    for sigma, d in degrees.items():
+        for v in sigma:
+            if d > best[v]:
+                best[v] = d
+    return best
 
 
 def max_codegrees(Hg, j):
     """d^(j)(v) for every vertex: max degree of a j-set through v.
 
-    Only j-sets inside some edge can have positive degree, so one pass
-    counts the edges through each of them; vertices on no edge get 0.
+    Only j-sets inside some edge can have positive degree; vertices on no
+    edge get 0.
     """
-    degrees = Counter()
-    for edges in Hg.edges_by_block.values():
-        for e in edges:
-            degrees.update(itertools.combinations(sorted(e), j))
-    out = {v: 0 for v in Hg.vertices}
-    for sigma, d in degrees.items():
-        for v in sigma:
-            if d > out[v]:
-                out[v] = d
-    return out
+    best = _max_codegree_keys(Hg, j)
+    index = {A: i for i, A in enumerate(r_subsets(Hg.n, Hg.r))}
+    return {v: best.get(index[v.support] * Hg.width + Hg.type_ids[v.qftype], 0)
+            for v in Hg.vertices}
 
 
 class CodegreeReport(object):
@@ -147,7 +244,7 @@ def codegree_function(Hg, tau, epsilon=None):
         N = Hg.num_vertices()
         delta_j = {}
         for j in range(2, s + 1):
-            total = sum(max_codegrees(Hg, j).values())
+            total = sum(_max_codegree_keys(Hg, j).values())
             delta_j[j] = Fraction(total) / (tau ** (j - 1) * N * d)
         weight = Fraction(2) ** (comb(s, 2) - 1)
         delta = weight * sum(Fraction(1, 2 ** comb(j - 1, 2)) * delta_j[j]
@@ -173,7 +270,9 @@ def exponent_m(y, x):
 
 
 def suggested_tau(n, k, r, gamma):
-    """tau = n^(-1/m) / gamma, as a float (reporting only)."""
+    """tau = n^(-1/m) / gamma, as a float (reporting only); gamma > 0."""
+    if not gamma > 0:
+        raise InvalidArgument("gamma must be positive, got %r" % (gamma,))
     m = exponent_m(k, r)
     return float(n) ** (-1.0 / float(m)) / float(gamma)
 
@@ -191,13 +290,22 @@ def build_template_from_diagram_set(H, n, located_set):
 
 def independence_check(Hg, M):
     """Diag^tp(M) is independent iff M is a member; on failure the witnessing
-    edge is returned as the second component."""
+    edge is returned as the second component.
+
+    Diag^tp(M) holds one type per r-subset, so at most one edge per block
+    lies inside it: the one whose type ids are M's on the block, if that
+    tuple is a relative edge. The first such block, in lexicographic order,
+    gives the witness.
+    """
     from .diagrams import type_diagram
     if M.n != Hg.n:
         raise InvalidArgument("domain mismatch")
-    entries = type_diagram(M).entries
-    for block, edges in Hg.edges_by_block.items():
-        for edge in edges:
-            if edge.issubset(entries):
-                return False, edge
+    ids = Hg.type_ids
+    on = {v.support: ids.get(v.qftype, -1) for v in type_diagram(M).entries}
+    edge_index = {e: i for i, e in enumerate(Hg.rel_edges)}
+    for block in Hg.edges_by_block:
+        i = edge_index.get(tuple(on[A] for A in
+                                 itertools.combinations(block, Hg.r)))
+        if i is not None:
+            return False, Hg.edges_by_block[block][i]
     return True, None

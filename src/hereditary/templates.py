@@ -157,13 +157,19 @@ def detect_errors(T):
     """All error witnesses: subsets X, r < |X| < 2r, carrying two located
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
+    checker = block_checker(T.property)
+    return list(_errors(T, [checker.set_id(T.choices[A]) for A in T.subsets]))
+
+
+def _errors(T, cids):
+    """detect_errors' witnesses, one by one; cids are the block kernel's
+    choice-set ids on T.subsets. Only templates with a low fact in some
+    choice set can have errors."""
     signature = T.property.signature
     r = signature.r
-    checker = block_checker(T.property)
-    if not any(checker.set_low[checker.set_id(T.choices[A])]
-               for A in T.subsets):
-        return []
-    found = []
+    set_low = block_checker(T.property).set_low
+    if not any(set_low[c] for c in cids):
+        return
     seen = set()
     for A1, A2 in itertools.combinations(T.subsets, 2):
         union = tuple(sorted(set(A1) | set(A2)))
@@ -174,8 +180,7 @@ def detect_errors(T):
                 if not located_agree(signature, T.n, A1, p, A2, q):
                     if union not in seen:
                         seen.add(union)
-                        found.append((union, (A1, p), (A2, q)))
-    return found
+                        yield union, (A1, p), (A2, q)
 
 
 def is_error_free(T):
@@ -360,12 +365,12 @@ def is_h_random(T):
     """Prop.-random style test: error-free and no small block of choices
     merges to a non-member (block sizes r..k, k = max forbidden size)."""
     _require_complete(T)
-    if not is_error_free(T):
-        return False
     H = T.property
     r = H.signature.r
     checker = block_checker(H)
     cids = [checker.set_id(T.choices[A]) for A in T.subsets]
+    if next(_errors(T, cids), None) is not None:
+        return False
     for size in range(r, min(max(H.k, r), T.n) + 1):
         for idx in block_subsets(T.n, r, size):
             if not checker.block_verdict(size, tuple(cids[i] for i in idx)):

@@ -1,10 +1,11 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from hereditary import cli, jsonio
-from hereditary.instances import metric
+from hereditary import cli, containers, jsonio
+from hereditary.instances import digraphs, metric
 
 
 def run(capsys, *argv):
@@ -50,7 +51,11 @@ def test_exit_code_invalid_input(capsys, tmp_path):
      "--epsilon", "1/0"],
     ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "4",
      "--k", "3", "--tau", "abc"],
-], ids=["epsilon-abc", "epsilon-1/0", "tau-abc"])
+    ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "4",
+     "--k", "3", "--tau", "auto", "--gamma", "0"],
+    ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "4",
+     "--k", "3", "--tau", "auto", "--gamma", "-1"],
+], ids=["epsilon-abc", "epsilon-1/0", "tau-abc", "gamma-0", "gamma--1"])
 def test_bad_fraction_is_invalid_input(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -150,6 +155,19 @@ def test_containers_report(capsys):
     body = json.loads(out)["report"]
     assert body["v"] == 24 and body["alpha"] == 43
     assert body["threshold_met"] is False
+
+
+def test_containers_epsilon_is_exact(capsys):
+    Hg = containers.build_hypergraph(digraphs.digraph_instance(2), 3, 4)
+    want = containers.codegree_function(Hg, Fraction(1, 4),
+                                        epsilon=Fraction(1, 10)).threshold
+    for epsilon in ("0.1", "1/10"):
+        code, out = run(capsys, "containers", "--instance", "digraph",
+                        "--instance-k", "2", "--n", "4", "--k", "3",
+                        "--tau", "1/4", "--epsilon", epsilon)
+        assert code == 0
+        threshold = json.loads(out)["report"]["threshold"]["exact"]
+        assert Fraction(threshold) == want
 
 
 def test_probe_stability(capsys):

@@ -1,0 +1,209 @@
+"""The containers report against the materialized hypergraph.
+
+The oracle below is the materialized build: every block's edges stored as
+frozensets of located types, co-degrees counted over every j-subset of
+every edge, degrees and independence found by scanning all the edges. The
+pinned reports were recorded from it.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from hereditary.containers import (build_hypergraph, codegree_function,
+                                   degree, independence_check, max_codegrees)
+from hereditary.diagrams import LocatedType, type_diagram
+from hereditary.errors import BudgetExceeded
+from hereditary.instances import digraphs, metric, triples
+from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, enumerate_members,
+                                   realized_type_space)
+from hereditary.templates import block_checker
+
+from helpers import random_structure, seeded
+
+
+def loop_digraphs():
+    """Loops free, T_3 forbidden: pairs through a point share its loop, so
+    located types can disagree and merges can fail."""
+    return HereditaryProperty(digraphs.SIG, [ForbiddenEntry(
+        digraphs.transitive_tournament(3), NON_INDUCED)], mode=NON_INDUCED)
+
+
+FAMILIES = {
+    "digraph-k2": lambda: digraphs.digraph_instance(2),
+    "metric-r3": lambda: metric.metric_instance(3),
+    "metric-r4": lambda: metric.metric_instance(4),
+    "triples": triples.triples_instance,
+    "loop-digraphs": loop_digraphs,
+}
+
+
+def materialized(H, k, n):
+    """(vertices, {block: edges}, alpha): every edge of every block built as
+    a frozenset of located types."""
+    r = H.signature.r
+    space = realized_type_space(H)
+    vertices = [LocatedType(A, p)
+                for A in itertools.combinations(range(1, n + 1), r)
+                for p in space]
+    s = comb(k, r)
+    checker = block_checker(H)
+    ids = [checker.type_id(p) for p in space]
+    rel_edges = [[checker.types[t] for t in combo]
+                 for combo in itertools.product(ids, repeat=s)
+                 if checker.outcome(k, combo) is not True]
+    rel = list(itertools.combinations(range(1, k + 1), r))
+    edges_by_block = {}
+    for block in itertools.combinations(range(1, n + 1), k):
+        rsubs = [tuple(block[i - 1] for i in A) for A in rel]
+        edges_by_block[block] = [
+            frozenset(LocatedType(A, p) for A, p in zip(rsubs, combo))
+            for combo in rel_edges]
+    return vertices, edges_by_block, len(rel_edges)
+
+
+def oracle_degree(edges_by_block, sigma):
+    sigma = frozenset(sigma)
+    support = set()
+    for v in sigma:
+        support.update(v.support)
+    count = 0
+    for block, edges in edges_by_block.items():
+        if not support.issubset(block):
+            continue
+        count += sum(1 for e in edges if sigma.issubset(e))
+    return count
+
+
+def oracle_max_codegrees(vertices, edges_by_block, j):
+    degrees = Counter()
+    for edges in edges_by_block.values():
+        for e in edges:
+            degrees.update(itertools.combinations(sorted(e), j))
+    out = {v: 0 for v in vertices}
+    for sigma, d in degrees.items():
+        for v in sigma:
+            if d > out[v]:
+                out[v] = d
+    return out
+
+
+def oracle_independence(edges_by_block, M):
+    entries = type_diagram(M).entries
+    for block, edges in edges_by_block.items():
+        for edge in edges:
+            if edge.issubset(entries):
+                return False, edge
+    return True, None
+
+
+# (family, block size k, n): the oracle's report at tau = 1/4, as
+# (d, {j: delta_j}, delta). The first three are the benchmark's cases.
+PINS = {
+    ("metric-r4", 3, 5): ("9", {2: "2/3", 3: "16/9"}, "56/9"),
+    ("digraph-k2", 3, 6): ("43", {2: "16/43", 3: "16/43"}, "96/43"),
+    ("metric-r3", 4, 4): ("247/3", {2: "500/247", 3: "1072/247",
+                                    4: "1728/247", 5: "2304/247",
+                                    6: "3072/247"}, "21151744/247"),
+    ("digraph-k2", 3, 12): ("215/2", {2: "32/215", 3: "32/215"}, "192/215"),
+    ("digraph-k2", 3, 30): ("301", {2: "16/301", 3: "16/301"}, "96/301"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINS), ids=str)
+def test_report_pins(case):
+    name, k, n = case
+    Hg = build_hypergraph(FAMILIES[name](), k, n)
+    rep = codegree_function(Hg, Fraction(1, 4))
+    d, delta_j, delta = PINS[case]
+    assert rep.d == Fraction(d)
+    assert rep.delta_j == {j: Fraction(v) for j, v in delta_j.items()}
+    assert rep.delta == Fraction(delta)
+
+
+# (family, block size k, largest n): every n from k up to the largest runs.
+CASES = [
+    ("digraph-k2", 3, 7), ("digraph-k2", 4, 4),
+    ("metric-r3", 3, 7), ("metric-r3", 4, 5),
+    ("metric-r4", 3, 7), ("metric-r4", 4, 4),
+    ("triples", 4, 7),
+    ("loop-digraphs", 3, 5),
+]
+SIZES = [(name, k, n) for name, k, top in CASES for n in range(k, top + 1)]
+
+
+@pytest.mark.parametrize("name, k, n", SIZES,
+                         ids=["%s-k%d-n%d" % case for case in SIZES])
+def test_codegrees_match_materialized(name, k, n):
+    H = FAMILIES[name]()
+    Hg = build_hypergraph(H, k, n)
+    vertices, edges_by_block, alpha = materialized(H, k, n)
+    assert (Hg.vertices, Hg.alpha) == (vertices, alpha)
+    assert Hg.num_edges() == sum(map(len, edges_by_block.values()))
+    for j in range(1, Hg.s + 1):
+        assert max_codegrees(Hg, j) == oracle_max_codegrees(
+            vertices, edges_by_block, j)
+
+
+def _sigmas(vertices, edges_by_block, s, rng, count):
+    """Vertex sets to take degrees of: j-subsets of edges, and random
+    j-sets of vertices (mostly on no common edge)."""
+    edges = [e for es in edges_by_block.values() for e in es]
+    for _ in range(count):
+        j = rng.randrange(1, s + 1)
+        if edges and rng.random() < 0.5:
+            yield rng.sample(sorted(rng.choice(edges)), j)
+        else:
+            yield rng.sample(vertices, j)
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("digraph-k2", 3, 5), ("digraph-k2", 4, 5), ("metric-r3", 4, 5),
+    ("metric-r4", 3, 6), ("triples", 4, 6), ("loop-digraphs", 3, 4)],
+    ids=["digraph-k2-k3", "digraph-k2-k4", "metric-r3-k4", "metric-r4-k3",
+         "triples-k4", "loop-digraphs-k3"])
+def test_degrees_match_materialized(name, k, n):
+    H = FAMILIES[name]()
+    Hg = build_hypergraph(H, k, n)
+    vertices, edges_by_block, _ = materialized(H, k, n)
+    rng = seeded(811)
+    for sigma in _sigmas(vertices, edges_by_block, Hg.s, rng, 300):
+        assert degree(Hg, sigma) == oracle_degree(edges_by_block, sigma)
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("digraph-k2", 3, 5), ("digraph-k2", 4, 4), ("metric-r3", 3, 5),
+    ("metric-r3", 4, 4), ("metric-r4", 3, 5), ("triples", 4, 5),
+    ("loop-digraphs", 3, 4)],
+    ids=["digraph-k2-k3", "digraph-k2-k4", "metric-r3-k3", "metric-r3-k4",
+         "metric-r4-k3", "triples-k4", "loop-digraphs-k3"])
+def test_edges_and_witnesses_match_materialized(name, k, n):
+    H = FAMILIES[name]()
+    Hg = build_hypergraph(H, k, n)
+    _, edges_by_block, _ = materialized(H, k, n)
+    assert list(Hg.edges_by_block) == list(edges_by_block)
+    for block, edges in edges_by_block.items():
+        assert Hg.edges_by_block[block] == edges
+    assert list(Hg.edges()) == [e for es in edges_by_block.values()
+                                for e in es]
+    rng = seeded(812)
+    structures = list(itertools.islice(enumerate_members(H, n), 40))
+    structures += [random_structure(H.signature, n, rng, density)
+                   for density in (0.1, 0.3, 0.5) for _ in range(20)]
+    for M in structures:
+        assert independence_check(Hg, M) == oracle_independence(
+            edges_by_block, M)
+
+
+def test_edge_budget_is_unchanged():
+    H = digraphs.digraph_instance(2)
+    # 4^3 type assignments per block: C(n, 3) * 64 against the budget
+    assert build_hypergraph(H, 3, 10, budget=64 * comb(10, 3)).alpha == 43
+    with pytest.raises(BudgetExceeded):
+        build_hypergraph(H, 3, 10, budget=64 * comb(10, 3) - 1)
+    with pytest.raises(BudgetExceeded):
+        build_hypergraph(H, 3, 100)

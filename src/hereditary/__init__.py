@@ -18,7 +18,7 @@ from .diagrams import (LocatedType, SyntacticDiagram, diagram, is_error,
 from .properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                          HereditaryProperty, closure, count_members,
                          enumerate_members, is_member, is_trivial_up_to,
-                         realized_type_space)
+                         realized_type_space, universe_entries)
 from .templates import (Template, choice_count, choice_functions,
                         detect_errors, full_subpatterns,
                         geometric_mean_identity_gap, is_error_free,

@@ -52,14 +52,6 @@ def _load_property(args):
     raise InvalidArgument("need --property or --instance")
 
 
-def _digraph_k(args):
-    for attr in ("instance_k_flag", "instance_k", "k"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            return value
-    return None
-
-
 def _instance_property(args):
     name = args.instance
     if name == "metric":
@@ -67,10 +59,10 @@ def _instance_property(args):
             raise InvalidArgument("instance metric needs --r")
         return metric.metric_instance(args.r)
     if name == "digraph":
-        k = _digraph_k(args)
-        if k is None:
-            raise InvalidArgument("instance digraph needs --k")
-        return digraphs.digraph_instance(k)
+        if args.instance_k is None:
+            raise InvalidArgument("instance digraph needs its tournament "
+                                  "bound (--k; --instance-k in containers)")
+        return digraphs.digraph_instance(args.instance_k)
     if name == "triples":
         return triples.triples_instance()
     if name == "colored":
@@ -181,15 +173,16 @@ def cmd_distance(args):
 
 def cmd_containers(args):
     H = _load_property(args)
-    Hg = containers_mod.build_hypergraph(H, args.k, args.n)
-    m = containers_mod.exponent_m(args.k, H.signature.r)
     if args.tau == "auto":
         tau = Fraction(containers_mod.suggested_tau(
             args.n, args.k, H.signature.r, args.gamma)).limit_denominator(10 ** 6)
         if not 0 < tau < Fraction(1, 2):
-            tau = Fraction(1, 4)
+            raise InvalidArgument("--tau auto gives tau = %.4g, outside "
+                                  "(0, 1/2)" % tau)
     else:
         tau = _parse_fraction(args.tau, "--tau")
+    Hg = containers_mod.build_hypergraph(H, args.k, args.n)
+    m = containers_mod.exponent_m(args.k, H.signature.r)
     epsilon = (None if args.epsilon is None
                else _parse_fraction(args.epsilon, "--epsilon"))
     rep = containers_mod.codegree_function(Hg, tau, epsilon=epsilon)
@@ -217,7 +210,7 @@ def _oracle(args, n):
         value, family = metric.metric_extremal_oracle(args.r, n)
         return value
     if args.instance == "digraph":
-        return digraphs.digraph_extremal_oracle(_digraph_k(args), n)[0]
+        return digraphs.digraph_extremal_oracle(args.instance_k, n)[0]
     if args.instance == "triples":
         return triples.triples_extremal_oracle(n)[0]
     raise InvalidArgument("verify supports metric, digraph and triples")
@@ -267,9 +260,8 @@ def build_parser():
             p.add_argument("--instance",
                            choices=["metric", "digraph", "triples", "colored"])
             p.add_argument("--r", type=int, help="metric distance range")
-            if k_flag:
-                p.add_argument(k_flag, type=int, dest="instance_k",
-                               help="digraph tournament bound")
+            p.add_argument(k_flag, type=int, dest="instance_k",
+                           help="digraph tournament bound")
             p.add_argument("--spec", help="colored instance spec JSON")
 
     p = sub.add_parser("types", help="list the (realized) type space")
@@ -318,12 +310,11 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True,
                    help="container block size")
-    p.add_argument("--instance-k", type=int, dest="instance_k_flag",
-                   help="digraph tournament bound when using --instance")
-    p.add_argument("--tau", default="auto")
+    p.add_argument("--tau", default="1/4",
+                   help="a fraction, or auto for n^(-1/m) / gamma")
     p.add_argument("--gamma", type=float, default=0.05)
     p.add_argument("--epsilon", default=None)
-    common(p, k_flag=None)
+    common(p, k_flag="--instance-k")
     p.set_defaults(func=cmd_containers)
 
     p = sub.add_parser("probe-stability", help="near-extremal stability probe")
@@ -340,7 +331,7 @@ def build_parser():
     p = sub.add_parser("instance", help="emit a built-in property JSON")
     p.add_argument("instance", choices=["metric", "digraph", "triples", "colored"])
     p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, dest="instance_k")
     p.add_argument("--spec")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_instance)

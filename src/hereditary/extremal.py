@@ -20,7 +20,7 @@ from operator import itemgetter, ne
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
 from .templates import (Template, block_checker, block_subsets,
-                        located_agree, r_subsets, sub_count)
+                        located_agree, r_subsets)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
@@ -192,7 +192,10 @@ class _SearchEngine(object):
 
         collect(template, product): called at every H-random leaf whose
         product passes qualifies(product); lower_bound() returns the current
-        pruning floor (leaves with bound < floor are cut).
+        pruning floor (leaves with bound < floor are cut). Every leaf is
+        error-free, so its product is sub(T): the error-pair masks checked
+        every error partner, or no candidate type has a fact on fewer than
+        r points.
         """
         subsets, sets, cands, checks = (self.subsets, self.sets, self.cands,
                                         self.checks)
@@ -256,9 +259,8 @@ def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
     maximizers = []
     truncated = [False]
 
-    def collect(assignment, product):
+    def collect(assignment, value):
         T = Template(H, n, assignment)
-        value, _ = sub_count(T)
         if value > best[0]:
             best[0] = value
             maximizers.clear()
@@ -271,8 +273,6 @@ def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
 
     exact = True
     try:
-        # the product is an upper bound for sub, so pruning against the
-        # incumbent sub value stays admissible even with errors present
         engine.run(collect, lambda product: True, lambda: best[0])
     except BudgetExceeded:
         exact = False
@@ -326,11 +326,9 @@ def near_extremal_set(H, n, epsilon, report=None,
     engine = _SearchEngine(H, n, node_budget)
     found = []
 
-    def collect(assignment, product):
-        T = Template(H, n, assignment)
-        value, _ = sub_count(T)
-        if qualifies(value) and len(found) < cap:
-            found.append((T, value))
+    def collect(assignment, value):
+        if len(found) < cap:
+            found.append((Template(H, n, assignment), value))
 
     engine.run(collect, qualifies, lambda: floor)
     found.sort(key=lambda pair: (-pair[1], pair[0].canonical_key()))

@@ -10,54 +10,15 @@ import itertools
 from math import comb
 
 from ..errors import InvalidArgument
-from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                          HereditaryProperty)
+from ..properties import (INDUCED, ForbiddenEntry, HereditaryProperty,
+                          universe_entries)
 from ..qftypes import QfType, atoms
-from ..structures import (Signature, Structure, first_of_classes,
-                          structure_from_mask)
+from ..structures import Signature, Structure
 from ..templates import Template
 
 
 def signature(k, colors):
     return Signature([("c%s" % c, k) for c in colors])
-
-
-def _repeated_patterns(k):
-    """Canonical tuples of length k with a repeated entry."""
-    out = []
-    for t in itertools.product(range(1, k + 1), repeat=k):
-        distinct = []
-        for x in t:
-            if x not in distinct:
-                distinct.append(x)
-        if len(distinct) == k:
-            continue
-        if distinct == list(range(1, len(distinct) + 1)):
-            out.append(t)
-    return out
-
-
-def _loop_entries(k, colors):
-    out = []
-    for c in colors:
-        sig = Signature([("c%s" % c, k)])
-        for t in _repeated_patterns(k):
-            out.append(ForbiddenEntry(
-                Structure(sig, max(t), {"c%s" % c: [t]}), NON_INDUCED))
-    return out
-
-
-def _bad_block_entries(k, colors):
-    """k-point structures that are not one full symmetric single color, one
-    per isomorphism class (the first in mask order)."""
-    perms = list(itertools.permutations(range(1, k + 1)))
-    facts = [("c%s" % c, t) for c in colors for t in perms]
-    block = (1 << len(perms)) - 1
-    good = {block << i * len(perms) for i in range(len(colors))}
-    masks = [mask for mask in range(1 << len(facts)) if mask not in good]
-    return [ForbiddenEntry(structure_from_mask(signature(k, colors), k,
-                                               facts, mask), INDUCED)
-            for mask in first_of_classes(k, facts, masks)]
 
 
 def coloring_structure(k, colors, n, coloring):
@@ -72,7 +33,11 @@ def colored_instance(k, colors, forbidden_colorings):
     """forbidden_colorings: list of (m, {k-subset of [m]: color})."""
     if not colors:
         raise InvalidArgument("need at least one color")
-    entries = _loop_entries(k, colors) + _bad_block_entries(k, colors)
+    # a k-subset carries the full permutation orbit of one color
+    perms = list(itertools.permutations(range(1, k + 1)))
+    entries = universe_entries(signature(k, colors),
+                               [{("c%s" % c, t) for t in perms}
+                                for c in colors])
     for m, coloring in forbidden_colorings:
         entries.append(ForbiddenEntry(
             coloring_structure(k, colors, m, coloring), INDUCED))

@@ -9,11 +9,10 @@ import itertools
 from functools import lru_cache
 
 from ..errors import InvalidArgument
-from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                          HereditaryProperty)
+from ..properties import (INDUCED, ForbiddenEntry, HereditaryProperty,
+                          universe_entries)
 from ..qftypes import QfType, atoms
-from ..structures import (Signature, Structure, first_of_classes,
-                          structure_from_mask)
+from ..structures import Signature, Structure
 from ..templates import Template
 
 
@@ -33,27 +32,6 @@ def m_value(r):
     return r // 2 + 1
 
 
-def _loop_entries(r):
-    out = []
-    for i in range(1, r + 1):
-        sig = Signature([("R%d" % i, 2)])
-        out.append(ForbiddenEntry(
-            Structure(sig, 1, {"R%d" % i: [(1, 1)]}), NON_INDUCED))
-    return out
-
-
-def _bad_pair_entries(r):
-    """Loop-free 2-point structures that are not a single symmetric distance,
-    one per isomorphism class (the first in mask order)."""
-    facts = [("R%d" % i, t) for i in range(1, r + 1)
-             for t in ((1, 2), (2, 1))]
-    good = {0b11 << 2 * i for i in range(r)}  # both directions of one R_i
-    masks = [mask for mask in range(1 << len(facts)) if mask not in good]
-    return [ForbiddenEntry(structure_from_mask(signature(r), 2, facts, mask),
-                           INDUCED)
-            for mask in first_of_classes(2, facts, masks)]
-
-
 def _violating_triangles(r):
     sig = signature(r)
     reps = []
@@ -68,8 +46,11 @@ def _violating_triangles(r):
 
 
 def forbidden_entries(r):
-    """The full universe+triangle family, reusable over larger signatures."""
-    return _loop_entries(r) + _bad_pair_entries(r) + _violating_triangles(r)
+    """The full universe+triangle family, reusable over larger signatures.
+    The universe allows one symmetric distance per pair."""
+    single = [{("R%d" % i, (1, 2)), ("R%d" % i, (2, 1))}
+              for i in range(1, r + 1)]
+    return universe_entries(signature(r), single) + _violating_triangles(r)
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,10 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from ..properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                          HereditaryProperty)
+from ..properties import (NON_INDUCED, ForbiddenEntry, HereditaryProperty,
+                          universe_entries)
 from ..qftypes import QfType, atoms
-from ..structures import (Signature, Structure, first_of_classes,
-                          structure_from_mask)
+from ..structures import Signature, Structure
 from ..templates import Template
 
 SIG = Signature([("E", 3)])
@@ -29,24 +28,6 @@ def hypergraph(n, edges):
     return Structure(SIG, n, {"E": tuples})
 
 
-def _loop_entries():
-    reps = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    out = []
-    for t in reps:
-        size = max(t)
-        out.append(ForbiddenEntry(Structure(SIG, size, {"E": [t]}),
-                                  NON_INDUCED))
-    return out
-
-
-def _asymmetry_entries():
-    """3-point structures whose edge orbit is a proper nonempty subset, one
-    per isomorphism class (the first in mask order)."""
-    facts = [("E", t) for t in itertools.permutations((1, 2, 3))]
-    return [ForbiddenEntry(structure_from_mask(SIG, 3, facts, mask), INDUCED)
-            for mask in first_of_classes(3, facts, range(1, (1 << 6) - 1))]
-
-
 def triangle_patterns():
     return [hypergraph(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]),
             hypergraph(5, [(1, 2, 3), (1, 2, 4), (3, 4, 5)])]
@@ -54,7 +35,9 @@ def triangle_patterns():
 
 @lru_cache(maxsize=None)
 def triples_instance():
-    entries = _loop_entries() + _asymmetry_entries()
+    # a triple holds no edge or the full permutation orbit of one
+    orbit = {("E", t) for t in itertools.permutations((1, 2, 3))}
+    entries = universe_entries(SIG, [set(), orbit])
     entries += [ForbiddenEntry(F, NON_INDUCED) for F in triangle_patterns()]
     return HereditaryProperty(SIG, entries, mode=NON_INDUCED, name="triples")
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
-from .structures import (Structure, class_key, embeds_noninduced,
+from .structures import (Signature, Structure, class_key, embeds_noninduced,
                          first_of_classes, induced_substructure,
                          is_isomorphic, relabelings, structure_from_mask)
 
@@ -61,6 +61,40 @@ class ForbiddenEntry(object):
 
     def __repr__(self):
         return "ForbiddenEntry(%r, %r)" % (self.structure, self.match)
+
+
+def universe_entries(signature, allowed):
+    """The entries saying that each r-subset carries one of the `allowed`
+    fact sets and that no fact repeats an element.
+
+    Every relation of the signature has arity r, and `allowed` holds sets
+    of loop-free facts (relation, tuple) on {1..r}. First come the
+    non-induced single-fact entries, on their relation alone: one per
+    relation and repeated-element pattern whose values first appear in the
+    order 1, 2, ... Then the induced entries on r points: one per
+    isomorphism class of the other loop-free fact sets, the first in mask
+    order (see first_of_classes).
+    """
+    arities = {arity for _, arity in signature.relations}
+    if len(arities) != 1:
+        raise InvalidArgument("universe axioms need one arity, got %r"
+                              % sorted(arities))
+    r = arities.pop()
+    # values in order of first appearance are 1..max(t), with max(t) < r
+    patterns = [t for t in itertools.product(range(1, r + 1), repeat=r)
+                if max(t) < r
+                and list(dict.fromkeys(t)) == list(range(1, max(t) + 1))]
+    entries = [ForbiddenEntry(Structure(Signature([(name, r)]), max(t),
+                                        {name: [t]}), NON_INDUCED)
+               for name, _ in signature.relations for t in patterns]
+    facts = [(name, t) for name, _ in signature.relations
+             for t in itertools.permutations(range(1, r + 1))]
+    bit = {fact: 1 << i for i, fact in enumerate(facts)}
+    good = {sum(bit[fact] for fact in S) for S in allowed}
+    bad = [mask for mask in range(1 << len(facts)) if mask not in good]
+    return entries + [
+        ForbiddenEntry(structure_from_mask(signature, r, facts, mask), INDUCED)
+        for mask in first_of_classes(r, facts, bad)]
 
 
 class HereditaryProperty(object):

@@ -28,7 +28,6 @@ from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import _fact_index, is_member, mask_is_member
 from .qftypes import atoms, qftp
-from .structures import structure_from_mask
 
 DEFAULT_CHI_BUDGET = 10 ** 6
 
@@ -378,10 +377,7 @@ def is_h_random(T):
     return True
 
 
-@lru_cache(maxsize=1 << 16)
-def _mask_is_member(H, n, mask):
-    facts = list(_fact_index(H.signature, n))
-    return is_member(H, structure_from_mask(H.signature, n, facts, mask))
+_mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 
 def is_h_random_direct(T, budget=DEFAULT_CHI_BUDGET):
@@ -392,7 +388,8 @@ def is_h_random_direct(T, budget=DEFAULT_CHI_BUDGET):
     merges to the OR of its true masks, and is unsatisfiable when that
     meets the OR of its false masks. The pairs are ORed subset by subset,
     keeping each distinct partial merge once; each distinct merge is then
-    checked with is_member (memoized by mask, since templates share them).
+    checked with properties.mask_is_member (memoized by mask, since
+    templates share them).
     """
     _require_complete(T)
     if choice_count(T) > budget:

@@ -39,7 +39,9 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     for argv in (["extremal", "--property", missing, "--n", "3"],
                  ["hrandom", "--template", missing],
                  ["types", "--instance", "colored", "--spec", missing],
-                 ["extremal", "--property", str(tmp_path), "--n", "3"]):
+                 ["extremal", "--property", str(tmp_path), "--n", "3"],
+                 ["containers", "--instance", "digraph", "--n", "5", "--k", "3",
+                  "--tau", "1/4"]):
         assert cli.main(argv) == 2
         assert "invalid input" in capsys.readouterr().err
 
@@ -61,6 +63,24 @@ def test_bad_fraction_is_invalid_input(capsys, argv):
     captured = capsys.readouterr()
     assert "invalid input" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_tau_auto_out_of_range_is_invalid_input(capsys):
+    # n^(-1/m) / gamma is 10 at n = 4 with the default gamma 0.05
+    code = cli.main(["containers", "--instance", "digraph", "--instance-k",
+                     "2", "--n", "4", "--k", "3", "--tau", "auto"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "tau = 10" in err
+
+
+def test_tau_auto_reports_the_suggested_tau(capsys):
+    code, out = run(capsys, "containers", "--instance", "digraph",
+                    "--instance-k", "2", "--n", "5", "--k", "3", "--tau",
+                    "auto", "--gamma", "1")
+    assert code == 0
+    tau = json.loads(out)["report"]["tau"]["float"]
+    assert tau == pytest.approx(5 ** -0.5, abs=1e-6)
 
 
 def test_unwritable_output_is_invalid_input(capsys, tmp_path):

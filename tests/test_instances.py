@@ -7,7 +7,7 @@ from hereditary.errors import InvalidArgument
 from hereditary.extremal import search_extremal
 from hereditary.instances import colored, digraphs, metric, mixed, triples
 from hereditary.instances.colored import all_one_triangle
-from hereditary.properties import INDUCED, is_member
+from hereditary.properties import INDUCED, is_member, universe_entries
 from hereditary.structures import Structure, is_isomorphic
 from hereditary.templates import (is_h_random, r_subsets, sub_count)
 
@@ -232,16 +232,17 @@ def test_generated_families_match_pairwise_dedup(case):
     if case.startswith("metric"):
         r = int(case[-1])
         facts, good = _symmetric_blocks(["R%d" % i for i in range(1, r + 1)], 2)
-        sig, n, entries = metric.signature(r), 2, metric._bad_pair_entries(r)
+        sig, n = metric.signature(r), 2
     elif case == "triples":
         facts, _ = _symmetric_blocks(["E"], 3)
         good = {frozenset(), frozenset(facts)}
-        sig, n, entries = triples.SIG, 3, triples._asymmetry_entries()
+        sig, n = triples.SIG, 3
     else:
         colors = list(range(1, int(case[-1]) + 1))
         facts, good = _symmetric_blocks(["c%d" % c for c in colors], 2)
         sig, n = colored.signature(2, colors), 2
-        entries = colored._bad_block_entries(2, colors)
+    # the induced entries: the loop entries lie on fewer than n points
+    entries = [f for f in universe_entries(sig, good) if f.structure.n == n]
     assert [f.structure for f in entries] == _pairwise_classes(
         sig, n, facts, good)
     assert all(f.match == INDUCED for f in entries)

@@ -18,6 +18,7 @@ from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
 from hereditary.structures import Structure
+from hereditary.templates import sub_count
 
 ARC = Structure(digraphs.SIG, 2, {"E": [(1, 2)]})
 
@@ -154,3 +155,32 @@ def test_stability_gaps_equal_min_template_dist(make, n, eps):
     assert probe.near_extremal
     for T, _, gap in probe.near_extremal:
         assert gap == min(template_dist(T, E) for E in extremal)
+
+
+
+# The search reports each leaf's product as its sub: every leaf it collects,
+# with or without low facts among the types, is error-free.
+@pytest.mark.parametrize("make, n", [
+    (lambda: digraphs.digraph_instance(2), 5),
+    (lambda: metric.metric_instance(3), 6),
+    (loop_arcs, 3),
+    (loop_triangles, 3),
+    (loop_triangles, 4),
+    (loop_triangles, 5),
+], ids=["digraph-k2-n5", "metric-r3-n6", "loop-arcs-n3", "loop-triangles-n3",
+        "loop-triangles-n4", "loop-triangles-n5"])
+def test_maximizers_are_error_free(make, n):
+    rep = search_extremal(make(), n)
+    assert rep.extremal_templates
+    for T in rep.extremal_templates:
+        assert sub_count(T) == (rep.ex, True)
+
+
+@pytest.mark.parametrize("make, n, eps", [probe[:3] for probe in PROBES],
+                         ids=["metric-r3-n5", "metric-r4-n4", "digraph-k2-n4",
+                              "triples-n5", "loop-triangles-n4"])
+def test_near_extremal_rows_are_error_free(make, n, eps):
+    rows = stability_probe(make(), n, eps).near_extremal
+    assert rows
+    for T, value, _ in rows:
+        assert sub_count(T) == (value, True)

@@ -41,6 +41,16 @@ def _parse_fraction(text, option):
             "%s must be a fraction, got %r" % (option, text)) from None
 
 
+def _budget(args, default):
+    """The --budget value, or `default` when it is not given."""
+    if args.budget is None:
+        return default
+    if args.budget < 1:
+        raise InvalidArgument("--budget must be at least 1, got %d"
+                              % args.budget)
+    return args.budget
+
+
 def _load_property(args):
     if getattr(args, "property", None):
         data = jsonio.load_path(args.property)
@@ -97,8 +107,8 @@ def cmd_types(args):
 
 
 def cmd_enumerate(args):
+    budget = _budget(args, properties.DEFAULT_ENUM_BUDGET)
     H = _load_property(args)
-    budget = args.budget or properties.DEFAULT_ENUM_BUDGET
     if args.count_only:
         return {"n": args.n, "count": properties.count_members(H, args.n, budget)}
     members = [jsonio.structure_to_json(M)
@@ -107,9 +117,9 @@ def cmd_enumerate(args):
 
 
 def cmd_extremal(args):
+    budget = _budget(args, extremal.DEFAULT_NODE_BUDGET)
     H = _load_property(args)
-    rep = extremal.search_extremal(H, args.n,
-                                   node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
+    rep = extremal.search_extremal(H, args.n, node_budget=budget)
     out = _template_report(rep)
     if args.all_maximizers:
         out["maximizers"] = [jsonio.template_to_json(T, inline_property=False)
@@ -120,9 +130,9 @@ def cmd_extremal(args):
 
 
 def cmd_density(args):
+    budget = _budget(args, extremal.DEFAULT_NODE_BUDGET)
     H = _load_property(args)
-    reps = extremal.density_sequence(
-        H, args.nmax, node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
+    reps = extremal.density_sequence(H, args.nmax, node_budget=budget)
     rows = [_template_report(rep) for rep in reps]
     if args.csv:
         try:
@@ -173,16 +183,20 @@ def cmd_distance(args):
 
 def cmd_containers(args):
     H = _load_property(args)
+    r = H.signature.r
+    if args.k <= r:
+        raise InvalidArgument("containers --k must exceed r = %d, got %d"
+                              % (r, args.k))
     if args.tau == "auto":
         tau = Fraction(containers_mod.suggested_tau(
-            args.n, args.k, H.signature.r, args.gamma)).limit_denominator(10 ** 6)
+            args.n, args.k, r, args.gamma)).limit_denominator(10 ** 6)
         if not 0 < tau < Fraction(1, 2):
             raise InvalidArgument("--tau auto gives tau = %.4g, outside "
                                   "(0, 1/2)" % tau)
     else:
         tau = _parse_fraction(args.tau, "--tau")
     Hg = containers_mod.build_hypergraph(H, args.k, args.n)
-    m = containers_mod.exponent_m(args.k, H.signature.r)
+    m = containers_mod.exponent_m(args.k, r)
     epsilon = (None if args.epsilon is None
                else _parse_fraction(args.epsilon, "--epsilon"))
     rep = containers_mod.codegree_function(Hg, tau, epsilon=epsilon)
@@ -196,10 +210,11 @@ def cmd_containers(args):
 
 
 def cmd_probe_stability(args):
+    budget = _budget(args, extremal.DEFAULT_NODE_BUDGET)
     H = _load_property(args)
     probe = extremal.stability_probe(
         H, args.n, _parse_fraction(args.epsilon, "--epsilon"),
-        node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
+        node_budget=budget)
     return {"n": probe.n, "epsilon": _frac(probe.epsilon),
             "near_extremal_count": len(probe.near_extremal),
             "worst_gap": _frac(probe.worst_gap)}
@@ -211,12 +226,14 @@ def _oracle(args, n):
         return value
     if args.instance == "digraph":
         return digraphs.digraph_extremal_oracle(args.instance_k, n)[0]
-    if args.instance == "triples":
-        return triples.triples_extremal_oracle(n)[0]
-    raise InvalidArgument("verify supports metric, digraph and triples")
+    return triples.triples_extremal_oracle(n)[0]
 
 
 def cmd_verify(args):
+    if args.instance not in ("metric", "digraph", "triples"):
+        raise InvalidArgument("verify supports --instance metric, digraph "
+                              "and triples")
+    budget = _budget(args, extremal.DEFAULT_NODE_BUDGET)
     H = _load_property(args)
     r = H.signature.r
     table = {}
@@ -226,11 +243,13 @@ def cmd_verify(args):
             expected = _oracle(args, n)
         except InvalidArgument:
             continue  # n below the closed form's range
-        rep = extremal.search_extremal(
-            H, n, node_budget=args.budget or extremal.DEFAULT_NODE_BUDGET)
+        rep = extremal.search_extremal(H, n, node_budget=budget)
         ok = rep.exact and rep.ex == expected
         all_ok = all_ok and ok
         table[str(n)] = {"search": rep.ex, "oracle": expected, "match": ok}
+    if not table:
+        raise InvalidArgument("no n in %d..%d has a closed form to verify"
+                              % (r, args.nmax))
     result = {"instance": args.instance, "ex_table": table, "all_match": all_ok}
     if not all_ok:
         raise VerificationFailure(jsonio.dumps(result))
@@ -250,7 +269,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True, budget=True, k_flag="--k"):
+    def common(p, instance=True, budget=False, k_flag="--k"):
         p.add_argument("--output", "-o", help="write the JSON report here")
         if budget:
             p.add_argument("--budget", type=int, default=None,
@@ -272,19 +291,19 @@ def build_parser():
     p = sub.add_parser("enumerate", help="enumerate labeled members H_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("extremal", help="maximize sub over H-random templates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all-maximizers", action="store_true")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("density", help="density sequence b_n up to nmax")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--csv", help="also write a (n, ex, b_n) CSV here")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("subcount", help="sub and choice counts of a template")
@@ -303,7 +322,7 @@ def build_parser():
     p.add_argument("--ac", action="store_true",
                    help="include the collapsed-relation distance d")
     p.add_argument("--check-bound", action="store_true")
-    common(p, instance=False, budget=False)
+    common(p, instance=False)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("containers", help="containers hypergraph report")
@@ -320,12 +339,12 @@ def build_parser():
     p = sub.add_parser("probe-stability", help="near-extremal stability probe")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_probe_stability)
 
     p = sub.add_parser("verify", help="oracle-vs-search comparison")
     p.add_argument("--nmax", type=int, required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("instance", help="emit a built-in property JSON")

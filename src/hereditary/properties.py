@@ -7,22 +7,31 @@ signature, which may be a reduct of the property signature) or non-induced
 (an injection carrying every positive fact of the entry into the structure).
 The property-level mode is the default for entries that do not override it.
 
+Every fact mask, here and in the block kernel, uses one bit order (_facts):
+the facts on {1..n} grouped by the set of points they touch, the groups in
+colex order of those sets. The order is prefix-stable, the facts on {1..m}
+being the first facts on {1..n}, and the facts of any m-subset S, relabeled
+onto {1..m}, keep their order, so M[S] is read out of a mask on {1..n} by
+one shift per fact group (_runs).
+
 The family is compiled into copy tables (see copy_table), one per entry
 size m, each built the first time a structure or subset of m points is
 checked: the fact masks of every relabeling of every size-m entry on
-{1..m}. Membership and enumeration then look each m-point subset up in the
-table for m. HereditaryProperty.entry_matches keeps the direct definition,
+{1..m}. Membership and enumeration then ask one question of each m-point
+subset: does its mask hold a copy (_holds_copy)? The table for m answers
+it. HereditaryProperty.entry_matches keeps the direct definition,
 matching one entry by isomorphism or embedding search; it is the
 independent path the tests compare against, and it matches the entries too
 large to compile (more than COPY_LIMIT relabelings).
 
 enumerate_members and count_members walk one plan (_plan): the fact groups
-of the point subsets in colex order, each checked against the copy tables
-once complete. enumerate_members streams every labeled member;
+of the point subsets in colex order, each subset checked once its facts
+are complete. enumerate_members streams every labeled member;
 count_members extends one representative per isomorphism class by one
 point at a time and weighs each extension count by the class's orbit.
 """
 
+import collections
 import itertools
 import math
 from functools import lru_cache
@@ -143,27 +152,25 @@ class HereditaryProperty(object):
             self.name or repr(self.signature), len(self.forbidden), self.mode)
 
 
-def _fact_mask(M, A):
-    """M[A], relabeled order-preservingly onto {1..|A|}, as a bit mask.
+@lru_cache(maxsize=256)
+def _facts(signature, n):
+    """The facts on {1..n}, in the bit order of every fact mask.
 
-    Bit i is the i-th fact on {1..|A|}: relations in signature order, each
-    relation's tuples in lexicographic order (the order of _fact_index).
+    The facts are grouped by the set of points they touch, the groups in
+    colex order of those sets (every proper subset of a set comes first)
+    and each group sorted. The order is prefix-stable: the facts on {1..m}
+    are the first facts on {1..n} for every n >= m.
     """
-    mask, bit = 0, 1
-    for name, arity in M.signature.relations:
-        tuples = M.relations[name]
-        for t in itertools.product(A, repeat=arity):
-            if t in tuples:
-                mask |= bit
-            bit <<= 1
-    return mask
-
-
-def _fact_index(signature, m):
-    """The bit of every fact on {1..m}, in _fact_mask order."""
     facts = [(name, t) for name, arity in signature.relations
-             for t in itertools.product(range(1, m + 1), repeat=arity)]
-    return {fact: i for i, fact in enumerate(facts)}
+             for t in itertools.product(range(1, n + 1), repeat=arity)]
+    return tuple(sorted(facts, key=lambda f: (sorted(set(f[1]),
+                                                     reverse=True), f)))
+
+
+@lru_cache(maxsize=256)
+def _fact_index(signature, n):
+    """The bit of every fact on {1..n} (see _facts)."""
+    return {fact: i for i, fact in enumerate(_facts(signature, n))}
 
 
 def copy_table(H, m):
@@ -227,57 +234,55 @@ def _matches(table, x):
     return False
 
 
+def _runs(signature, n, S):
+    """How to read M[S], relabeled order-preservingly onto {1..|S|}, out of
+    a fact mask of M on {1..n}: the OR over the runs (bit, width mask,
+    local) of (mask >> bit & width) << local. The relabeling keeps the
+    order of _facts, so the facts of each subset of S are one run;
+    consecutive runs that stay consecutive are merged."""
+    index = _fact_index(signature, n)
+    runs = []
+    for local, (name, t) in enumerate(_facts(signature, len(S))):
+        bit = index[(name, tuple(S[x - 1] for x in t))]
+        if runs and runs[-1][0] + runs[-1][1] == bit and (
+                runs[-1][2] + runs[-1][1] == local):
+            runs[-1][1] += 1
+        else:
+            runs.append([bit, 1, local])
+    return tuple((bit, (1 << width) - 1, local) for bit, width, local in runs)
+
+
 @lru_cache(maxsize=256)
 def _gathers(signature, n, m):
-    """How to read each m-subset B of {1..n} (lexicographic) out of a fact
-    mask on {1..n}: M[B], relabeled onto {1..m}, is the OR over the runs
-    (shift, width mask, local shift) of (mask >> shift & width) << local.
-    A run is a stretch of facts on {1..m} whose images are consecutive."""
-    index = _fact_index(signature, n)
-    out = []
-    for B in itertools.combinations(range(1, n + 1), m):
-        runs = []
-        for (name, t), local in _fact_index(signature, m).items():
-            bit = index[(name, tuple(B[x - 1] for x in t))]
-            if runs and runs[-1][0] + runs[-1][1] == bit and (
-                    runs[-1][2] + runs[-1][1] == local):
-                runs[-1][1] += 1
-            else:
-                runs.append([bit, 1, local])
-        out.append(tuple((bit, (1 << width) - 1, local)
-                         for bit, width, local in runs))
-    return tuple(out)
+    """The runs of every m-subset of {1..n}, lexicographic (see _runs)."""
+    return tuple(_runs(signature, n, B)
+                 for B in itertools.combinations(range(1, n + 1), m))
+
+
+def _holds_copy(H, m, table, gathers, mask):
+    """Does some m-subset, read out of `mask` onto {1..m} by its runs in
+    `gathers` (see _runs), hold a copy of a size-m entry? The copy table
+    for m (copy_table) answers (_matches), then entry_matches for the
+    entries too large to compile."""
+    for runs in gathers:
+        x = 0
+        for bit, width, local in runs:
+            x |= (mask >> bit & width) << local
+        if _matches(table, x):
+            return True
+        if table[2]:
+            M = structure_from_mask(H.signature, m, _facts(H.signature, m), x)
+            if any(H.entry_matches(f, M) for f in table[2]):
+                return True
+    return False
 
 
 def mask_is_member(H, n, mask):
-    """Is the structure on {1..n} with fact mask `mask` (bits in
-    _fact_index order) in Forb(F)? No m-subset holds a copy of a size-m
-    entry.
-
-    The mask of each m-subset, relabeled onto {1..m}, is gathered (see
-    _gathers) and looked up in the copy table for m: induced entries match
-    when it, restricted to the entry's relations, is one of their copies;
-    non-induced entries match when one of their copies is a subset of it.
-    Only the entries too large to compile need the structure, for
-    entry_matches.
-    """
-    for m in H._copy_tables:
-        if m > n:
-            continue
-        table = copy_table(H, m)
-        if table[0] or table[1]:
-            for runs in _gathers(H.signature, n, m):
-                x = 0
-                for bit, width, local in runs:
-                    x |= (mask >> bit & width) << local
-                if _matches(table, x):
-                    return False
-        if table[2]:
-            M = structure_from_mask(H.signature, n,
-                                    list(_fact_index(H.signature, n)), mask)
-            if any(H.entry_matches(f, M) for f in table[2]):
-                return False
-    return True
+    """Is the structure on {1..n} with fact mask `mask` (see _facts) in
+    Forb(F)? No m-subset holds a copy of a size-m entry (_holds_copy)."""
+    return not any(_holds_copy(H, m, copy_table(H, m),
+                               _gathers(H.signature, n, m), mask)
+                   for m in H._copy_tables if m <= n)
 
 
 def is_member(H, M):
@@ -289,103 +294,71 @@ def is_member(H, M):
     cached = H._member_cache.get(key)
     if cached is not None:
         return cached
-    ok = mask_is_member(H, M.n, _fact_mask(M, M.domain()))
+    index = _fact_index(H.signature, M.n)
+    ok = mask_is_member(H, M.n, sum(1 << index[f] for f in M.facts()))
     if len(H._member_cache) < 500000:
         H._member_cache[key] = ok
     return ok
 
 
-def _groups(signature, n):
-    """Atoms grouped by the exact set of domain points they touch.
-
-    Groups are ordered colexicographically over subsets of {1..n}, so every
-    proper subset of a group's point set is processed before it.
-    """
-    group_map = {}
-    for name, arity in signature.relations:
-        for t in itertools.product(range(1, n + 1), repeat=arity):
-            group_map.setdefault(frozenset(t), []).append((name, t))
-    subsets = []
-    for m in range(1, n + 1):
-        for S in itertools.combinations(range(1, n + 1), m):
-            subsets.append(S)
-    subsets.sort(key=lambda S: tuple(reversed(S)))
-    return [(S, sorted(group_map.get(frozenset(S), []))) for S in subsets]
-
-
 def _plan(H, n):
-    """The facts on {1..n} and the steps of the member DFS over them.
+    """The steps of the member DFS over the facts on {1..n} (see _facts).
 
-    One step (offset, width, check) per fact group (see _groups): the
-    group's facts are facts[offset:offset + width], one bit each in a fact
-    mask. A subset with no facts and no entry of its size is no step. When
-    entries of size |S| exist, check = (inner, own, table, |S|, local
-    facts): after the group on S is chosen, M[S] is complete, and its fact
-    mask on {1..|S|} is gathered from `inner` (global bit, local bit) for
-    the groups inside S and from `own` (bit in the group's choice, local
-    bit), then looked up in the copy table for |S| (see _chooser).
+    One step (offset, width, check) per point subset S of {1..n}, in colex
+    order: the facts on exactly S are facts[offset:offset + width], one bit
+    each in a fact mask. A subset with no facts and no entry of its size is
+    no step. When entries of size m = |S| exist, check = ((runs,), m,
+    support): once the group on S is chosen, M[S] is complete, and
+    _holds_copy reads it by S's runs (_runs) out of the chosen facts. Those
+    facts matter only within `support`, the mask of the facts on S and its
+    subsets (see _chooser).
 
-    Groups are colex, so the steps and facts of the subsets of {1..m} are
-    a prefix, the same for every n >= m: a mask of a member on {1..m} is a
-    partial assignment of the plan for {1..n}. ends[m] is the length of
-    that prefix of steps, so the steps of the subsets whose largest point
-    is m are plan[ends[m - 1]:ends[m]].
+    The facts on {1..m} are a prefix of the facts on {1..n}, and so are the
+    steps of the subsets of {1..m}, the same for every n >= m: a mask of a
+    member on {1..m} is a partial assignment of the plan for {1..n}. ends[m]
+    is the length of that prefix of steps, so the steps of the subsets
+    whose largest point is m are plan[ends[m - 1]:ends[m]].
     """
-    groups = _groups(H.signature, n)
-    offsets, facts = {}, []
-    for S, group in groups:
-        offsets[S] = len(facts)
-        facts.extend(group)
-    plan, ends = [], [0] * (n + 1)
-    for S, group in groups:
+    signature = H.signature
+    widths = collections.Counter(tuple(sorted(set(t)))
+                                 for _, t in _facts(signature, n))
+    subsets = sorted((S for m in range(1, n + 1)
+                      for S in itertools.combinations(range(1, n + 1), m)),
+                     key=lambda S: S[::-1])
+    plan, ends, offset = [], [0] * (n + 1), 0
+    for S in subsets:
+        m, width = len(S), widths[S]
         check = None
-        if len(S) in H._copy_tables:
-            index = _fact_index(H.signature, len(S))
-            local = {(name, tuple(S[x - 1] for x in t)): 1 << i
-                     for (name, t), i in index.items()}
-            inner = [(1 << offsets[T] + j, local[f]) for T, facts_T in groups
-                     if T != S and set(T) <= set(S)
-                     for j, f in enumerate(facts_T)]
-            own = [(1 << j, local[f]) for j, f in enumerate(group)]
-            check = (inner, own, copy_table(H, len(S)), len(S), list(index))
+        if m in H._copy_tables:
+            runs = _runs(signature, n, S)
+            check = ((runs,), m, sum(ones << bit for bit, ones, _ in runs))
         # a subset with no facts and no check would be a level of one child
-        if group or check is not None:
-            plan.append((offsets[S], len(group), check))
+        if width or check is not None:
+            plan.append((offset, width, check))
+        offset += width
         ends[S[-1]] = len(plan)
-    return facts, plan, ends
+    return plan, ends
 
 
 def _chooser(H, plan):
     """choose(gi, chosen): the choices c (bit masks over the group of step
     gi) that keep M[S] a member, given the facts `chosen` of the earlier
-    steps. They depend only on the mask of M[S] gathered from `chosen`,
-    and are memoized on it per step."""
+    steps. They depend only on the chosen facts on the subsets of S, and
+    are memoized on those per step."""
     memo = {}
 
     def choose(gi, chosen):
-        _, width, check = plan[gi]
+        offset, width, check = plan[gi]
         if check is None:
             return range(1 << width)
-        inner, own, table, m, local_facts = check
-        base = 0
-        for g, bit in inner:
-            if chosen & g:
-                base |= bit
-        out = memo.get((gi, base))
+        gathers, m, support = check
+        key = chosen & support
+        out = memo.get((gi, key))
         if out is None:
-            out = memo[gi, base] = []
-            for c in range(1 << width):
-                x = base
-                for g, bit in own:
-                    if c & g:
-                        x |= bit
-                if _matches(table, x):
-                    continue
-                if table[2]:
-                    sub = structure_from_mask(H.signature, m, local_facts, x)
-                    if any(H.entry_matches(f, sub) for f in table[2]):
-                        continue
-                out.append(c)
+            table = copy_table(H, m)
+            out = memo[gi, key] = [
+                c for c in range(1 << width)
+                if not _holds_copy(H, m, table, gathers, key | c << offset)]
         return out
     return choose
 
@@ -413,7 +386,8 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    facts, plan, _ = _plan(H, n)
+    facts = _facts(H.signature, n)
+    plan, _ = _plan(H, n)
     choose = _chooser(H, plan)
     tick = _budget_counter(budget, n)
 
@@ -444,7 +418,7 @@ def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    facts, plan, ends = _plan(H, n)
+    plan, ends = _plan(H, n)
     choose = _chooser(H, plan)
     tick = _budget_counter(budget, n)
 
@@ -462,7 +436,7 @@ def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
 
     classes = [(0, 1)]  # (representative mask, orbit) of the classes of H_0
     for m in range(1, n):
-        images = relabelings(m, [f for f in facts if max(f[1]) <= m])
+        images = relabelings(m, _facts(H.signature, m))
         found = {}
         for rep, _ in classes:
             leaves = []

@@ -35,6 +35,12 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "nonsense")
     assert code == 2
+    # --budget only where a budget is read
+    code, _ = run(capsys, "types", "--instance", "triples", "--budget", "1")
+    assert code == 2
+    code, _ = run(capsys, "containers", "--instance", "digraph",
+                  "--instance-k", "2", "--n", "4", "--k", "3", "--budget", "1")
+    assert code == 2
     missing = str(tmp_path / "missing.json")
     for argv in (["extremal", "--property", missing, "--n", "3"],
                  ["hrandom", "--template", missing],
@@ -108,6 +114,41 @@ def test_exit_code_budget(capsys):
                     "--n", "4", "--budget", "5")
     assert code == 3
     assert "budget" in json.loads(out)["report"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--instance", "metric", "--r", "3", "--n", "3",
+     "--count-only", "--budget", "0"],
+    ["enumerate", "--instance", "metric", "--r", "3", "--n", "3",
+     "--count-only", "--budget", "-1"],
+    ["extremal", "--instance", "metric", "--r", "3", "--n", "3",
+     "--budget", "0"],
+    ["verify", "--instance", "metric", "--r", "3", "--nmax", "1"],
+    ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "3",
+     "--k", "2"],
+], ids=["budget-0", "budget--1", "extremal-budget-0", "verify-nothing",
+        "containers-k-r"])
+def test_invalid_input_does_no_work(capsys, argv):
+    # a budget below 1, a verify run with no closed form in range and a
+    # containers block size not above r
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_containers_k_names_k_and_r(capsys):
+    assert cli.main(["containers", "--instance", "metric", "--r", "3",
+                     "--n", "4", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and "r = 2" in err
+
+
+def test_verify_needs_a_family_with_a_closed_form(tmp_path, capsys):
+    path = str(tmp_path / "m3.json")
+    assert cli.main(["instance", "metric", "--r", "3", "-o", path]) == 0
+    assert cli.main(["verify", "--property", path, "--nmax", "3"]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail(capsys):

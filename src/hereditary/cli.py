@@ -78,11 +78,8 @@ def _instance_property(args):
     if name == "colored":
         if not args.spec:
             raise InvalidArgument("instance colored needs --spec")
-        spec = jsonio.load_path(args.spec)
-        forbidden = [(entry["m"], {tuple(map(int, key.strip("[]").split(","))): c
-                                   for key, c in entry["coloring"].items()})
-                     for entry in spec.get("forbidden", [])]
-        return colored.colored_instance(spec["k"], spec["colors"], forbidden)
+        return colored.colored_instance(*jsonio.colored_spec_from_json(
+            jsonio.load_path(args.spec)))
     raise InvalidArgument("unknown instance %r" % name)
 
 

@@ -76,20 +76,15 @@ def pow_geq(x, p, y, q):
     return x ** p >= y ** q
 
 
-def candidate_sets(H, limit=1 << 14):
+def candidate_sets(H):
     """All nonempty subsets of S_r(H), largest first, deterministic order."""
     space = realized_type_space(H)
     if len(space) > MAX_TYPES_FOR_SEARCH:
         raise BudgetExceeded(
             "realized type space too large for generic search (%d types)"
             % len(space))
-    sets = []
-    for m in range(len(space), 0, -1):
-        for combo in itertools.combinations(space, m):
-            sets.append(frozenset(combo))
-    if len(sets) > limit:
-        raise BudgetExceeded("too many candidate choice sets")
-    return sets
+    return [frozenset(combo) for m in range(len(space), 0, -1)
+            for combo in itertools.combinations(space, m)]
 
 
 def _completion_schedule(n, r, kk):
@@ -303,12 +298,12 @@ def density_sequence(H, n_max, node_budget=DEFAULT_NODE_BUDGET):
 def near_extremal_set(H, n, epsilon, report=None,
                       node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
     """All H-random templates with sub >= ex^(1-epsilon), plus the report."""
-    report = report or search_extremal(H, n, node_budget)
-    if not report.exact:
-        raise BudgetExceeded("extremal search was not exact")
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
         raise InvalidArgument("epsilon must be in [0,1]")
+    report = report or search_extremal(H, n, node_budget)
+    if not report.exact:
+        raise BudgetExceeded("extremal search was not exact")
     frac = 1 - eps
     a, b = frac.numerator, frac.denominator
     ex = report.ex

@@ -21,9 +21,16 @@ def _fail(field, message):
 def _expect(obj, field, kind, where):
     if field not in obj:
         _fail("%s.%s" % (where, field), "missing")
-    if not isinstance(obj[field], kind):
+    if type(obj[field]) is not kind:  # exact: a bool is not an int
         _fail("%s.%s" % (where, field), "expected %s" % kind.__name__)
     return obj[field]
+
+
+def _ints(value, where):
+    """A JSON list of integers (not bools or floats) as a tuple."""
+    if type(value) is not list or any(type(x) is not int for x in value):
+        _fail(where, "expected a list of integers, got %s" % json.dumps(value))
+    return tuple(value)
 
 
 def signature_to_json(signature):
@@ -59,7 +66,8 @@ def structure_from_json(data, where="structure"):
     for name, tuples in rels_raw.items():
         if not isinstance(tuples, list):
             _fail("%s.relations.%s" % (where, name), "expected a list of tuples")
-        rels[name] = [tuple(t) for t in tuples]
+        rels[name] = [_ints(t, "%s.relations.%s[%d]" % (where, name, i))
+                      for i, t in enumerate(tuples)]
     return Structure(sig, n, rels)
 
 
@@ -105,9 +113,9 @@ def _subset_key(A):
 def _subset_from_key(key, where):
     try:
         parts = json.loads(key)
-        return tuple(int(x) for x in parts)
-    except (ValueError, TypeError):
+    except ValueError:
         _fail(where, "malformed subset key %r" % key)
+    return _ints(parts, "%s key %r" % (where, key))
 
 
 def template_to_json(T, inline_property=True):
@@ -137,6 +145,26 @@ def template_from_json(data, H=None, where="template"):
             _fail("%s.choices.%s" % (where, key), "expected a nonempty id list")
         choices[A] = {type_by_id(H.signature, tid) for tid in ids}
     return Template(H, n, choices)
+
+
+def colored_spec_from_json(data, where="spec"):
+    """(k, colors, forbidden) for colored.colored_instance from {"k", "colors",
+    "forbidden" (optional): [{"m", "coloring": {"[1,2]": color}}]}."""
+    if not isinstance(data, dict):
+        _fail(where, "expected an object")
+    k = _expect(data, "k", int, where)
+    colors = _expect(data, "colors", list, where)
+    forbidden = []
+    raw = _expect(data, "forbidden", list, where) if "forbidden" in data else []
+    for i, entry in enumerate(raw):
+        sub = "%s.forbidden[%d]" % (where, i)
+        if not isinstance(entry, dict):
+            _fail(sub, "expected an object")
+        coloring = _expect(entry, "coloring", dict, sub)
+        forbidden.append((_expect(entry, "m", int, sub),
+                          {_subset_from_key(key, sub + ".coloring"): c
+                           for key, c in coloring.items()}))
+    return k, colors, forbidden
 
 
 def type_listing(types):

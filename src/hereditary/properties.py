@@ -24,11 +24,12 @@ matching one entry by isomorphism or embedding search; it is the
 independent path the tests compare against, and it matches the entries too
 large to compile (more than COPY_LIMIT relabelings).
 
-enumerate_members and count_members walk one plan (_plan): the fact groups
-of the point subsets in colex order, each subset checked once its facts
-are complete. enumerate_members streams every labeled member;
-count_members extends one representative per isomorphism class by one
-point at a time and weighs each extension count by the class's orbit.
+enumerate_members and count_members share one walk (_walker) of one plan
+(_plan): the fact groups of the point subsets in colex order, each subset
+checked once its facts are complete, yielding every member's fact mask.
+enumerate_members decodes every mask into a labeled member; count_members
+extends one representative per isomorphism class by one point at a time
+and weighs each extension count by the class's orbit.
 """
 
 import collections
@@ -126,7 +127,6 @@ class HereditaryProperty(object):
         self.mode = mode
         self.name = name
         self.k = max((f.structure.n for f in entries), default=0)
-        self._member_cache = {}
         # Built on first use: see realized_type_space, block_checker and
         # copy_table (one slot per entry size, ascending).
         self._type_space = None
@@ -286,19 +286,11 @@ def mask_is_member(H, n, mask):
 
 
 def is_member(H, M):
-    """M is in Forb(F): mask_is_member of M's fact mask, memoized per
-    structure in the property's member cache."""
+    """M is in Forb(F): mask_is_member of M's fact mask (see _facts)."""
     if not (M.signature == H.signature):
         raise InvalidArgument("signature mismatch")
-    key = M._key
-    cached = H._member_cache.get(key)
-    if cached is not None:
-        return cached
     index = _fact_index(H.signature, M.n)
-    ok = mask_is_member(H, M.n, sum(1 << index[f] for f in M.facts()))
-    if len(H._member_cache) < 500000:
-        H._member_cache[key] = ok
-    return ok
+    return mask_is_member(H, M.n, sum(1 << index[f] for f in M.facts()))
 
 
 def _plan(H, n):
@@ -311,7 +303,7 @@ def _plan(H, n):
     support): once the group on S is chosen, M[S] is complete, and
     _holds_copy reads it by S's runs (_runs) out of the chosen facts. Those
     facts matter only within `support`, the mask of the facts on S and its
-    subsets (see _chooser).
+    subsets (see _walker).
 
     The facts on {1..m} are a prefix of the facts on {1..n}, and so are the
     steps of the subsets of {1..m}, the same for every n >= m: a mask of a
@@ -340,27 +332,35 @@ def _plan(H, n):
     return plan, ends
 
 
-def _chooser(H, plan):
-    """choose(gi, chosen): the choices c (bit masks over the group of step
-    gi) that keep M[S] a member, given the facts `chosen` of the earlier
-    steps. They depend only on the chosen facts on the subsets of S, and
+def _walker(H, plan, tick):
+    """walk(gi, end, chosen): depth-first, the fact mask of every extension
+    of the facts `chosen` through plan[gi:end], with tick() once per node.
+    A step keeps the choices c (bit masks over its group) that leave M[S] a
+    member; they depend only on the chosen facts on the subsets of S, and
     are memoized on those per step."""
     memo = {}
 
-    def choose(gi, chosen):
+    def walk(gi, end, chosen):
+        tick()
+        if gi == end:
+            yield chosen
+            return
         offset, width, check = plan[gi]
         if check is None:
-            return range(1 << width)
-        gathers, m, support = check
-        key = chosen & support
-        out = memo.get((gi, key))
-        if out is None:
-            table = copy_table(H, m)
-            out = memo[gi, key] = [
-                c for c in range(1 << width)
-                if not _holds_copy(H, m, table, gathers, key | c << offset)]
-        return out
-    return choose
+            choices = range(1 << width)
+        else:
+            gathers, m, support = check
+            key = chosen & support
+            choices = memo.get((gi, key))
+            if choices is None:
+                table = copy_table(H, m)
+                choices = memo[gi, key] = [
+                    c for c in range(1 << width)
+                    if not _holds_copy(H, m, table, gathers,
+                                       key | c << offset)]
+        for c in choices:
+            yield from walk(gi + 1, end, chosen | c << offset)
+    return walk
 
 
 def _budget_counter(budget, n):
@@ -378,29 +378,17 @@ def _budget_counter(budget, n):
 def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
-    Depth-first over the steps of _plan, one fact group per point subset in
-    colex order; the chosen facts are one bit mask over the plan's facts,
-    and each step keeps only the choices that leave M[S] a member (see
-    is_member). Budget counts DFS nodes. This is the labeled stream, and
-    the oracle of count_members.
+    The member walk (_walker) through every step of _plan, each leaf mask
+    decoded into a Structure. Budget counts walk nodes. This is the labeled
+    stream, and the oracle of count_members.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     facts = _facts(H.signature, n)
     plan, _ = _plan(H, n)
-    choose = _chooser(H, plan)
-    tick = _budget_counter(budget, n)
-
-    def rec(gi, chosen):
-        tick()
-        if gi == len(plan):
-            yield structure_from_mask(H.signature, n, facts, chosen)
-            return
-        offset = plan[gi][0]
-        for c in choose(gi, chosen):
-            yield from rec(gi + 1, chosen | c << offset)
-
-    yield from rec(0, 0)
+    walk = _walker(H, plan, _budget_counter(budget, n))
+    for mask in walk(0, len(plan), 0):
+        yield structure_from_mask(H.signature, n, facts, mask)
 
 
 def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
@@ -410,44 +398,29 @@ def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     the number ext(R) of ways to add the point depends only on the class of
     R, so |H_m| = sum over classes R of H_{m-1} of orbit(R) * ext(R), with
     orbit(R) = (m-1)!/|Aut R| (see structures.class_key). Level by level,
-    each class representative is extended through the plan steps of the
-    subsets whose largest point is m (a counting DFS, with the checks of
-    enumerate_members); the extensions are deduplicated by class key into
-    the representatives of H_m. The last level is counted, not collected.
-    Budget counts the nodes of every extension DFS, and m! per key.
+    the member walk (_walker) extends each class representative through the
+    plan steps of the subsets whose largest point is m, and each extension
+    is keyed by class as it arrives: the first of a class represents it in
+    H_m. The last level is counted. Budget counts walk nodes, and m! per
+    key.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     plan, ends = _plan(H, n)
-    choose = _chooser(H, plan)
     tick = _budget_counter(budget, n)
-
-    def extend(gi, end, chosen, leaves):
-        """The number of extensions of chosen through plan[gi:end]; each
-        is appended to leaves unless leaves is None."""
-        tick()
-        if gi == end:
-            if leaves is not None:
-                leaves.append(chosen)
-            return 1
-        offset = plan[gi][0]
-        return sum(extend(gi + 1, end, chosen | c << offset, leaves)
-                   for c in choose(gi, chosen))
-
+    walk = _walker(H, plan, tick)
     classes = [(0, 1)]  # (representative mask, orbit) of the classes of H_0
     for m in range(1, n):
         images = relabelings(m, _facts(H.signature, m))
         found = {}
         for rep, _ in classes:
-            leaves = []
-            extend(ends[m - 1], ends[m], rep, leaves)
-            for mask in leaves:
+            for mask in walk(ends[m - 1], ends[m], rep):
                 tick(len(images))
                 key, orbit = class_key(images, mask)
                 if key not in found:
                     found[key] = (mask, orbit)
         classes = list(found.values())
-    return sum(orbit * extend(ends[n - 1], ends[n], rep, None)
+    return sum(orbit * sum(1 for _ in walk(ends[n - 1], ends[n], rep))
                for rep, orbit in classes)
 
 

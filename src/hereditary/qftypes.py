@@ -122,10 +122,11 @@ def type_by_id(signature, type_id, r=None):
     """Reconstruct a type from its stable id without materializing the space."""
     r = signature.r if r is None else r
     num = len(atoms(signature, r))
-    if not type_id.startswith("t"):
-        raise InvalidArgument("malformed type id %r" % type_id)
+    if not (isinstance(type_id, str) and type_id[:1] == "t"
+            and type_id[1:].isdecimal()):
+        raise InvalidArgument("malformed type id %r" % (type_id,))
     bits = int(type_id[1:])
-    if bits < 0 or bits >= 1 << num:
+    if bits >= 1 << num:
         raise InvalidArgument("type id %r out of range" % type_id)
     facts = [(bits >> (num - 1 - i)) & 1 == 1 for i in range(num)]
     return QfType(signature, facts, r)

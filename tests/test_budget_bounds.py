@@ -27,12 +27,12 @@ def stream_length(H, n, budget):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_count_members_least_budget(name):
-    make, n, least, _ = CASES[name]
+    make, n, least, stream_least = CASES[name]
     H = make()
     count = count_members(H, n, least)
     with pytest.raises(BudgetExceeded):
         count_members(H, n, least - 1)
-    assert count == stream_length(H, n, CASES[name][3])
+    assert count == stream_length(H, n, stream_least)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -126,15 +126,82 @@ def test_exit_code_budget(capsys):
     ["verify", "--instance", "metric", "--r", "3", "--nmax", "1"],
     ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "3",
      "--k", "2"],
+    ["probe-stability", "--instance", "triples", "--n", "5", "--epsilon", "2",
+     "--budget", "5"],
+    ["probe-stability", "--instance", "digraph", "--k", "2", "--n", "5",
+     "--epsilon", "3/2"],
 ], ids=["budget-0", "budget--1", "extremal-budget-0", "verify-nothing",
-        "containers-k-r"])
+        "containers-k-r", "epsilon-2", "epsilon-3/2"])
 def test_invalid_input_does_no_work(capsys, argv):
-    # a budget below 1, a verify run with no closed form in range and a
-    # containers block size not above r
+    # a budget below 1, a verify run with no closed form in range, a
+    # containers block size not above r and an epsilon outside [0, 1],
+    # which is rejected before the extremal search runs
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "invalid input" in err and "Traceback" not in err
+
+
+EDGE = {"signature": [{"name": "E", "arity": 2}], "n": 2,
+        "relations": {"E": [[1, 2]]}}
+SPEC = {"k": 2, "colors": [1, 2],
+        "forbidden": [{"m": 3, "coloring": {"[1,2]": 1, "[1,3]": 1,
+                                            "[2,3]": 1}}]}
+
+
+def with_tuple(t):
+    return dict(EDGE, relations={"E": [t]})
+
+
+def template_with(mutate):
+    data = jsonio.template_to_json(metric.all_low_template(3, 3))
+    mutate(data["choices"])
+    return data
+
+
+def float_key(choices):
+    key = sorted(choices)[0]
+    parts = json.loads(key)
+    choices[json.dumps([parts[0] + 0.5] + parts[1:])] = choices.pop(key)
+
+
+def write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, data", [
+    ("distance", with_tuple(["a", 2])),
+    ("distance", with_tuple(5)),
+    ("distance", with_tuple([1.7, 2])),
+    ("distance", with_tuple([True, 2])),
+    ("hrandom", template_with(lambda c: c.update({sorted(c)[0]: [3]}))),
+    ("hrandom", template_with(lambda c: c.update({sorted(c)[0]: ["tx"]}))),
+    ("hrandom", template_with(float_key)),
+    ("types", {key: value for key, value in SPEC.items() if key != "k"}),
+    ("types", dict(SPEC, forbidden=[{"m": 3, "coloring": {"[1,x]": 1}}])),
+    ("types", dict(SPEC, forbidden=[{"m": 3, "coloring": {"[1,true]": 1}}])),
+    ("types", [SPEC]),
+], ids=["tuple-str", "tuple-int", "tuple-float", "tuple-bool",
+        "type-id-int", "type-id-tx", "subset-key-float", "spec-no-k",
+        "spec-key-x", "spec-key-bool", "spec-list"])
+def test_malformed_json_is_invalid_input(tmp_path, capsys, command, data):
+    path = write(tmp_path, "in.json", data)
+    argv = {"distance": ["distance", path, write(tmp_path, "b.json", EDGE)],
+            "hrandom": ["hrandom", "--template", path],
+            "types": ["types", "--instance", "colored", "--spec", path]}
+    assert cli.main(argv[command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_colored_spec_builds_the_instance(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", SPEC)
+    code, out = run(capsys, "types", "--instance", "colored", "--spec", path)
+    assert code == 0
+    assert json.loads(out)["report"]["count"] == 2
 
 
 def test_containers_k_names_k_and_r(capsys):

@@ -26,6 +26,20 @@ def test_structure_diagnostics():
         jsonio.structure_from_json([1, 2])
 
 
+@pytest.mark.parametrize("field, value", [("n", True), ("arity", True)])
+def test_bools_are_not_integers(field, value):
+    data = {"signature": [{"name": "P", "arity": 1}], "n": 1,
+            "relations": {"P": [[1]]}}
+    jsonio.structure_from_json(data)
+    if field == "n":
+        data["n"] = value
+    else:
+        data["signature"][0]["arity"] = value
+    with pytest.raises(InvalidArgument) as exc:
+        jsonio.structure_from_json(data)
+    assert "expected int" in str(exc.value)
+
+
 def test_property_round_trip():
     H = digraphs.digraph_instance(2)
     data = jsonio.property_to_json(H)

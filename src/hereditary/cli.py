@@ -179,14 +179,17 @@ def cmd_distance(args):
 
 
 def cmd_containers(args):
+    if args.gamma is not None and args.tau != "auto":
+        raise InvalidArgument("--gamma is read only with --tau auto")
     H = _load_property(args)
     r = H.signature.r
     if args.k <= r:
         raise InvalidArgument("containers --k must exceed r = %d, got %d"
                               % (r, args.k))
     if args.tau == "auto":
+        gamma = 0.05 if args.gamma is None else args.gamma
         tau = Fraction(containers_mod.suggested_tau(
-            args.n, args.k, r, args.gamma)).limit_denominator(10 ** 6)
+            args.n, args.k, r, gamma)).limit_denominator(10 ** 6)
         if not 0 < tau < Fraction(1, 2):
             raise InvalidArgument("--tau auto gives tau = %.4g, outside "
                                   "(0, 1/2)" % tau)
@@ -328,7 +331,8 @@ def build_parser():
                    help="container block size")
     p.add_argument("--tau", default="1/4",
                    help="a fraction, or auto for n^(-1/m) / gamma")
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=None,
+                   help="with --tau auto only (default 0.05)")
     p.add_argument("--epsilon", default=None)
     common(p, k_flag="--instance-k")
     p.set_defaults(func=cmd_containers)

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
 
-from .diagrams import LocatedType
+from .diagrams import LocatedType, SyntacticDiagram
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
 from .templates import Template, block_checker, block_subsets, r_subsets
@@ -279,10 +279,7 @@ def suggested_tau(n, k, r, gamma):
 
 def build_template_from_diagram_set(H, n, located_set):
     """D_sigma: the template with Ch(A) = Ch_sigma(A); sigma must be complete."""
-    choices = {}
-    for v in located_set:
-        choices.setdefault(v.support, set()).add(v.qftype)
-    T = Template(H, n, choices)
+    T = Template(H, n, SyntacticDiagram(located_set).choice_sets())
     if not T.is_complete():
         raise InvalidArgument("diagram set is not complete")
     return T

@@ -9,8 +9,8 @@ import itertools
 from functools import lru_cache
 
 from .errors import InvalidArgument
-from .qftypes import QfType, atoms, qftp
-from .structures import Structure
+from .qftypes import atoms, qftp
+from .structures import Structure, induced_substructure
 
 
 class LocatedType(object):
@@ -46,7 +46,7 @@ class LocatedType(object):
 @lru_cache(maxsize=200000)
 def located_facts(support, qftype):
     out = {}
-    for (name, varmap), b in zip(atoms(qftype.signature, qftype.r), qftype.facts):
+    for (name, varmap), b in zip(atoms(qftype.signature), qftype.facts):
         out[(name, tuple(support[v - 1] for v in varmap))] = b
     return out
 
@@ -149,14 +149,7 @@ def is_satisfiable(sigma, with_witness=False):
 def witness_structure(sigma):
     """A structure N with Diag^tp(N[support]) = sigma, relabeled to {1..m}."""
     ok, w = is_satisfiable(sigma, with_witness=True)
-    if not ok:
-        return None
-    # relabel support to {1..m}
-    pos = {a: i + 1 for i, a in enumerate(sigma.support)}
-    rels = {}
-    for name, ts in w.relations.items():
-        rels[name] = [tuple(pos[x] for x in t) for t in ts]
-    return Structure(w.signature, len(sigma.support), rels)
+    return induced_substructure(w, sigma.support) if ok else None
 
 
 def is_error(sigma, ell=None):

@@ -66,9 +66,10 @@ class StabilityProbe(object):
 
 
 def pow_geq(x, p, y, q):
-    """x^p >= y^q for positive integers, float prescreen + exact fallback."""
-    if x <= 0:
-        return y <= 0
+    """x^p >= y^q for non-negative integers, float prescreen + exact
+    fallback; exact when a base is 0."""
+    if x == 0 or y == 0:
+        return x ** p >= y ** q
     lhs = p * math.log(x)
     rhs = q * math.log(y)
     if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs), abs(rhs)):
@@ -245,8 +246,10 @@ class _SearchEngine(object):
             self.nodes, self.pruned = nodes, pruned
 
 
-def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
-    """Exact maximization of sub over all H-random templates on {1..n}."""
+def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET):
+    """Exact maximization of sub over all H-random templates on {1..n}.
+
+    Keeps at most DEFAULT_CAP maximizers (the report is then truncated)."""
     if n < H.signature.r:
         raise InvalidArgument("n must be at least r")
     engine = _SearchEngine(H, n, node_budget)
@@ -261,7 +264,7 @@ def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
             maximizers.clear()
             truncated[0] = False
         if value == best[0]:
-            if len(maximizers) < cap:
+            if len(maximizers) < DEFAULT_CAP:
                 maximizers.append(T)
             else:
                 truncated[0] = True
@@ -290,18 +293,21 @@ def density_sequence(H, n_max, node_budget=DEFAULT_NODE_BUDGET):
         # b_n >= b_{n+1}  <=>  ex_n^C(n+1,r) >= ex_{n+1}^C(n,r)
         if not pow_geq(a.ex, math.comb(b.n, r), b.ex, math.comb(a.n, r)):
             raise AssertionError("density sequence not non-increasing")
-        if b.ex < 1:
-            raise AssertionError("b_n below 1 with nonempty H_n")
+        # ex(n) = 0 exactly when H_n is empty (the singleton template of
+        # a member is H-random with sub 1), and H_n empty stays empty
+        if a.ex == 0 and b.ex != 0:
+            raise AssertionError("ex positive after ex = 0")
     return reports
 
 
-def near_extremal_set(H, n, epsilon, report=None,
-                      node_budget=DEFAULT_NODE_BUDGET, cap=DEFAULT_CAP):
-    """All H-random templates with sub >= ex^(1-epsilon), plus the report."""
+def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
+    """All H-random templates with sub >= ex^(1-epsilon), plus the report.
+
+    Keeps at most DEFAULT_CAP templates."""
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
         raise InvalidArgument("epsilon must be in [0,1]")
-    report = report or search_extremal(H, n, node_budget)
+    report = search_extremal(H, n, node_budget)
     if not report.exact:
         raise BudgetExceeded("extremal search was not exact")
     frac = 1 - eps
@@ -311,18 +317,21 @@ def near_extremal_set(H, n, epsilon, report=None,
     def qualifies(value):
         return pow_geq(value, b, ex, a)
 
-    # the smallest integer floor: values below it can never qualify
-    floor = 1
-    while not qualifies(floor):
-        floor += max(1, floor // 8)
-    while floor > 1 and qualifies(floor - 1):
-        floor -= 1
+    # the smallest integer floor in [1, max(ex, 1)]: values below it never
+    # qualify; qualifies is monotone and holds at ex, so bisect
+    low, floor = 1, max(ex, 1)
+    while low < floor:
+        mid = (low + floor) // 2
+        if qualifies(mid):
+            floor = mid
+        else:
+            low = mid + 1
 
     engine = _SearchEngine(H, n, node_budget)
     found = []
 
     def collect(assignment, value):
-        if len(found) < cap:
+        if len(found) < DEFAULT_CAP:
             found.append((Template(H, n, assignment), value))
 
     engine.run(collect, qualifies, lambda: floor)

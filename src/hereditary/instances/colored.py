@@ -12,7 +12,7 @@ from math import comb
 from ..errors import InvalidArgument
 from ..properties import (INDUCED, ForbiddenEntry, HereditaryProperty,
                           universe_entries)
-from ..qftypes import QfType, atoms
+from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
 
@@ -46,11 +46,9 @@ def colored_instance(k, colors, forbidden_colorings):
 
 
 def color_type(k, colors, c):
-    sig = signature(k, colors)
-    facts = []
-    for name, varmap in atoms(sig):
-        facts.append(name == "c%s" % c and len(set(varmap)) == k)
-    return QfType(sig, facts)
+    """The k-point type whose k-subset carries color c."""
+    return type_from_structure(
+        coloring_structure(k, colors, k, {tuple(range(1, k + 1)): c}))
 
 
 def psi(T, k, colors):

@@ -13,7 +13,7 @@ from math import comb
 
 from ..errors import InvalidArgument
 from ..properties import NON_INDUCED, ForbiddenEntry, HereditaryProperty
-from ..qftypes import QfType, atoms
+from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
 
@@ -41,15 +41,8 @@ def digraph_instance(k):
 
 def pair_type(forward, backward):
     """The pair type with the given arc pattern on (x,y)."""
-    facts = []
-    for name, varmap in atoms(SIG):
-        if varmap == (1, 2):
-            facts.append(forward)
-        elif varmap == (2, 1):
-            facts.append(backward)
-        else:
-            facts.append(False)
-    return QfType(SIG, facts)
+    arcs = [arc for arc, b in (((1, 2), forward), ((2, 1), backward)) if b]
+    return type_from_structure(Structure(SIG, 2, {"E": arcs}))
 
 
 P1 = pair_type(True, False)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from ..errors import InvalidArgument
 from ..properties import (INDUCED, ForbiddenEntry, HereditaryProperty,
                           universe_entries)
-from ..qftypes import QfType, atoms
+from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
 
@@ -33,16 +33,11 @@ def m_value(r):
 
 
 def _violating_triangles(r):
-    sig = signature(r)
-    reps = []
-    for i, j, k in itertools.combinations_with_replacement(range(1, r + 1), 3):
-        if triangle_ok(i, j, k):
-            continue
-        rels = {}
-        for (a, b), d in ((((1, 2)), i), (((1, 3)), j), (((2, 3)), k)):
-            rels.setdefault("R%d" % d, []).extend([(a, b), (b, a)])
-        reps.append(Structure(sig, 3, rels))
-    return [ForbiddenEntry(M, INDUCED) for M in reps]
+    return [ForbiddenEntry(metric_space(r, 3, {(1, 2): i, (1, 3): j,
+                                               (2, 3): k}), INDUCED)
+            for i, j, k in itertools.combinations_with_replacement(
+                range(1, r + 1), 3)
+            if not triangle_ok(i, j, k)]
 
 
 def forbidden_entries(r):
@@ -64,11 +59,7 @@ def metric_instance(r):
 @lru_cache(maxsize=None)
 def distance_type(r, i):
     """The pair type asserting distance i."""
-    sig = signature(r)
-    facts = []
-    for name, varmap in atoms(sig):
-        facts.append(name == "R%d" % i and set(varmap) == {1, 2})
-    return QfType(sig, facts)
+    return type_from_structure(metric_space(r, 2, {(1, 2): i}))
 
 
 def type_to_distance(p):

@@ -12,7 +12,7 @@ import itertools
 import random
 
 from ..properties import HereditaryProperty, INDUCED
-from ..qftypes import QfType, atoms
+from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
 from . import metric
@@ -29,16 +29,9 @@ def mixed_instance():
 def metric_type(i, j, k, e_facts=None):
     """The 3-point type with d(1,2)=i, d(1,3)=j, d(2,3)=k and the given
     E-facts (a set of variable maps; default none)."""
-    e_facts = frozenset(e_facts or ())
-    dist = {frozenset((1, 2)): i, frozenset((1, 3)): j, frozenset((2, 3)): k}
-    facts = []
-    for name, varmap in atoms(SIG):
-        if name == "E":
-            facts.append(varmap in e_facts)
-        else:
-            pair = frozenset(varmap)
-            facts.append(len(pair) == 2 and name == "R%d" % dist[pair])
-    return QfType(SIG, facts)
+    dist = metric.metric_space(3, 3, {(1, 2): i, (1, 3): j, (2, 3): k})
+    return type_from_structure(
+        Structure(SIG, 3, dict(dist.relations, E=e_facts or ())))
 
 
 def q1():

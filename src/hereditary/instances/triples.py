@@ -13,7 +13,7 @@ from math import comb
 
 from ..properties import (NON_INDUCED, ForbiddenEntry, HereditaryProperty,
                           universe_entries)
-from ..qftypes import QfType, atoms
+from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
 
@@ -42,15 +42,8 @@ def triples_instance():
     return HereditaryProperty(SIG, entries, mode=NON_INDUCED, name="triples")
 
 
-def _triple_type(present):
-    facts = []
-    for name, varmap in atoms(SIG):
-        facts.append(present and len(set(varmap)) == 3)
-    return QfType(SIG, facts)
-
-
-P1 = _triple_type(True)   # the full edge orbit
-P2 = _triple_type(False)  # no edge
+P1 = type_from_structure(hypergraph(3, [(1, 2, 3)]))  # the full edge orbit
+P2 = type_from_structure(hypergraph(3, []))           # no edge
 
 
 def psi(T):

@@ -127,15 +127,14 @@ def template_to_json(T, inline_property=True):
     return {"property": prop, "n": T.n, "choices": choices}
 
 
-def template_from_json(data, H=None, where="template"):
-    """H overrides an inline property; a string "property" requires H."""
+def template_from_json(data, where="template"):
+    """A template with its property inline."""
     if not isinstance(data, dict):
         _fail(where, "expected an object")
-    if H is None:
-        prop = data.get("property")
-        if not isinstance(prop, dict):
-            _fail(where + ".property", "inline property required")
-        H = property_from_json(prop, where + ".property")
+    prop = data.get("property")
+    if not isinstance(prop, dict):
+        _fail(where + ".property", "inline property required")
+    H = property_from_json(prop, where + ".property")
     n = _expect(data, "n", int, where)
     raw = _expect(data, "choices", dict, where)
     choices = {}
@@ -172,7 +171,7 @@ def type_listing(types):
     out = []
     for p in types:
         facts = {}
-        for (name, varmap), b in zip(atoms(p.signature, p.r), p.facts):
+        for (name, varmap), b in zip(atoms(p.signature), p.facts):
             facts["%s(%s)" % (name, ",".join(str(v) for v in varmap))] = b
         out.append({"id": p.id(), "facts": facts})
     return out

@@ -16,33 +16,31 @@ DEFAULT_SPACE_LIMIT = 1 << 21
 
 
 @lru_cache(maxsize=None)
-def atoms(signature, r=None):
+def atoms(signature):
     """Deterministic list of (relation, variable-map) atoms over x_1..x_r."""
-    if r is None:
-        r = signature.r
     out = []
     for name, arity in signature.relations:
-        for varmap in itertools.product(range(1, r + 1), repeat=arity):
+        for varmap in itertools.product(range(1, signature.r + 1),
+                                        repeat=arity):
             out.append((name, varmap))
     return tuple(out)
 
 
 class QfType(object):
-    """A complete proper quantifier-free r-type."""
+    """A complete proper quantifier-free r-type, r = signature.r."""
 
     __slots__ = ("signature", "r", "facts")
 
-    def __init__(self, signature, facts, r=None):
-        r = signature.r if r is None else r
+    def __init__(self, signature, facts):
         facts = tuple(bool(b) for b in facts)
-        if len(facts) != len(atoms(signature, r)):
+        if len(facts) != len(atoms(signature)):
             raise InvalidArgument("fact vector length mismatch")
         self.signature = signature
-        self.r = r
+        self.r = signature.r
         self.facts = facts
 
     def fact(self, name, varmap):
-        return self.facts[atom_index(self.signature, self.r)[(name, tuple(varmap))]]
+        return self.facts[atom_index(self.signature)[(name, tuple(varmap))]]
 
     def id(self):
         """Stable id: position in the lex-ordered full type space."""
@@ -54,7 +52,7 @@ class QfType(object):
     def realizing_structure(self):
         """The structure on {1..r} whose type over (1..r) is this type."""
         rels = {}
-        for (name, varmap), b in zip(atoms(self.signature, self.r), self.facts):
+        for (name, varmap), b in zip(atoms(self.signature), self.facts):
             if b:
                 rels.setdefault(name, []).append(varmap)
         return Structure(self.signature, self.r, rels)
@@ -71,13 +69,13 @@ class QfType(object):
 
     def __repr__(self):
         true = [("%s(%s)" % (name, ",".join(map(str, vm))))
-                for (name, vm), b in zip(atoms(self.signature, self.r), self.facts) if b]
+                for (name, vm), b in zip(atoms(self.signature), self.facts) if b]
         return "QfType[%s]{%s}" % (self.id(), ", ".join(true))
 
 
 @lru_cache(maxsize=None)
-def atom_index(signature, r):
-    return {atom: i for i, atom in enumerate(atoms(signature, r))}
+def atom_index(signature):
+    return {atom: i for i, atom in enumerate(atoms(signature))}
 
 
 def qftp(M, abar):
@@ -89,7 +87,7 @@ def qftp(M, abar):
     if any(a < 1 or a > M.n for a in abar):
         raise InvalidArgument("tuple out of domain")
     facts = []
-    for name, varmap in atoms(M.signature, r):
+    for name, varmap in atoms(M.signature):
         facts.append(M.has_fact(name, tuple(abar[v - 1] for v in varmap)))
     return QfType(M.signature, facts)
 
@@ -101,27 +99,26 @@ def type_from_structure(N):
     return qftp(N, tuple(range(1, N.n + 1)))
 
 
-def type_space(signature, r=None, limit=DEFAULT_SPACE_LIMIT):
+def type_space(signature):
     """S_r(L): every complete proper type, lex-ordered by fact vector.
 
-    The list index equals the numeric part of each type's stable id.
+    The list index equals the numeric part of each type's stable id. Raises
+    BudgetExceeded above DEFAULT_SPACE_LIMIT types.
     """
-    r = signature.r if r is None else r
-    num = len(atoms(signature, r))
-    if 1 << num > limit:
-        raise BudgetExceeded(
-            "type space has 2^%d elements, above the limit %d" % (num, limit))
+    num = len(atoms(signature))
+    if 1 << num > DEFAULT_SPACE_LIMIT:
+        raise BudgetExceeded("type space has 2^%d elements, above the limit %d"
+                             % (num, DEFAULT_SPACE_LIMIT))
     out = []
     for bits in range(1 << num):
         facts = [(bits >> (num - 1 - i)) & 1 == 1 for i in range(num)]
-        out.append(QfType(signature, facts, r))
+        out.append(QfType(signature, facts))
     return out
 
 
-def type_by_id(signature, type_id, r=None):
+def type_by_id(signature, type_id):
     """Reconstruct a type from its stable id without materializing the space."""
-    r = signature.r if r is None else r
-    num = len(atoms(signature, r))
+    num = len(atoms(signature))
     if not (isinstance(type_id, str) and type_id[:1] == "t"
             and type_id[1:].isdecimal()):
         raise InvalidArgument("malformed type id %r" % (type_id,))
@@ -129,4 +126,4 @@ def type_by_id(signature, type_id, r=None):
     if bits >= 1 << num:
         raise InvalidArgument("type id %r out of range" % type_id)
     facts = [(bits >> (num - 1 - i)) & 1 == 1 for i in range(num)]
-    return QfType(signature, facts, r)
+    return QfType(signature, facts)

@@ -126,7 +126,7 @@ def has_low_facts(p):
     kernel computes this once per type (_BlockChecker.set_low).
     """
     return any(b and len(set(varmap)) < p.r
-               for (_, varmap), b in zip(atoms(p.signature, p.r), p.facts))
+               for (_, varmap), b in zip(atoms(p.signature), p.facts))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -186,20 +186,21 @@ def is_error_free(T):
     return not detect_errors(T)
 
 
-def sub_count(T, budget=DEFAULT_CHI_BUDGET):
+def sub_count(T):
     """sub(T) and the error_free flag.
 
     Fast path: error-free templates have sub = choice_count (in particular
     whenever no relation has arity < r). Slow path: count satisfiable
-    choice-function merges; distinct satisfiable choice functions always
-    give distinct structures, so no deduplication is needed.
+    choice-function merges, at most DEFAULT_CHI_BUDGET of them; distinct
+    satisfiable choice functions always give distinct structures, so no
+    deduplication is needed.
     """
     _require_complete(T)
     error_free = is_error_free(T)
     if error_free:
         return choice_count(T), True
     total = choice_count(T)
-    if total > budget:
+    if total > DEFAULT_CHI_BUDGET:
         raise BudgetExceeded("sub_count slow path over budget (%d)" % total)
     count = 0
     for chi in choice_functions(T):
@@ -380,8 +381,9 @@ def is_h_random(T):
 _mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 
-def is_h_random_direct(T, budget=DEFAULT_CHI_BUDGET):
-    """Direct-definition oracle: every choice function merges to a member.
+def is_h_random_direct(T):
+    """Direct-definition oracle: every choice function merges to a member
+    (at most DEFAULT_CHI_BUDGET choice functions).
 
     A located type fixes every fact on its r-subset, so it is a pair of
     fact masks on {1..n}: (true facts, false facts). A choice function
@@ -392,7 +394,7 @@ def is_h_random_direct(T, budget=DEFAULT_CHI_BUDGET):
     templates share them).
     """
     _require_complete(T)
-    if choice_count(T) > budget:
+    if choice_count(T) > DEFAULT_CHI_BUDGET:
         raise BudgetExceeded("direct H-randomness oracle over budget")
     signature = T.property.signature
     merges = {(0, 0)}
@@ -419,10 +421,11 @@ def restrict(T, A):
     return Template(T.property, len(A), choices)
 
 
-def full_subpatterns(T, budget=DEFAULT_CHI_BUDGET):
-    """All merged structures of satisfiable choice functions."""
+def full_subpatterns(T):
+    """All merged structures of satisfiable choice functions (at most
+    DEFAULT_CHI_BUDGET choice functions)."""
     _require_complete(T)
-    if choice_count(T) > budget:
+    if choice_count(T) > DEFAULT_CHI_BUDGET:
         raise BudgetExceeded("subpattern enumeration over budget")
     out = []
     for chi in choice_functions(T):

@@ -130,8 +130,10 @@ def test_exit_code_budget(capsys):
      "--budget", "5"],
     ["probe-stability", "--instance", "digraph", "--k", "2", "--n", "5",
      "--epsilon", "3/2"],
+    ["containers", "--instance", "digraph", "--instance-k", "2", "--n", "4",
+     "--k", "3", "--tau", "1/4", "--gamma", "7"],
 ], ids=["budget-0", "budget--1", "extremal-budget-0", "verify-nothing",
-        "containers-k-r", "epsilon-2", "epsilon-3/2"])
+        "containers-k-r", "epsilon-2", "epsilon-3/2", "gamma-without-auto"])
 def test_invalid_input_does_no_work(capsys, argv):
     # a budget below 1, a verify run with no closed form in range, a
     # containers block size not above r and an epsilon outside [0, 1],
@@ -296,6 +298,32 @@ def test_containers_epsilon_is_exact(capsys):
         assert code == 0
         threshold = json.loads(out)["report"]["threshold"]["exact"]
         assert Fraction(threshold) == want
+
+
+EMPTY_AT_3 = {"signature": [{"name": "E", "arity": 2}], "mode": "non-induced",
+              "forbidden": [{"signature": [{"name": "E", "arity": 2}], "n": 1,
+                             "relations": {"E": [[1, 1]]}},
+                            {"signature": [{"name": "E", "arity": 2}], "n": 3,
+                             "relations": {"E": []}}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--nmax", "3"],
+    ["probe-stability", "--n", "3", "--epsilon", "1/2"],
+], ids=["density", "probe-stability"])
+def test_empty_members_exit_zero(tmp_path, capsys, argv):
+    # the loop-free digraphs on at most 2 points: H_3 is empty, ex(3) = 0
+    path = write(tmp_path, "h.json", EMPTY_AT_3)
+    code = cli.main(argv + ["--property", path])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    body = json.loads(out)["report"]
+    if argv[0] == "density":
+        assert body["sequence"][-1]["ex"] == 0
+        assert body["sequence"][-1]["b_n"] == 0.0
+    else:
+        assert body["near_extremal_count"] == 0
+        assert body["worst_gap"]["exact"] == "0/1"
 
 
 def test_probe_stability(capsys):

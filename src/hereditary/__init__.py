@@ -8,9 +8,9 @@ families with closed-form oracles.
 __version__ = "0.1.0"
 
 from .errors import BudgetExceeded, InvalidArgument
-from .structures import (Signature, Structure, copies, copies_family, density,
-                         density_family, embeds_noninduced,
-                         induced_substructure, is_isomorphic)
+from .structures import (Signature, Structure, copies, density,
+                         embeds_noninduced, induced_substructure,
+                         is_isomorphic)
 from .qftypes import QfType, atoms, qftp, type_by_id, type_from_structure, type_space
 from .diagrams import (LocatedType, SyntacticDiagram, diagram, is_error,
                        is_satisfiable, merge_entries, span, type_diagram,

@@ -52,17 +52,29 @@ def _budget(args, default):
 
 
 def _load_property(args):
-    if getattr(args, "property", None):
-        data = jsonio.load_path(args.property)
-        if isinstance(data, dict) and "signature" not in data and "report" in data:
-            data = data["report"]
-        return jsonio.property_from_json(data)
-    if getattr(args, "instance", None):
+    if args.property and args.instance:
+        raise InvalidArgument("give --property or --instance, not both")
+    if args.property:
+        _check_instance_flags(args)
+        return jsonio.property_from_json(jsonio.load_path(args.property))
+    if args.instance:
         return _instance_property(args)
     raise InvalidArgument("need --property or --instance")
 
 
+def _check_instance_flags(args):
+    """Refuse an instance flag that the chosen input does not read."""
+    k_flag = "--instance-k" if args.command == "containers" else "--k"
+    for dest, flag, owner in (("r", "--r", "metric"),
+                              ("instance_k", k_flag, "digraph"),
+                              ("spec", "--spec", "colored")):
+        if getattr(args, dest) is not None and args.instance != owner:
+            raise InvalidArgument("%s is read only with --instance %s"
+                                  % (flag, owner))
+
+
 def _instance_property(args):
+    _check_instance_flags(args)
     name = args.instance
     if name == "metric":
         if args.r is None:
@@ -93,11 +105,15 @@ def _template_report(rep):
 
 def cmd_types(args):
     if args.property or args.instance:
+        if args.signature:
+            raise InvalidArgument("--signature is read only without "
+                                  "--property and --instance")
         H = _load_property(args)
         listing = jsonio.type_listing(properties.realized_type_space(H))
         return {"realized": True, "count": len(listing), "types": listing}
     if not args.signature:
         raise InvalidArgument("need --signature, --property or --instance")
+    _check_instance_flags(args)
     sig = jsonio.signature_from_json(jsonio.load_path(args.signature))
     listing = jsonio.type_listing(qftypes.type_space(sig))
     return {"realized": False, "count": len(listing), "types": listing}
@@ -129,7 +145,13 @@ def cmd_extremal(args):
 def cmd_density(args):
     budget = _budget(args, extremal.DEFAULT_NODE_BUDGET)
     H = _load_property(args)
-    reps = extremal.density_sequence(H, args.nmax, node_budget=budget)
+    try:
+        reps = extremal.density_sequence(H, args.nmax, node_budget=budget)
+    except BudgetExceeded as exc:
+        if exc.partial is None:
+            raise
+        raise BudgetExceeded(str(exc), partial={"sequence": [
+            _template_report(rep) for rep in exc.partial]}) from None
     rows = [_template_report(rep) for rep in reps]
     if args.csv:
         try:
@@ -380,7 +402,7 @@ def main(argv=None):
         return EXIT_INVALID
     except BudgetExceeded as exc:
         body = {"error": "budget exhausted", "detail": str(exc),
-                "partial": getattr(exc, "partial", None) is not None}
+                "partial": exc.partial}
         status = EXIT_BUDGET
     except VerificationFailure as exc:
         print(str(exc))

@@ -21,9 +21,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
 
-from .diagrams import LocatedType, SyntacticDiagram
+from .diagrams import LocatedType, SyntacticDiagram, type_diagram
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
+from .qftypes import atoms
 from .templates import Template, block_checker, block_subsets, r_subsets
 
 DEFAULT_EDGE_BUDGET = 10 ** 7
@@ -251,7 +252,6 @@ def codegree_function(Hg, tau, epsilon=None):
                              for j in range(2, s + 1))
         report = CodegreeReport(tau, d, delta_j, delta)
     if epsilon is not None:
-        from .qftypes import atoms
         eps = Fraction(epsilon)
         full_space = Fraction(2) ** len(atoms(Hg.property.signature))
         eps_prime = eps / full_space ** s
@@ -294,7 +294,6 @@ def independence_check(Hg, M):
     tuple is a relative edge. The first such block, in lexicographic order,
     gives the witness.
     """
-    from .diagrams import type_diagram
     if M.n != Hg.n:
         raise InvalidArgument("domain mismatch")
     ids = Hg.type_ids

@@ -137,9 +137,14 @@ def merge_entries(entries, n=None, signature=None):
 
 
 def is_satisfiable(sigma, with_witness=False):
-    """Satisfiability of a syntactic diagram by direct fact-table merging."""
+    """Satisfiability of a syntactic diagram by direct fact-table merging.
+
+    The empty diagram is satisfiable, with no witness (it has no
+    signature to build one on)."""
     if not sigma.is_m_diagram():
         raise InvalidArgument("not a syntactic m-diagram")
+    if not sigma.entries:
+        return (True, None) if with_witness else True
     witness = merge_entries(sigma.entries)
     if with_witness:
         return (witness is not None), witness
@@ -148,6 +153,9 @@ def is_satisfiable(sigma, with_witness=False):
 
 def witness_structure(sigma):
     """A structure N with Diag^tp(N[support]) = sigma, relabeled to {1..m}."""
+    if not sigma.entries:
+        raise InvalidArgument("the empty diagram has no signature to build "
+                              "a witness on")
     ok, w = is_satisfiable(sigma, with_witness=True)
     return induced_substructure(w, sigma.support) if ok else None
 

@@ -7,9 +7,9 @@ from math import comb, factorial
 
 from .diagrams import LocatedType, merge_entries
 from .errors import InvalidArgument
-from .properties import is_member
+from .properties import is_member, realized_type_space
 from .qftypes import qftp
-from .templates import Template, is_full_subpattern
+from .templates import Template, is_error_free, is_full_subpattern, sub_count
 
 
 def diff(M, N):
@@ -145,8 +145,6 @@ def transfer_subpattern(C, G, D):
 def closeness_inequality_check(C, C2):
     """sub(C) <= sub(C2) * |S_r(H)|^(delta * C(n,r)) with delta the template
     distance; C2 must be error-free. Exact big-integer comparison."""
-    from .templates import sub_count, is_error_free
-    from .properties import realized_type_space
     if not is_error_free(C2):
         raise InvalidArgument("C2 must be error-free")
     delta = template_dist(C, C2)

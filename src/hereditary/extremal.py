@@ -17,10 +17,12 @@ from fractions import Fraction
 from functools import partial
 from operator import itemgetter, ne
 
+from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, block_checker, block_subsets,
-                        located_agree, r_subsets)
+from .templates import (Template, block_checker, block_subsets, error_pairs,
+                        is_full_subpattern, located_agree, r_subsets,
+                        template_from_structure)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
@@ -103,14 +105,6 @@ def _completion_schedule(n, r, kk):
     return schedule
 
 
-def _error_partners(subsets, r):
-    """For each step i: the indices of earlier subsets overlapping
-    subsets[i] with union size strictly between r and 2r (the error
-    window)."""
-    return [[j for j in range(i) if r < len(set(A) | set(subsets[j])) < 2 * r]
-            for i, A in enumerate(subsets)]
-
-
 class _SearchEngine(object):
     """DFS over choice-set assignments, read through the block kernel.
 
@@ -119,10 +113,10 @@ class _SearchEngine(object):
     candidate list, the AND of one mask per check of the step. A check is
     a block closing at step i, whose mask holds the candidates inside the
     kernel's allowed types for the block's other choice sets; or, when
-    some type has a fact on fewer than r points, an error partner j,
-    whose mask holds the candidates whose every type agrees with every
-    type of the choice set on subsets[j]. Each check memoizes its masks by
-    the ids it reads.
+    some type has a fact on fewer than r points, an error partner j (a
+    pair (j, i) of templates.error_pairs), whose mask holds the candidates
+    whose every type agrees with every type of the choice set on
+    subsets[j]. Each check memoizes its masks by the ids it reads.
     """
 
     def __init__(self, H, n, node_budget=DEFAULT_NODE_BUDGET):
@@ -150,14 +144,14 @@ class _SearchEngine(object):
                                        partial(self._block_mask, size)))
         self.mixed = any(self.checker.set_low[cid] for _, cid in self.cands)
         if self.mixed:
-            for i, js in enumerate(_error_partners(self.subsets, self.r)):
-                for j in js:
-                    self.checks[i].append(({}, itemgetter(j),
-                                           partial(self._pair_mask, j, i)))
+            for j, i in error_pairs(n, self.r):
+                self.checks[i].append(({}, itemgetter(j),
+                                       partial(self._pair_mask, j, i)))
         # size-r validity is structural: candidates are subsets of S_r(H)
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
+        self.floor = 0
 
     def _fit(self, types):
         """The candidates whose types all lie in the type mask `types`."""
@@ -183,19 +177,24 @@ class _SearchEngine(object):
                 types |= 1 << t
         return self._fit(types)
 
-    def run(self, collect, qualifies, lower_bound):
+    def template(self, cids):
+        """The template with the choice sets `cids` on self.subsets."""
+        return Template(self.H, self.n, {A: self.sets[c]
+                                         for A, c in zip(self.subsets, cids)})
+
+    def run(self, collect):
         """Generic DFS.
 
-        collect(template, product): called at every H-random leaf whose
-        product passes qualifies(product); lower_bound() returns the current
-        pruning floor (leaves with bound < floor are cut). Every leaf is
-        error-free, so its product is sub(T): the error-pair masks checked
-        every error partner, or no candidate type has a fact on fewer than
-        r points.
+        collect(cids, product): called at every H-random leaf with its
+        choice-set id vector (a tuple over self.subsets); it may raise
+        self.floor. Subtrees whose bound is below the floor are cut, so
+        every leaf reached has product >= floor (the last step's bound is
+        the product itself). Every leaf is error-free, so its product is
+        sub(T): the error-pair masks checked every error partner, or no
+        candidate type has a fact on fewer than r points.
         """
-        subsets, sets, cands, checks = (self.subsets, self.sets, self.cands,
-                                        self.checks)
-        depth, width, budget = len(subsets), len(cands), self.node_budget
+        cands, checks = self.cands, self.checks
+        depth, width, budget = len(self.subsets), len(cands), self.node_budget
         caps = [self.max_card ** (depth - i - 1) for i in range(depth)]
         every = (1 << width) - 1
         cur = [None] * depth  # choice-set ids of subsets[0..i]
@@ -207,9 +206,7 @@ class _SearchEngine(object):
             if nodes > budget:
                 raise BudgetExceeded("search node budget exhausted")
             if i == depth:
-                if qualifies(product):
-                    collect({A: sets[c] for A, c in zip(subsets, cur)},
-                            product)
+                collect(tuple(cur), product)
                 return
             mask = every
             for memo, get, miss in checks[i]:
@@ -230,8 +227,7 @@ class _SearchEngine(object):
                 low = mask & -mask
                 pos = low.bit_length() - 1
                 size, cid = cands[pos]
-                floor = lower_bound()
-                if floor is not None and product * size * cap < floor:
+                if product * size * cap < self.floor:
                     break
                 pruned += pos - nxt
                 nxt = pos + 1
@@ -253,31 +249,30 @@ def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET):
     if n < H.signature.r:
         raise InvalidArgument("n must be at least r")
     engine = _SearchEngine(H, n, node_budget)
-    best = [0]
-    maximizers = []
-    truncated = [False]
+    kept = []  # id vectors of the leaves at the floor
+    truncated = False
 
-    def collect(assignment, value):
-        T = Template(H, n, assignment)
-        if value > best[0]:
-            best[0] = value
-            maximizers.clear()
-            truncated[0] = False
-        if value == best[0]:
-            if len(maximizers) < DEFAULT_CAP:
-                maximizers.append(T)
-            else:
-                truncated[0] = True
+    def collect(cids, value):
+        nonlocal truncated
+        if value > engine.floor:
+            engine.floor = value
+            kept.clear()
+            truncated = False
+        if len(kept) < DEFAULT_CAP:
+            kept.append(cids)
+        else:
+            truncated = True
 
     exact = True
     try:
-        engine.run(collect, lambda product: True, lambda: best[0])
+        engine.run(collect)
     except BudgetExceeded:
         exact = False
-    maximizers.sort(key=lambda T: T.canonical_key())
+    maximizers = sorted(map(engine.template, kept),
+                        key=lambda T: T.canonical_key())
     stats = {"nodes": engine.nodes, "pruned": engine.pruned}
-    return ExtremalReport(n, best[0], maximizers, H.signature.r, stats,
-                          exact=exact, truncated=truncated[0])
+    return ExtremalReport(n, engine.floor, maximizers, H.signature.r, stats,
+                          exact=exact, truncated=truncated)
 
 
 def density_sequence(H, n_max, node_budget=DEFAULT_NODE_BUDGET):
@@ -313,28 +308,27 @@ def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     frac = 1 - eps
     a, b = frac.numerator, frac.denominator
     ex = report.ex
-
-    def qualifies(value):
-        return pow_geq(value, b, ex, a)
-
-    # the smallest integer floor in [1, max(ex, 1)]: values below it never
-    # qualify; qualifies is monotone and holds at ex, so bisect
+    # the floor is the least value v in [1, max(ex, 1)] with v^b >= ex^a:
+    # the test is monotone in v and holds at ex, so bisect. A leaf is near
+    # extremal exactly when its product reaches the floor.
     low, floor = 1, max(ex, 1)
     while low < floor:
         mid = (low + floor) // 2
-        if qualifies(mid):
+        if pow_geq(mid, b, ex, a):
             floor = mid
         else:
             low = mid + 1
 
     engine = _SearchEngine(H, n, node_budget)
-    found = []
+    engine.floor = floor
+    kept = []
 
-    def collect(assignment, value):
-        if len(found) < DEFAULT_CAP:
-            found.append((Template(H, n, assignment), value))
+    def collect(cids, value):
+        if len(kept) < DEFAULT_CAP:
+            kept.append((cids, value))
 
-    engine.run(collect, qualifies, lambda: floor)
+    engine.run(collect)
+    found = [(engine.template(cids), value) for cids, value in kept]
     found.sort(key=lambda pair: (-pair[1], pair[0].canonical_key()))
     return found, report
 
@@ -368,15 +362,12 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
 def e_membership(G, templates):
     """G lies in the E-set spanned by the given templates (full subpattern
     of at least one)."""
-    from .templates import is_full_subpattern
     return any(is_full_subpattern(G, T) for T in templates)
 
 
 def e_delta_membership(G, templates, delta):
     """Constructive check that G is delta-close to a full subpattern of one
     of the given H-random templates (via the transfer construction)."""
-    from .distances import transfer_subpattern, dist
-    from .templates import template_from_structure
     delta = Fraction(delta)
     for T in templates:
         C = template_from_structure(T.property, G)

@@ -16,6 +16,7 @@ from ..properties import (NON_INDUCED, ForbiddenEntry, HereditaryProperty,
 from ..qftypes import type_from_structure
 from ..structures import Signature, Structure
 from ..templates import Template
+from .digraphs import balanced_partitions
 
 SIG = Signature([("E", 3)])
 
@@ -74,24 +75,10 @@ def e_of_n(n):
     return (n // 3) * ((n + 1) // 3) * ((n + 2) // 3)
 
 
-def balanced_tripartitions(n):
-    """Partitions of [n] into 3 balanced (possibly empty) parts."""
-    sizes = sorted((n // 3, (n + 1) // 3, (n + 2) // 3))
-    canonical = set()
-    elements = list(range(1, n + 1))
-    for p1 in itertools.combinations(elements, sizes[0]):
-        rest1 = [x for x in elements if x not in p1]
-        for p2 in itertools.combinations(rest1, sizes[1]):
-            p3 = tuple(x for x in rest1 if x not in p2)
-            canonical.add(tuple(sorted((tuple(sorted(p1)), tuple(sorted(p2)),
-                                        tuple(sorted(p3))))))
-    return sorted(canonical)
-
-
 def tripartite_family(n):
     """Extremal images: crossing triples of a balanced tripartition."""
     out = []
-    for parts in balanced_tripartitions(n):
+    for parts in balanced_partitions(3, n):
         part_of = {}
         for idx, p in enumerate(parts):
             for x in p:

@@ -343,15 +343,3 @@ def density(B, M):
         return Fraction(0)
     return Fraction(len(copies(B, M)), comb(M.n, B.n))
 
-
-def copies_family(Bs, M):
-    """Union of copy sets over a family of structures."""
-    out = set()
-    for B in Bs:
-        out.update(copies(B, M))
-    return sorted(out, key=sorted)
-
-
-def density_family(Bs, M):
-    """max prob(B,M) over the family, per the collection convention."""
-    return max((density(B, M) for B in Bs), default=Fraction(0))

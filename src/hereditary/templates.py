@@ -17,7 +17,10 @@ built. The kernel memoizes one outcome per type assignment and, per block
 size and choice sets on all but the block's last r-subset, the mask of the
 types allowed on the last one; block_subsets gives the r-subset indices of
 every block. Two located types agree when neither's true facts meet the
-other's false facts (located_agree), which is how errors are found.
+other's false facts (located_agree); errors are disagreements on the
+pairs of r-subsets in the error window (error_pairs). The merges of all
+choice functions, as mask pairs (_merges), give sub, the full
+subpatterns and the direct H-randomness oracle.
 """
 
 import itertools
@@ -26,8 +29,9 @@ from functools import lru_cache
 
 from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
-from .properties import _fact_index, is_member, mask_is_member
+from .properties import _fact_index, _facts, is_member, mask_is_member
 from .qftypes import atoms, qftp
+from .structures import structure_from_mask
 
 DEFAULT_CHI_BUDGET = 10 ** 6
 
@@ -37,6 +41,16 @@ def r_subsets(n, r):
     subs = list(itertools.combinations(range(1, n + 1), r))
     subs.sort(key=lambda S: tuple(reversed(S)))
     return subs
+
+
+@lru_cache(maxsize=256)
+def error_pairs(n, r):
+    """The index pairs (j, i), j < i, of r_subsets(n, r) whose union has
+    more than r and fewer than 2r points (the error window), in
+    lexicographic order. Only choices on such pairs can form an error."""
+    subs = r_subsets(n, r)
+    return tuple((j, i) for j, i in itertools.combinations(range(len(subs)), 2)
+                 if r < len(set(subs[j]) | set(subs[i])) < 2 * r)
 
 
 class Template(object):
@@ -170,10 +184,9 @@ def _errors(T, cids):
     if not any(set_low[c] for c in cids):
         return
     seen = set()
-    for A1, A2 in itertools.combinations(T.subsets, 2):
+    for j, i in error_pairs(T.n, r):
+        A1, A2 = T.subsets[j], T.subsets[i]
         union = tuple(sorted(set(A1) | set(A2)))
-        if not (r < len(union) < 2 * r):
-            continue
         for p in sorted(T.choices[A1]):
             for q in sorted(T.choices[A2]):
                 if not located_agree(signature, T.n, A1, p, A2, q):
@@ -190,23 +203,14 @@ def sub_count(T):
     """sub(T) and the error_free flag.
 
     Fast path: error-free templates have sub = choice_count (in particular
-    whenever no relation has arity < r). Slow path: count satisfiable
-    choice-function merges, at most DEFAULT_CHI_BUDGET of them; distinct
-    satisfiable choice functions always give distinct structures, so no
-    deduplication is needed.
+    whenever no relation has arity < r). Slow path: count the satisfiable
+    merges (see _merges); distinct satisfiable choice functions give
+    distinct merges, since a type fixes every fact on its r-subset.
     """
     _require_complete(T)
-    error_free = is_error_free(T)
-    if error_free:
+    if is_error_free(T):
         return choice_count(T), True
-    total = choice_count(T)
-    if total > DEFAULT_CHI_BUDGET:
-        raise BudgetExceeded("sub_count slow path over budget (%d)" % total)
-    count = 0
-    for chi in choice_functions(T):
-        if subpattern_of_choice(T, chi) is not None:
-            count += 1
-    return count, False
+    return sum(1 for t, f in _merges(T) if not t & f), False
 
 
 def validate_template(T):
@@ -260,10 +264,10 @@ class _BlockChecker(object):
     |choice sets|^(C(s,r)-1) entries per size.
 
     The search reads `allowed` for all its candidate types at once;
-    is_h_random and block_ok read it through block_verdict. The containers
-    hypergraph reads `outcome`, since its edges include the unsatisfiable
-    merges, which a verdict allows (errors are checked apart). The kernel
-    writes nothing to the property's member cache.
+    is_h_random reads it through block_verdict, and block_ok is
+    block_verdict on a choice map. The containers hypergraph reads
+    `outcome`, since its edges include the unsatisfiable merges, which a
+    verdict allows (errors are checked apart).
     """
 
     def __init__(self, H):
@@ -381,26 +385,36 @@ def is_h_random(T):
 _mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 
-def is_h_random_direct(T):
-    """Direct-definition oracle: every choice function merges to a member
-    (at most DEFAULT_CHI_BUDGET choice functions).
+def _merges(T):
+    """The distinct merges of T's choice functions, as (true facts, false
+    facts) mask pairs on {1..n} (at most DEFAULT_CHI_BUDGET choice
+    functions).
 
     A located type fixes every fact on its r-subset, so it is a pair of
     fact masks on {1..n}: (true facts, false facts). A choice function
     merges to the OR of its true masks, and is unsatisfiable when that
     meets the OR of its false masks. The pairs are ORed subset by subset,
-    keeping each distinct partial merge once; each distinct merge is then
-    checked with properties.mask_is_member (memoized by mask, since
-    templates share them).
+    keeping each distinct partial merge once.
     """
     _require_complete(T)
     if choice_count(T) > DEFAULT_CHI_BUDGET:
-        raise BudgetExceeded("direct H-randomness oracle over budget")
+        raise BudgetExceeded("choice functions over budget (%d)"
+                             % choice_count(T))
     signature = T.property.signature
     merges = {(0, 0)}
     for A in T.subsets:
         pool = [_located_masks(signature, T.n, A, p) for p in T.choices[A]]
         merges = {(t | pt, f | pf) for t, f in merges for pt, pf in pool}
+    return merges
+
+
+def is_h_random_direct(T):
+    """Direct-definition oracle: every choice function merges to a member
+    (at most DEFAULT_CHI_BUDGET choice functions). Each distinct merge
+    (_merges) is checked with properties.mask_is_member, memoized by mask
+    since templates share them.
+    """
+    merges = _merges(T)
     if any(t & f for t, f in merges):
         return False
     return all(_mask_is_member(T.property, T.n, t)
@@ -422,17 +436,12 @@ def restrict(T, A):
 
 
 def full_subpatterns(T):
-    """All merged structures of satisfiable choice functions (at most
-    DEFAULT_CHI_BUDGET choice functions)."""
-    _require_complete(T)
-    if choice_count(T) > DEFAULT_CHI_BUDGET:
-        raise BudgetExceeded("subpattern enumeration over budget")
-    out = []
-    for chi in choice_functions(T):
-        N = subpattern_of_choice(T, chi)
-        if N is not None:
-            out.append(N)
-    return out
+    """The merged structures of the satisfiable choice functions (at most
+    DEFAULT_CHI_BUDGET choice functions), one per choice function, in
+    increasing order of their fact masks (properties._facts order)."""
+    facts = _facts(T.property.signature, T.n)
+    return [structure_from_mask(T.property.signature, T.n, facts, t)
+            for t in sorted(t for t, f in _merges(T) if not t & f)]
 
 
 def is_full_subpattern(G, T):

@@ -17,10 +17,11 @@ import pytest
 from hereditary.instances import digraphs, metric, mixed
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
+from hereditary.properties import _fact_index
 from hereditary.templates import (Template, choice_functions, detect_errors,
-                                  full_subpatterns, has_low_facts,
-                                  located_agree, r_subsets, sub_count,
-                                  subpattern_of_choice)
+                                  error_pairs, full_subpatterns,
+                                  has_low_facts, located_agree, r_subsets,
+                                  sub_count, subpattern_of_choice)
 
 from helpers import seeded
 
@@ -126,6 +127,19 @@ def test_full_subpatterns_are_the_former_list_as_a_set(case):
         want = former_full_subpatterns(T)
         assert len(got) == len(want) == len(set(got))
         assert set(got) == set(want)
+        # in increasing order of fact masks
+        index = _fact_index(T.property.signature, T.n)
+        masks = [sum(1 << index[fact] for fact in G.facts()) for G in got]
+        assert masks == sorted(masks)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_error_pairs_are_the_brute_force_window(r):
+    for n in range(r, 8):
+        subs = r_subsets(n, r)
+        want = [(j, i) for i in range(len(subs)) for j in range(i)
+                if r < len(set(subs[j]) | set(subs[i])) < 2 * r]
+        assert list(error_pairs(n, r)) == sorted(want)
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["mixed-n5", "metric"])

@@ -116,6 +116,46 @@ def test_exit_code_budget(capsys):
     assert "budget" in json.loads(out)["report"]["error"]
 
 
+def test_budget_stop_prints_the_partial_report(capsys):
+    code, out = run(capsys, "extremal", "--instance", "metric", "--r", "3",
+                    "--n", "4", "--budget", "5")
+    assert code == 3
+    partial = json.loads(out)["report"]["partial"]
+    assert partial["exact"] is False and partial["n"] == 4
+    code, out = run(capsys, "density", "--instance", "metric", "--r", "3",
+                    "--nmax", "4", "--budget", "5")
+    assert code == 3
+    rows = json.loads(out)["report"]["partial"]["sequence"]
+    assert [row["n"] for row in rows] == [2, 3, 4]
+    assert rows[-1]["exact"] is False
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["extremal", "--instance", "digraph", "--k", "2", "--r", "5", "--n", "4"],
+     "--r"),
+    (["extremal", "--instance", "metric", "--r", "3", "--k", "7", "--n", "3"],
+     "--k"),
+    (["types", "--instance", "triples", "--spec", "x"], "--spec"),
+    (["types", "--signature", "x", "--instance", "triples"], "--signature"),
+    (["types", "--signature", "x", "--property", "y"], "--signature"),
+    (["types", "--signature", "x", "--r", "3"], "--r"),
+    (["extremal", "--property", "x", "--instance", "triples", "--n", "3"],
+     "--property"),
+    (["extremal", "--property", "x", "--r", "3", "--n", "3"], "--r"),
+    (["containers", "--instance", "metric", "--r", "3", "--instance-k", "2",
+      "--n", "4", "--k", "3"], "--instance-k"),
+    (["instance", "triples", "--k", "2"], "--k"),
+], ids=["r-digraph", "k-metric", "spec-triples", "signature-instance",
+        "signature-property", "r-signature", "property-instance",
+        "r-property", "instance-k-metric", "instance-k-triples"])
+def test_unread_instance_flags_are_invalid_input(capsys, argv, flag):
+    # a flag the chosen input never reads is refused before any work
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid input" in err and flag in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--instance", "metric", "--r", "3", "--n", "3",
      "--count-only", "--budget", "0"],

@@ -1,0 +1,31 @@
+"""Smoke test: demos 01-06 run to completion in a fresh interpreter.
+
+Demo 07 (the enumeration exponent up to the largest n each node budget
+allows) takes about 20 s on a 2-core machine, so it is left out here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+def test_six_demos_are_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert "Traceback" not in proc.stderr

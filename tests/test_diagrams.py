@@ -7,6 +7,7 @@ from hereditary.diagrams import (LocatedType, SyntacticDiagram, diagram,
                                  type_diagram, witness_structure)
 from hereditary.errors import InvalidArgument
 from hereditary.qftypes import qftp, type_by_id
+from hereditary.structures import Structure
 
 from helpers import DIGRAPH_SIG, random_structure, seeded
 
@@ -67,6 +68,23 @@ def test_span_enumerates_sub_diagrams():
     assert sizes == [0, 1, 1, 1, 1, 3, 3]
     for d in diagrams:
         assert d.is_m_diagram()
+
+
+def test_satisfiable_is_not_error_over_a_span():
+    # a loop on point 1 in the pair type on {1,2} disagrees with the
+    # loop-free types on {1,3}, so some 3-point diagrams are errors
+    loop = qftp(Structure(DIGRAPH_SIG, 2, {"E": [(1, 1)]}), (1, 2))
+    empty = type_by_id(DIGRAPH_SIG, "t0")
+    entries = [LocatedType((1, 2), loop), LocatedType((1, 2), empty),
+               LocatedType((1, 3), empty), LocatedType((2, 3), empty)]
+    diagrams = span(entries)
+    assert any(map(is_error, diagrams))
+    for s in diagrams:
+        assert is_satisfiable(s) == (not is_error(s))
+    empty_diagram = SyntacticDiagram(())
+    assert is_satisfiable(empty_diagram, with_witness=True) == (True, None)
+    with pytest.raises(InvalidArgument):
+        witness_structure(empty_diagram)
 
 
 def test_diagram_accessor():

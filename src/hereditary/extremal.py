@@ -321,14 +321,13 @@ def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
 
     engine = _SearchEngine(H, n, node_budget)
     engine.floor = floor
-    kept = []
+    found = []
 
     def collect(cids, value):
-        if len(kept) < DEFAULT_CAP:
-            kept.append((cids, value))
+        if len(found) < DEFAULT_CAP:
+            found.append((engine.template(cids), value))
 
     engine.run(collect)
-    found = [(engine.template(cids), value) for cids, value in kept]
     found.sort(key=lambda pair: (-pair[1], pair[0].canonical_key()))
     return found, report
 

@@ -148,10 +148,9 @@ def cmd_density(args):
     try:
         reps = extremal.density_sequence(H, args.nmax, node_budget=budget)
     except BudgetExceeded as exc:
-        if exc.partial is None:
-            raise
-        raise BudgetExceeded(str(exc), partial={"sequence": [
-            _template_report(rep) for rep in exc.partial]}) from None
+        if exc.partial is not None:
+            exc.partial = {"sequence": list(map(_template_report, exc.partial))}
+        raise
     rows = [_template_report(rep) for rep in reps]
     if args.csv:
         try:

@@ -18,9 +18,7 @@ size and choice sets on all but the block's last r-subset, the mask of the
 types allowed on the last one; block_subsets gives the r-subset indices of
 every block. Two located types agree when neither's true facts meet the
 other's false facts (located_agree); errors are disagreements on the
-pairs of r-subsets in the error window (error_pairs). The merges of all
-choice functions, as mask pairs (_merges), give sub, the full
-subpatterns and the direct H-randomness oracle.
+pairs of r-subsets in error_pairs.
 """
 
 import itertools
@@ -204,13 +202,12 @@ def sub_count(T):
 
     Fast path: error-free templates have sub = choice_count (in particular
     whenever no relation has arity < r). Slow path: count the satisfiable
-    merges (see _merges); distinct satisfiable choice functions give
-    distinct merges, since a type fixes every fact on its r-subset.
+    choice functions (_merges).
     """
     _require_complete(T)
     if is_error_free(T):
         return choice_count(T), True
-    return sum(1 for t, f in _merges(T) if not t & f), False
+    return len(_merges(T)), False
 
 
 def validate_template(T):
@@ -386,39 +383,38 @@ _mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 
 def _merges(T):
-    """The distinct merges of T's choice functions, as (true facts, false
-    facts) mask pairs on {1..n} (at most DEFAULT_CHI_BUDGET choice
+    """The true-fact masks on {1..n} of the satisfiable choice functions
+    of T, one per choice function (at most DEFAULT_CHI_BUDGET choice
     functions).
 
     A located type fixes every fact on its r-subset, so it is a pair of
     fact masks on {1..n}: (true facts, false facts). A choice function
     merges to the OR of its true masks, and is unsatisfiable when that
     meets the OR of its false masks. The pairs are ORed subset by subset,
-    keeping each distinct partial merge once.
+    and a partial merge is dropped as soon as it is unsatisfiable. Two
+    distinct satisfiable (partial) choice functions differ on some fact
+    of a subset where their types differ, so their merges are distinct.
     """
     _require_complete(T)
     if choice_count(T) > DEFAULT_CHI_BUDGET:
         raise BudgetExceeded("choice functions over budget (%d)"
                              % choice_count(T))
     signature = T.property.signature
-    merges = {(0, 0)}
+    merges = [(0, 0)]
     for A in T.subsets:
         pool = [_located_masks(signature, T.n, A, p) for p in T.choices[A]]
-        merges = {(t | pt, f | pf) for t, f in merges for pt, pf in pool}
-    return merges
+        merges = [(mt, mf) for t, f in merges for pt, pf in pool
+                  if not (mt := t | pt) & (mf := f | pf)]
+    return [t for t, _ in merges]
 
 
 def is_h_random_direct(T):
-    """Direct-definition oracle: every choice function merges to a member
-    (at most DEFAULT_CHI_BUDGET choice functions). Each distinct merge
-    (_merges) is checked with properties.mask_is_member, memoized by mask
-    since templates share them.
-    """
+    """Direct-definition oracle: every choice function merges to a member.
+    Each merge is checked with properties.mask_is_member, memoized by mask
+    since templates share them."""
     merges = _merges(T)
-    if any(t & f for t, f in merges):
-        return False
-    return all(_mask_is_member(T.property, T.n, t)
-               for t in {t for t, _ in merges})
+    return len(merges) == choice_count(T) and all(
+        _mask_is_member(T.property, T.n, t) for t in merges)
 
 
 def restrict(T, A):
@@ -441,7 +437,7 @@ def full_subpatterns(T):
     increasing order of their fact masks (properties._facts order)."""
     facts = _facts(T.property.signature, T.n)
     return [structure_from_mask(T.property.signature, T.n, facts, t)
-            for t in sorted(t for t, f in _merges(T) if not t & f)]
+            for t in sorted(_merges(T))]
 
 
 def is_full_subpattern(G, T):

@@ -20,6 +20,7 @@ from hereditary.extremal import _SearchEngine, search_extremal
 from hereditary.instances import colored, digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
+from hereditary.qftypes import QfType, type_space
 from hereditary.structures import Structure
 from hereditary.templates import block_checker, located_agree, r_subsets
 
@@ -131,6 +132,87 @@ def test_allowed_types_are_the_and_over_the_product(name, fallback,
             assert checker.block_verdict(size, prefix + (
                 checker.set_id(last),)) == all(
                     allowed >> checker.type_id(q) & 1 for q in last)
+
+
+# Families on the digraph signature: its 16 types, realized or not, are all
+# checked. The others are checked on a seeded sample (see type_pool).
+FULL_SPACE = ["digraph-k2", "loop-digraphs", "loop-arcs", "loop-triangles"]
+SAMPLED = ["metric-r3", "metric-r4", "triples"]
+
+
+def type_pool(H, name, rng):
+    """The types to check: every type of the signature for FULL_SPACE, else
+    the realized ones and eight unrealized ones, six of them a realized type
+    with one or two facts flipped and two with uniform random facts."""
+    if name in FULL_SPACE:
+        return type_space(H.signature)
+    space = realized_type_space(H)
+    pool = list(space)
+    while len(pool) < len(space) + 8:
+        if len(pool) < len(space) + 6:
+            facts = list(rng.choice(space).facts)
+            for i in rng.sample(range(len(facts)), rng.choice([1, 2])):
+                facts[i] = not facts[i]
+        else:
+            facts = [rng.random() < 0.5 for _ in space[0].facts]
+        p = QfType(H.signature, facts)
+        if p not in pool:
+            pool.append(p)
+    return pool
+
+
+def assignments(rng, pool, count, exhaustive):
+    """Every assignment of `pool` to `count` subsets when there are at most
+    `exhaustive` of them, else that many seeded random ones."""
+    if len(pool) ** count <= exhaustive:
+        return list(itertools.product(pool, repeat=count))
+    return [tuple(rng.choice(pool) for _ in range(count))
+            for _ in range(exhaustive)]
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", FULL_SPACE + SAMPLED)
+def test_unrealized_types_match_the_direct_definition(name, fallback,
+                                                      monkeypatch):
+    # Unrealized types can merge satisfiably with others on a block of more
+    # than r points; such a merge is never a member.
+    H = fresh(name, monkeypatch, fallback)
+    r = H.signature.r
+    rng = seeded(1313)
+    pool = type_pool(H, name, rng)
+    realized = set(realized_type_space(H))
+    checker = block_checker(H)
+    ids = {p: checker.type_id(p) for p in pool}
+    every = sum(1 << t for t in ids.values())
+    unrealized_merges = 0
+    for size in range(r, max(H.k, r) + 1):
+        count = comb(size, r)
+        for types in assignments(rng, pool, count, 4096 if
+                                 name in FULL_SPACE else 300):
+            want = direct(H, size, types)
+            assert checker.outcome(size, tuple(ids[p] for p in types)) is want
+            if size > r and want is not None and not realized.issuperset(
+                    types):
+                unrealized_merges += 1
+        for _ in range(20):
+            # at most 16 choice functions per prefix, to bound direct()
+            sets, combos = [], 1
+            for _ in range(count - 1):
+                c = frozenset(rng.sample(pool, 2 if combos < 16 and
+                                         rng.random() < 0.4 else 1))
+                sets.append(c)
+                combos *= len(c)
+            prefix = tuple(checker.set_id(c) for c in sets)
+            allowed = checker.allowed(size, prefix, every)
+            for q in pool:
+                want = all(direct(H, size, types + (q,)) is not False
+                           for types in itertools.product(*sets))
+                assert bool(allowed >> ids[q] & 1) == want
+            last = frozenset(rng.sample(pool, rng.choice([1, 2])))
+            assert checker.block_verdict(size, prefix + (
+                checker.set_id(last),)) == all(
+                    allowed >> ids[q] & 1 for q in last)
+    assert unrealized_merges or H.k <= r or realized.issuperset(pool)
 
 
 @pytest.mark.parametrize("name", ["loop-digraphs"] + sorted(MIXED))

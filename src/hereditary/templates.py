@@ -13,21 +13,25 @@ interned as small ints, and a choice set is also a mask of type ids. A
 located type is a pair of fact masks (true facts, false facts), so a merge
 is an OR of pairs, unsatisfiable when the two ORs meet, and its membership
 is read from the copy tables (properties.mask_is_member); no Structure is
-built. The kernel memoizes one outcome per type assignment and, per block
-size and choice sets on all but the block's last r-subset, the mask of the
-types allowed on the last one; block_subsets gives the r-subset indices of
-every block. Two located types agree when neither's true facts meet the
-other's false facts (located_agree); errors are disagreements on the
-pairs of r-subsets in error_pairs.
+built. Per block size, the kernel keeps the mask pair of every type on
+every relative r-subset and memoizes membership per merged true mask; per
+block size and choice sets on all but the block's last r-subset, it keeps
+the mask of the types allowed on the last one. block_subsets gives the
+r-subset indices of every block, and block_getters reads a block's
+entries out of a vector over the r-subsets. Two located types agree when
+neither's true facts meet the other's false facts (located_agree); errors
+are disagreements on the pairs of r-subsets in error_pairs.
 """
 
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
-from .properties import _fact_index, _facts, is_member, mask_is_member
+from .properties import (_fact_index, _facts, _gathers, _holds_copy,
+                         copy_table, is_member, mask_is_member)
 from .qftypes import atoms, qftp
 from .structures import structure_from_mask
 
@@ -240,6 +244,24 @@ def block_subsets(n, r, size):
                  for block in itertools.combinations(range(1, n + 1), size))
 
 
+@lru_cache(maxsize=256)
+def block_getters(n, r, size):
+    """For every block of block_subsets(n, r, size), in the same order: a
+    getter of the tuple of the block's entries (get(v) == tuple(v[i] for i
+    in idx)) from a sequence v over r_subsets(n, r)."""
+    return tuple(itemgetter(*idx) if len(idx) > 1
+                 else lambda v, i=idx[0]: (v[i],)
+                 for idx in block_subsets(n, r, size))
+
+
+def _join(merges, pool):
+    """The ORs of a (true facts, false facts) mask pair in `merges` with
+    one in `pool` that are satisfiable: their true facts miss their false
+    facts."""
+    return [(mt, mf) for t, f in merges for pt, pf in pool
+            if not (mt := t | pt) & (mf := f | pf)]
+
+
 class _BlockChecker(object):
     """The compiled block kernel of one property (see block_checker).
 
@@ -250,15 +272,29 @@ class _BlockChecker(object):
     more id, and its size-r outcome is False. A choice set is also a bit
     mask over type ids (`set_masks`). For a block of s points, an
     assignment is a tuple of ids on the relative r-subsets of {1..s}
-    (lexicographic, so the colex-last subset comes last). Two tables:
-    `outcomes`, keyed by (s, type ids), holds the merge outcome of each
-    type assignment, computed once from fact masks (see outcome); `cache`,
-    keyed by (s, choice-set ids of all but the last subset), holds the
-    types allowed on the last subset: those whose every completion by a
-    choice from the others does not merge to a non-member. It is filled
-    type by type, as [types checked, types allowed] masks. A block verdict
-    is then one subset test. The tables hold at most |types|^C(s,r) and
-    |choice sets|^(C(s,r)-1) entries per size.
+    (lexicographic, so the colex-last subset comes last).
+
+    Per block size s, two tables are built on first use (see _size): the
+    located (true facts, false facts) mask pair of every type id on every
+    relative r-subset of {1..s}, so a merge is an OR of list entries; and
+    the member checks on {1..s}, each a copy table with its gathers
+    (properties._holds_copy). On s > r points, a satisfiable merge is a
+    member exactly when each of its types is realized (size-r outcome
+    True) and no m-subset with m > r holds a copy: every smaller subset
+    lies inside one r-subset, whose facts are that type's own. So only
+    the entry sizes m > r are checked there, and an unrealized type
+    carries one more true bit, above the facts on {1..s}, that marks any
+    merge holding it as a non-member. The checks of a merge are memoized
+    per size by its true mask.
+
+    `cache`, keyed by (s, choice-set ids of all but the last subset),
+    holds the types allowed on the last subset: those whose every
+    completion by a choice from the others does not merge to a
+    non-member. It is filled type by type, as [types checked, types
+    allowed] masks; the choices from the other sets are merged once per
+    fill (_join), and each type is tested against those merges. A block
+    verdict reads its entry in one lookup and is one subset test. The
+    cache holds at most |choice sets|^(C(s,r)-1) entries per size.
 
     The search reads `allowed` for all its candidate types at once;
     is_h_random reads it through block_verdict, and block_ok is
@@ -276,7 +312,7 @@ class _BlockChecker(object):
         self.set_ids = {}    # frozenset of types -> choice-set id
         self.set_masks = []  # choice-set id -> bit mask of its type ids
         self.set_low = []    # choice-set id -> has_low_facts of some type
-        self.outcomes = {}
+        self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
 
     def type_id(self, p):
@@ -284,6 +320,9 @@ class _BlockChecker(object):
         if t is None:
             t = self.type_ids[p] = len(self.types)
             self.types.append(p)
+            # size r first: the located pairs of larger sizes read it
+            for s in sorted(self.sizes):
+                self._locate(s, t)
         return t
 
     def set_id(self, types):
@@ -299,26 +338,65 @@ class _BlockChecker(object):
             self.set_low.append(any(map(has_low_facts, types)))
         return c
 
+    def _size(self, s):
+        """The tables of block size s, built on first use: (located,
+        checks, memo). located[i][t] is the mask pair of type id t on the
+        i-th relative r-subset of {1..s}; checks holds (m, copy table,
+        gathers) for each entry size m <= s, only m > r when s > r; memo
+        maps true masks to the result of _holds_any."""
+        tables = self.sizes.get(s)
+        if tables is None:
+            H, r = self.H, self.r
+            checks = [(m, copy_table(H, m), _gathers(H.signature, s, m))
+                      for m in H._copy_tables
+                      if m <= s and (m > r or s == r)]
+            tables = self.sizes[s] = (
+                [[] for _ in range(math.comb(s, r))], checks, {})
+            for t in range(len(self.types)):
+                self._locate(s, t)
+        return tables
+
+    def _locate(self, s, t):
+        """Append the mask pairs of type id t on the relative r-subsets
+        of {1..s} to the located table of size s; on s > r points an
+        unrealized type's true masks get the bit above the facts."""
+        signature, r = self.H.signature, self.r
+        unrealized = 0
+        if s > r and not self.outcome(r, (t,)):
+            unrealized = 1 << len(_facts(signature, s))
+        rel = itertools.combinations(range(1, s + 1), r)
+        for A, row in zip(rel, self.sizes[s][0]):
+            pt, pf = _located_masks(signature, s, A, self.types[t])
+            row.append((pt | unrealized, pf))
+
+    def _holds_any(self, s, true):
+        """Is the satisfiable merge with true mask `true` on {1..s} a
+        non-member, given that its types are realized when s > r? It
+        holds the unrealized bit or a copy on a checked subset."""
+        _, checks, memo = self._size(s)
+        out = memo.get(true)
+        if out is None:
+            out = memo[true] = (
+                true >> len(_facts(self.H.signature, s)) > 0
+                or any(_holds_copy(self.H, m, table, gathers, true)
+                       for m, table, gathers in checks))
+        return out
+
     def outcome(self, s, ids):
         """The types `ids` on the relative r-subsets of {1..s}, merged:
         None when they disagree on a fact, else whether the merge is a
-        member of H. Memoized.
+        member of H.
 
         Each located type is a (true facts, false facts) pair of masks on
         {1..s}; the merge is the OR of the pairs, and it is unsatisfiable
         when the two ORs meet. Membership is read from the true mask
-        (properties.mask_is_member)."""
-        key = (s, ids)
-        if key not in self.outcomes:
-            signature, true, false = self.H.signature, 0, 0
-            rel = itertools.combinations(range(1, s + 1), self.r)
-            for A, t in zip(rel, ids):
-                pt, pf = _located_masks(signature, s, A, self.types[t])
-                true |= pt
-                false |= pf
-            self.outcomes[key] = (None if true & false
-                                  else mask_is_member(self.H, s, true))
-        return self.outcomes[key]
+        (_holds_any)."""
+        true = false = 0
+        for row, t in zip(self._size(s)[0], ids):
+            pt, pf = row[t]
+            true |= pt
+            false |= pf
+        return None if true & false else not self._holds_any(s, true)
 
     def allowed(self, s, prefix, need):
         """The types, among the type mask `need`, allowed on the last
@@ -330,12 +408,16 @@ class _BlockChecker(object):
             entry = self.cache[key] = [0, 0]
         todo = need & ~entry[0]
         if todo:
-            combos = list(itertools.product(*[self.sets[c] for c in prefix]))
-            outcome = self.outcome
+            located = self._size(s)[0]
+            merges = [(0, 0)]
+            for row, c in zip(located, prefix):
+                merges = _join(merges, [row[t] for t in self.sets[c]])
+            holds = self._holds_any
             while todo:
                 low = todo & -todo
-                t = low.bit_length() - 1
-                if all(outcome(s, ids + (t,)) is not False for ids in combos):
+                pt, pf = located[-1][low.bit_length() - 1]
+                if all((t | pt) & (f | pf) or not holds(s, t | pt)
+                       for t, f in merges):
                     entry[1] |= low
                 entry[0] |= low
                 todo ^= low
@@ -343,9 +425,13 @@ class _BlockChecker(object):
 
     def block_verdict(self, s, cids):
         """Does no choice from the choice sets `cids` on the relative
-        r-subsets of {1..s} merge to a non-member?"""
+        r-subsets of {1..s} merge to a non-member? One cache lookup, and
+        allowed only for types still unchecked."""
         need = self.set_masks[cids[-1]]
-        return not need & ~self.allowed(s, cids[:-1], need)
+        entry = self.cache.get((s, cids[:-1]))
+        if entry is None or need & ~entry[0]:
+            return not need & ~self.allowed(s, cids[:-1], need)
+        return not need & ~entry[1]
 
     def block_ok(self, block, choice_map):
         """block_verdict for callers holding a choice map: block is a sorted
@@ -373,8 +459,8 @@ def is_h_random(T):
     if next(_errors(T, cids), None) is not None:
         return False
     for size in range(r, min(max(H.k, r), T.n) + 1):
-        for idx in block_subsets(T.n, r, size):
-            if not checker.block_verdict(size, tuple(cids[i] for i in idx)):
+        for get in block_getters(T.n, r, size):
+            if not checker.block_verdict(size, get(cids)):
                 return False
     return True
 
@@ -384,27 +470,27 @@ _mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 def _merges(T):
     """The true-fact masks on {1..n} of the satisfiable choice functions
-    of T, one per choice function (at most DEFAULT_CHI_BUDGET choice
-    functions).
+    of T, one per choice function.
 
     A located type fixes every fact on its r-subset, so it is a pair of
     fact masks on {1..n}: (true facts, false facts). A choice function
     merges to the OR of its true masks, and is unsatisfiable when that
-    meets the OR of its false masks. The pairs are ORed subset by subset,
-    and a partial merge is dropped as soon as it is unsatisfiable. Two
-    distinct satisfiable (partial) choice functions differ on some fact
-    of a subset where their types differ, so their merges are distinct.
+    meets the OR of its false masks. The pairs are ORed subset by subset
+    (_join), and a partial merge is dropped as soon as it is
+    unsatisfiable. Two distinct satisfiable (partial) choice functions
+    differ on some fact of a subset where their types differ, so their
+    merges are distinct. At most DEFAULT_CHI_BUDGET partial merges are
+    formed, counting the dropped ones.
     """
     _require_complete(T)
-    if choice_count(T) > DEFAULT_CHI_BUDGET:
-        raise BudgetExceeded("choice functions over budget (%d)"
-                             % choice_count(T))
     signature = T.property.signature
-    merges = [(0, 0)]
+    merges, formed = [(0, 0)], 0
     for A in T.subsets:
         pool = [_located_masks(signature, T.n, A, p) for p in T.choices[A]]
-        merges = [(mt, mf) for t, f in merges for pt, pf in pool
-                  if not (mt := t | pt) & (mf := f | pf)]
+        formed += len(merges) * len(pool)
+        if formed > DEFAULT_CHI_BUDGET:
+            raise BudgetExceeded("partial merges over budget (%d)" % formed)
+        merges = _join(merges, pool)
     return [t for t, _ in merges]
 
 
@@ -432,8 +518,8 @@ def restrict(T, A):
 
 
 def full_subpatterns(T):
-    """The merged structures of the satisfiable choice functions (at most
-    DEFAULT_CHI_BUDGET choice functions), one per choice function, in
+    """The merged structures of the satisfiable choice functions (see
+    _merges for the budget), one per choice function, in
     increasing order of their fact masks (properties._facts order)."""
     facts = _facts(T.property.signature, T.n)
     return [structure_from_mask(T.property.signature, T.n, facts, t)

@@ -20,8 +20,9 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    realized_type_space)
 from hereditary.qftypes import QfType, atoms, type_from_structure
 from hereditary.structures import Structure
-from hereditary.templates import (Template, block_checker, block_subsets,
-                                  is_h_random, is_h_random_direct, r_subsets)
+from hereditary.templates import (Template, block_checker, block_getters,
+                                  block_subsets, is_h_random,
+                                  is_h_random_direct, r_subsets)
 
 from helpers import seeded
 
@@ -101,6 +102,16 @@ def test_block_subsets_index_the_colex_subsets():
             assert block_subsets(n, r, size) == tuple(
                 tuple(subsets.index(A) for A in itertools.combinations(B, r))
                 for B in blocks)
+    # block_getters reads the entries of each block, in the same order
+    for r in (2, 3):
+        for n in range(r, 8):
+            cids = [7 * i + 3 for i in range(comb(n, r))]
+            for size in range(r, n + 1):
+                blocks = block_subsets(n, r, size)
+                getters = block_getters(n, r, size)
+                assert len(getters) == len(blocks)
+                for idx, get in zip(blocks, getters):
+                    assert get(cids) == tuple(cids[i] for i in idx)
 
 
 @pytest.mark.parametrize("make, n, want", [

@@ -14,14 +14,18 @@ import itertools
 
 import pytest
 
+from hereditary.diagrams import LocatedType, merge_entries
+from hereditary.errors import BudgetExceeded
 from hereditary.instances import digraphs, metric, mixed
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
 from hereditary.properties import _fact_index
-from hereditary.templates import (Template, choice_functions, detect_errors,
+from hereditary.templates import (DEFAULT_CHI_BUDGET, Template, choice_count,
+                                  choice_functions, detect_errors,
                                   error_pairs, full_subpatterns,
-                                  has_low_facts, located_agree, r_subsets,
-                                  sub_count, subpattern_of_choice)
+                                  has_low_facts, is_h_random_direct,
+                                  located_agree, r_subsets, sub_count,
+                                  subpattern_of_choice)
 
 from helpers import seeded
 
@@ -152,3 +156,49 @@ def test_error_witnesses_are_the_former_all_pairs_walk(case):
         templates = CASES[case]()
     for T in templates:
         assert detect_errors(T) == former_errors(T)
+
+
+def agreeing_count(T):
+    """The satisfiable choice functions of T, counted by backtracking over
+    T.subsets with a table of which two located types merge (merge_entries
+    of the pair): a choice function merges when every two of its located
+    types do, since each fact lies on the points of one r-subset."""
+    located = [[LocatedType(A, p) for p in sorted(T.choices[A])]
+               for A in T.subsets]
+    agree = {(a, b): merge_entries([a, b]) is not None
+             for i, pool in enumerate(located) for a in pool
+             for earlier in located[:i] for b in earlier}
+
+    def count(i, chosen):
+        if i == len(located):
+            return 1
+        return sum(count(i + 1, chosen + [a]) for a in located[i]
+                   if all(agree[a, b] for b in chosen))
+    return count(0, [])
+
+
+def test_merges_budget_counts_partial_merges_not_choice_functions():
+    # Six loop-digraph types per pair at n = 5: over 6 * 10^7 choice
+    # functions, few of them satisfiable, so few partial merges are formed.
+    H = loop_digraphs()
+    rng = seeded(5151)
+    space = realized_type_space(H)
+    T = Template(H, 5, {A: rng.sample(space, 6) for A in r_subsets(5, 2)})
+    assert choice_count(T) > DEFAULT_CHI_BUDGET
+    value, error_free = sub_count(T)
+    assert not error_free
+    assert 0 < value == agreeing_count(T) == len(full_subpatterns(T))
+
+
+def test_merges_budget_refuses_many_satisfiable_partial_merges():
+    # digraph-k2 types have no fact on one point, so every partial merge
+    # is satisfiable: 4^15 choice functions, more than the budget, with no
+    # error, so sub_count takes its fast path while _merges refuses.
+    H = digraphs.digraph_instance(2)
+    space = realized_type_space(H)
+    T = Template(H, 6, {A: space for A in r_subsets(6, 2)})
+    assert sub_count(T) == (4 ** 15, True)
+    with pytest.raises(BudgetExceeded):
+        full_subpatterns(T)
+    with pytest.raises(BudgetExceeded):
+        is_h_random_direct(T)

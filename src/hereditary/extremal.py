@@ -20,9 +20,9 @@ from operator import itemgetter, ne
 from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, block_checker, block_getters,
-                        block_subsets, error_pairs, is_full_subpattern,
-                        located_agree, r_subsets, template_from_structure)
+from .templates import (Template, block_checker, block_subsets, error_pairs,
+                        is_full_subpattern, located_agree, r_subsets,
+                        template_from_structure, tuple_getter)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
@@ -93,13 +93,12 @@ def candidate_sets(H):
 def _completion_schedule(n, r, kk):
     """For each step i: (size, getter) for every block (size r+1..kk)
     whose colex-last r-subset is subsets[i]; the getter reads the tuple of
-    the block's entries (in lexicographic order, so subsets[i]'s comes
-    last) from the assignment (templates.block_getters)."""
+    its other r-subsets' entries (in lexicographic order) from the
+    assignment."""
     schedule = [[] for _ in range(math.comb(n, r))]
     for size in range(r + 1, kk + 1):
-        for idx, get in zip(block_subsets(n, r, size),
-                            block_getters(n, r, size)):
-            schedule[idx[-1]].append((size, get))
+        for idx in block_subsets(n, r, size):
+            schedule[idx[-1]].append((size, tuple_getter(idx[:-1])))
     return schedule
 
 
@@ -139,7 +138,7 @@ class _SearchEngine(object):
         for i, blocks in enumerate(_completion_schedule(n, self.r, self.kk)):
             for size, get in blocks:
                 self.checks[i].append((block_masks.setdefault(size, {}), get,
-                                       partial(self._block_ids_mask, size)))
+                                       partial(self._block_mask, size)))
         self.mixed = any(self.checker.set_low[cid] for _, cid in self.cands)
         if self.mixed:
             for j, i in error_pairs(n, self.r):
@@ -163,11 +162,6 @@ class _SearchEngine(object):
 
     def _block_mask(self, size, prefix):
         return self._fit(self.checker.allowed(size, prefix, self.type_mask))
-
-    def _block_ids_mask(self, size, ids):
-        """_block_mask of a block's id tuple read at its last step, which
-        ends in None (see run)."""
-        return self._block_mask(size, ids[:-1])
 
     def _pair_mask(self, j, i, cid):
         signature, n = self.H.signature, self.n
@@ -238,9 +232,6 @@ class _SearchEngine(object):
                 rec(i + 1, product * size)
                 mask ^= low
             pruned += width - nxt
-            # a block closing at step i reads cur[i] too: None keys its
-            # memo by the other entries alone
-            cur[i] = None
 
         try:
             rec(0, 1)

@@ -244,14 +244,18 @@ def block_subsets(n, r, size):
                  for block in itertools.combinations(range(1, n + 1), size))
 
 
+def tuple_getter(idx):
+    """A getter of the tuple (v[i] for i in idx) from a sequence v; idx is
+    not empty."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda v, i=idx[0]: (v[i],)
+
+
 @lru_cache(maxsize=256)
 def block_getters(n, r, size):
-    """For every block of block_subsets(n, r, size), in the same order: a
-    getter of the tuple of the block's entries (get(v) == tuple(v[i] for i
-    in idx)) from a sequence v over r_subsets(n, r)."""
-    return tuple(itemgetter(*idx) if len(idx) > 1
-                 else lambda v, i=idx[0]: (v[i],)
-                 for idx in block_subsets(n, r, size))
+    """For every block of block_subsets(n, r, size), in the same order: the
+    tuple_getter of its indices, which reads the block's entries from a
+    sequence over r_subsets(n, r)."""
+    return tuple(map(tuple_getter, block_subsets(n, r, size)))
 
 
 def _join(merges, pool):
@@ -343,7 +347,7 @@ class _BlockChecker(object):
         checks, memo). located[i][t] is the mask pair of type id t on the
         i-th relative r-subset of {1..s}; checks holds (m, copy table,
         gathers) for each entry size m <= s, only m > r when s > r; memo
-        maps true masks to the result of _holds_any."""
+        maps true masks to the result of _non_member."""
         tables = self.sizes.get(s)
         if tables is None:
             H, r = self.H, self.r
@@ -369,10 +373,10 @@ class _BlockChecker(object):
             pt, pf = _located_masks(signature, s, A, self.types[t])
             row.append((pt | unrealized, pf))
 
-    def _holds_any(self, s, true):
-        """Is the satisfiable merge with true mask `true` on {1..s} a
-        non-member, given that its types are realized when s > r? It
-        holds the unrealized bit or a copy on a checked subset."""
+    def _non_member(self, s, true):
+        """Is the satisfiable merge with true mask `true` (from the located
+        table of size s) a non-member? It holds the unrealized bit or a
+        copy on a checked subset. Memoized per size."""
         _, checks, memo = self._size(s)
         out = memo.get(true)
         if out is None:
@@ -390,13 +394,13 @@ class _BlockChecker(object):
         Each located type is a (true facts, false facts) pair of masks on
         {1..s}; the merge is the OR of the pairs, and it is unsatisfiable
         when the two ORs meet. Membership is read from the true mask
-        (_holds_any)."""
+        (_non_member)."""
         true = false = 0
         for row, t in zip(self._size(s)[0], ids):
             pt, pf = row[t]
             true |= pt
             false |= pf
-        return None if true & false else not self._holds_any(s, true)
+        return None if true & false else not self._non_member(s, true)
 
     def allowed(self, s, prefix, need):
         """The types, among the type mask `need`, allowed on the last
@@ -408,16 +412,21 @@ class _BlockChecker(object):
             entry = self.cache[key] = [0, 0]
         todo = need & ~entry[0]
         if todo:
-            located = self._size(s)[0]
+            located, _, memo = self._size(s)
             merges = [(0, 0)]
             for row, c in zip(located, prefix):
                 merges = _join(merges, [row[t] for t in self.sets[c]])
-            holds = self._holds_any
             while todo:
                 low = todo & -todo
                 pt, pf = located[-1][low.bit_length() - 1]
-                if all((t | pt) & (f | pf) or not holds(s, t | pt)
-                       for t, f in merges):
+                for t, f in merges:
+                    if not (t := t | pt) & (f | pf):
+                        non_member = memo.get(t)
+                        if non_member is None:
+                            non_member = self._non_member(s, t)
+                        if non_member:
+                            break
+                else:
                     entry[1] |= low
                 entry[0] |= low
                 todo ^= low

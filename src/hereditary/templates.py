@@ -419,11 +419,14 @@ class _BlockChecker(object):
             while todo:
                 low = todo & -todo
                 pt, pf = located[-1][low.bit_length() - 1]
-                for t, f in merges:
-                    if not (t := t | pt) & (f | pf):
-                        non_member = memo.get(t)
+                for mt, mf in merges:
+                    true = mt | pt
+                    if not true & (mf | pf):
+                        # _non_member's memo, read inline: this is the
+                        # kernel's innermost loop
+                        non_member = memo.get(true)
                         if non_member is None:
-                            non_member = self._non_member(s, t)
+                            non_member = self._non_member(s, true)
                         if non_member:
                             break
                 else:

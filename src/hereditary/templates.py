@@ -491,15 +491,17 @@ def _merges(T):
     (_join), and a partial merge is dropped as soon as it is
     unsatisfiable. Two distinct satisfiable (partial) choice functions
     differ on some fact of a subset where their types differ, so their
-    merges are distinct. At most DEFAULT_CHI_BUDGET partial merges are
-    formed, counting the dropped ones.
+    merges are distinct. Each join forms at most DEFAULT_CHI_BUDGET
+    partial merges, counting the dropped ones; as the kept ones are
+    distinct, a join forms at most choice_count(T), so every template
+    within that many choice functions passes.
     """
     _require_complete(T)
     signature = T.property.signature
-    merges, formed = [(0, 0)], 0
+    merges = [(0, 0)]
     for A in T.subsets:
         pool = [_located_masks(signature, T.n, A, p) for p in T.choices[A]]
-        formed += len(merges) * len(pool)
+        formed = len(merges) * len(pool)
         if formed > DEFAULT_CHI_BUDGET:
             raise BudgetExceeded("partial merges over budget (%d)" % formed)
         merges = _join(merges, pool)

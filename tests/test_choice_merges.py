@@ -20,6 +20,7 @@ from hereditary.instances import digraphs, metric, mixed
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
 from hereditary.properties import _fact_index
+from hereditary.qftypes import QfType
 from hereditary.templates import (DEFAULT_CHI_BUDGET, Template, choice_count,
                                   choice_functions, detect_errors,
                                   error_pairs, full_subpatterns,
@@ -188,6 +189,28 @@ def test_merges_budget_counts_partial_merges_not_choice_functions():
     value, error_free = sub_count(T)
     assert not error_free
     assert 0 < value == agreeing_count(T) == len(full_subpatterns(T))
+
+
+def test_merges_budget_passes_templates_within_the_choice_budget():
+    # Loop digraphs at n = 10 (45 pairs). Pairs 0..14 offer the arc either
+    # way, (1, 10) a loop at 10 or none, every other pair the empty type;
+    # so the only error is the loop at 10 against the pairs (i, 10), i > 1,
+    # and half of the 2^16 choice functions merge. The joins form
+    # 2^16 - 2 + 21 * 2^15 + 2 * 2^16 + 7 * 2^15 = 1,114,110 partial merges
+    # in all, over the budget, though no single join forms more than 2^16.
+    H = loop_digraphs()
+    n = 10
+    arcs = [QfType(H.signature, f) for f in [(0, 1, 0, 0), (0, 0, 1, 0)]]
+    empty = QfType(H.signature, (0, 0, 0, 0))
+    loop = QfType(H.signature, (0, 0, 0, 1))
+    subsets = r_subsets(n, 2)
+    choices = {A: [empty] for A in subsets}
+    choices.update((A, arcs) for A in subsets[:15])
+    choices[1, n] = [empty, loop]
+    T = Template(H, n, choices)
+    assert choice_count(T) == 2 ** 16 <= DEFAULT_CHI_BUDGET
+    assert sub_count(T) == (2 ** 15, False)
+    assert not is_h_random_direct(T)
 
 
 def test_merges_budget_refuses_many_satisfiable_partial_merges():

@@ -170,25 +170,18 @@ def assignments(rng, pool, count, exhaustive):
             for _ in range(exhaustive)]
 
 
-@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
-@pytest.mark.parametrize("name", FULL_SPACE + SAMPLED)
-def test_unrealized_types_match_the_direct_definition(name, fallback,
-                                                      monkeypatch):
-    # Unrealized types can merge satisfiably with others on a block of more
-    # than r points; such a merge is never a member.
-    H = fresh(name, monkeypatch, fallback)
+def check_sizes(H, checker, pool, ids, rng, exhaustive):
+    """outcome, allowed and block_verdict against direct() on every block
+    size r..k, for the types of `pool` (their ids in `ids`); returns the
+    number of satisfiable merges holding an unrealized type on more than
+    r points."""
     r = H.signature.r
-    rng = seeded(1313)
-    pool = type_pool(H, name, rng)
     realized = set(realized_type_space(H))
-    checker = block_checker(H)
-    ids = {p: checker.type_id(p) for p in pool}
-    every = sum(1 << t for t in ids.values())
+    every = sum(1 << ids[p] for p in pool)
     unrealized_merges = 0
     for size in range(r, max(H.k, r) + 1):
         count = comb(size, r)
-        for types in assignments(rng, pool, count, 4096 if
-                                 name in FULL_SPACE else 300):
+        for types in assignments(rng, pool, count, exhaustive):
             want = direct(H, size, types)
             assert checker.outcome(size, tuple(ids[p] for p in types)) is want
             if size > r and want is not None and not realized.issuperset(
@@ -212,6 +205,37 @@ def test_unrealized_types_match_the_direct_definition(name, fallback,
             assert checker.block_verdict(size, prefix + (
                 checker.set_id(last),)) == all(
                     allowed >> ids[q] & 1 for q in last)
+    return unrealized_merges
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", FULL_SPACE + SAMPLED)
+def test_unrealized_types_match_the_direct_definition(name, fallback,
+                                                      monkeypatch):
+    # Unrealized types can merge satisfiably with others on a block of more
+    # than r points; such a merge is never a member. Half of the pool, with
+    # unrealized types among it, gets its ids only after the tables of
+    # every block size are built, so type_id locates it in each of them.
+    H = fresh(name, monkeypatch, fallback)
+    r = H.signature.r
+    rng = seeded(1313)
+    pool = type_pool(H, name, rng)
+    realized = set(realized_type_space(H))
+    rng.shuffle(pool)
+    # late: every other realized and every other unrealized type, the
+    # first unrealized one included
+    kinds = [[p for p in pool if p in realized],
+             [p for p in pool if p not in realized]]
+    early = [p for kind in kinds for p in kind[1::2]]
+    late = [p for kind in kinds for p in kind[::2]]
+    assert realized.issuperset(pool) or not realized.issuperset(late)
+    checker = block_checker(H)
+    exhaustive = 4096 if name in FULL_SPACE else 300
+    ids = {p: checker.type_id(p) for p in early}
+    check_sizes(H, checker, early, ids, rng, exhaustive)
+    assert set(checker.sizes) == set(range(r, max(H.k, r) + 1))
+    ids.update((p, checker.type_id(p)) for p in late)
+    unrealized_merges = check_sizes(H, checker, pool, ids, rng, exhaustive)
     assert unrealized_merges or H.k <= r or realized.issuperset(pool)
 
 

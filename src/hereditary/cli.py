@@ -238,6 +238,7 @@ def cmd_probe_stability(args):
         node_budget=budget)
     return {"n": probe.n, "epsilon": _frac(probe.epsilon),
             "near_extremal_count": len(probe.near_extremal),
+            "truncated": probe.truncated,
             "worst_gap": _frac(probe.worst_gap)}
 
 

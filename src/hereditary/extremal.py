@@ -7,15 +7,24 @@ completed block of size <= k, read from the block kernel's allowed types
 (see templates._BlockChecker), and (d) when some realized type has a fact
 on fewer than r points, one candidate mask per earlier r-subset in the
 error window, from fact-mask agreement. The masks of a step are ANDed, so
-each node tests one bit per candidate. The stability probe measures
-distances as Hamming distances between choice-set id vectors.
+each node tests one bit per candidate.
+
+search_extremal, near_extremal_set and stability_probe each make one
+search (_search). Its floor follows the best product found so far: the
+least v with v^b >= best^a for 1 - epsilon = a/b, which is best itself for
+the exact search. Leaves stay choice-set id vectors, and the run keeps
+those at the current floor, at most DEFAULT_CAP of them, the largest
+products first; a list is truncated when a leaf at its floor was not kept.
+Templates are built only for the leaves returned, and each report's stats
+(nodes and prunes) count that one search. The stability probe measures
+distances as Hamming distances between the id vectors.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter, ne
+from operator import itemgetter
 
 from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
@@ -56,11 +65,12 @@ class ExtremalReport(object):
 
 
 class StabilityProbe(object):
-    def __init__(self, n, epsilon, near_extremal, worst_gap):
+    def __init__(self, n, epsilon, near_extremal, worst_gap, truncated=False):
         self.n = n
         self.epsilon = epsilon
         self.near_extremal = near_extremal  # list of (template, sub, min_dist)
         self.worst_gap = worst_gap
+        self.truncated = truncated  # some near-extremal template was cut
 
     def __repr__(self):
         return "StabilityProbe(n=%d, eps=%s, worst_gap=%s)" % (
@@ -239,37 +249,99 @@ class _SearchEngine(object):
             self.nodes, self.pruned = nodes, pruned
 
 
-def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Exact maximization of sub over all H-random templates on {1..n}.
+def _floor(best, frac):
+    """The least v in [1, best] with v^b >= best^a, where frac = a/b is in
+    [0, 1] and best >= 1: the test is monotone in v and holds at best, so
+    bisect. A leaf reaches the floor exactly when its product p has
+    p >= best^frac."""
+    if frac == 1:
+        return best
+    a, b = frac.numerator, frac.denominator
+    low, floor = 1, best
+    while low < floor:
+        mid = (low + floor) // 2
+        if pow_geq(mid, b, best, a):
+            floor = mid
+        else:
+            low = mid + 1
+    return floor
 
-    Keeps at most DEFAULT_CAP maximizers (the report is then truncated)."""
+
+def _search(H, n, frac, node_budget):
+    """One DFS for the leaves whose product reaches best^frac, where best
+    is the largest product of any leaf: the exact search at frac = 1, the
+    near-extremal set at frac = 1 - epsilon.
+
+    The floor follows the best product found so far (_floor), so it only
+    rises: the run keeps each (id vector, product) leaf that reaches the
+    current floor and drops the kept leaves below it when it rises. At
+    frac = 1 the floor is the best product itself, the exact search's rule.
+    At most DEFAULT_CAP leaves are kept; when that many are kept, a leaf
+    above the least kept product replaces the last one kept with it, so
+    the kept leaves at best are the first ones found. `overflow` is the
+    largest product of a leaf not kept (0 when every leaf was), so the
+    kept leaves are all the leaves at the final floor unless overflow
+    reaches it, and all the leaves at best unless overflow equals best.
+
+    Returns (report, found, leaves, truncated). found lists (Template,
+    product) for the kept leaves at the final floor, by decreasing product
+    and then by Template.canonical_key, which is read from the ids here
+    (per id, the sorted fact vectors of its types); leaves holds their id
+    vectors in the same order. The report's ex is best, its maximizers are
+    the leading templates of found at best, and its stats count this run;
+    exact is False when the node budget ran out, and found holds the
+    leaves met until then. truncated says whether found was cut at the cap.
+    """
     if n < H.signature.r:
         raise InvalidArgument("n must be at least r")
     engine = _SearchEngine(H, n, node_budget)
-    kept = []  # id vectors of the leaves at the floor
-    truncated = False
+    kept = {}  # product -> the id vectors kept with it, all >= the floor
+    best = overflow = count = 0
 
     def collect(cids, value):
-        nonlocal truncated
-        if value > engine.floor:
-            engine.floor = value
-            kept.clear()
-            truncated = False
-        if len(kept) < DEFAULT_CAP:
-            kept.append(cids)
-        else:
-            truncated = True
+        nonlocal best, overflow, count
+        if value > best:
+            best = value
+            engine.floor = _floor(best, frac)
+            for low in [p for p in kept if p < engine.floor]:
+                count -= len(kept.pop(low))
+        if count == DEFAULT_CAP:
+            low = min(kept)
+            overflow = max(overflow, min(value, low))
+            if value <= low:
+                return
+            kept[low].pop()
+            if not kept[low]:
+                del kept[low]
+            count -= 1
+        kept.setdefault(value, []).append(cids)
+        count += 1
 
     exact = True
     try:
         engine.run(collect)
     except BudgetExceeded:
         exact = False
-    maximizers = sorted(map(engine.template, kept),
-                        key=lambda T: T.canonical_key())
+    facts = {cid: tuple(sorted(p.facts for p in types))
+             for cid, types in engine.sets.items()}
+    leaves = sorted(((value, cids) for value, group in kept.items()
+                     for cids in group),
+                    key=lambda leaf: (-leaf[0], tuple(map(facts.get,
+                                                          leaf[1]))))
+    found = [(engine.template(cids), value) for value, cids in leaves]
     stats = {"nodes": engine.nodes, "pruned": engine.pruned}
-    return ExtremalReport(n, engine.floor, maximizers, H.signature.r, stats,
-                          exact=exact, truncated=truncated)
+    maximizers = [T for T, value in found if value == best]
+    report = ExtremalReport(n, best, maximizers, H.signature.r, stats,
+                            exact=exact, truncated=0 < best == overflow)
+    return (report, found, [cids for _, cids in leaves],
+            0 < engine.floor <= overflow)
+
+
+def search_extremal(H, n, node_budget=DEFAULT_NODE_BUDGET):
+    """Exact maximization of sub over all H-random templates on {1..n}.
+
+    Keeps at most DEFAULT_CAP maximizers (the report is then truncated)."""
+    return _search(H, n, Fraction(1), node_budget)[0]
 
 
 def density_sequence(H, n_max, node_budget=DEFAULT_NODE_BUDGET):
@@ -292,40 +364,28 @@ def density_sequence(H, n_max, node_budget=DEFAULT_NODE_BUDGET):
     return reports
 
 
-def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
-    """All H-random templates with sub >= ex^(1-epsilon), plus the report.
-
-    Keeps at most DEFAULT_CAP templates."""
+def _near(H, n, epsilon, node_budget):
+    """_search at frac = 1 - epsilon; BudgetExceeded unless it is exact."""
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
         raise InvalidArgument("epsilon must be in [0,1]")
-    report = search_extremal(H, n, node_budget)
-    if not report.exact:
+    run = _search(H, n, 1 - eps, node_budget)
+    if not run[0].exact:
         raise BudgetExceeded("extremal search was not exact")
-    frac = 1 - eps
-    a, b = frac.numerator, frac.denominator
-    ex = report.ex
-    # the floor is the least value v in [1, max(ex, 1)] with v^b >= ex^a:
-    # the test is monotone in v and holds at ex, so bisect. A leaf is near
-    # extremal exactly when its product reaches the floor.
-    low, floor = 1, max(ex, 1)
-    while low < floor:
-        mid = (low + floor) // 2
-        if pow_geq(mid, b, ex, a):
-            floor = mid
-        else:
-            low = mid + 1
+    return run
 
-    engine = _SearchEngine(H, n, node_budget)
-    engine.floor = floor
-    found = []
 
-    def collect(cids, value):
-        if len(found) < DEFAULT_CAP:
-            found.append((engine.template(cids), value))
+def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
+    """All H-random templates with sub >= ex^(1-epsilon), plus the report.
 
-    engine.run(collect)
-    found.sort(key=lambda pair: (-pair[1], pair[0].canonical_key()))
+    One search finds both (see _search): its floor follows the best product
+    found so far, and the templates come by decreasing sub, then by
+    canonical_key. The report's ex, maximizers and stats (nodes and prunes)
+    are those of that one run. At most DEFAULT_CAP templates are kept,
+    those of the largest subs first; the list is cut when a template at
+    the final floor was not kept, and the report is truncated when one at
+    ex was not."""
+    report, found, _, _ = _near(H, n, epsilon, node_budget)
     return found, report
 
 
@@ -333,26 +393,32 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     """worst_gap = max over near-extremal templates of their min distance
     to the extremal set (template distance, exact rational).
 
-    A template is read as its vector of choice-set ids, so the number of
-    r-subsets where two templates differ (distances.template_diff) is the
-    Hamming distance of their vectors.
+    The rows are near_extremal_set's templates, in its order, from the
+    same single search, and `truncated` is its cap rule: when it holds,
+    some near-extremal template (and maybe some maximizer) is missing, so
+    worst_gap may be off. Gaps are read from the search's id vectors: a
+    vector is an int with one bit per (position, choice-set id), so the
+    number of r-subsets where two templates differ
+    (distances.template_diff) is half the popcount of the XOR of their
+    ints.
     """
-    near, report = near_extremal_set(H, n, epsilon, node_budget=node_budget)
-    checker = block_checker(H)
+    report, found, leaves, truncated = _near(H, n, epsilon, node_budget)
+    width = len(block_checker(H).sets)
 
-    def ids(T):
-        return [checker.set_id(T.choices[A]) for A in T.subsets]
+    def bits(cids):
+        return sum(1 << (i * width + c) for i, c in enumerate(cids))
 
-    extremal = [ids(E) for E in report.extremal_templates]
+    vectors = list(map(bits, leaves))
+    extremal = vectors[:len(report.extremal_templates)]
     total = math.comb(n, H.signature.r)
     rows = []
     worst = Fraction(0)
-    for T, value in near:
-        vec = ids(T)
-        gap = Fraction(min(sum(map(ne, vec, E)) for E in extremal), total)
+    for (T, value), vec in zip(found, vectors):
+        gap = Fraction(min((vec ^ E).bit_count() for E in extremal) // 2,
+                       total)
         rows.append((T, value, gap))
         worst = max(worst, gap)
-    return StabilityProbe(n, Fraction(epsilon), rows, worst)
+    return StabilityProbe(n, Fraction(epsilon), rows, worst, truncated)
 
 
 def e_membership(G, templates):

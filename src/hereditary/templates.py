@@ -46,6 +46,12 @@ def r_subsets(n, r):
 
 
 @lru_cache(maxsize=256)
+def _subset_order(n, r):
+    """r_subsets(n, r) as a tuple, shared by every Template on {1..n}."""
+    return tuple(r_subsets(n, r))
+
+
+@lru_cache(maxsize=256)
 def error_pairs(n, r):
     """The index pairs (j, i), j < i, of r_subsets(n, r) whose union has
     more than r and fewer than 2r points (the error window), in
@@ -71,7 +77,7 @@ class Template(object):
         self.property = H
         self.n = n
         self.choices = normalized
-        self.subsets = r_subsets(n, r)
+        self.subsets = _subset_order(n, r)
 
     def choice(self, A):
         return self.choices.get(tuple(sorted(A)), frozenset())
@@ -470,7 +476,10 @@ def is_h_random(T):
     cids = [checker.set_id(T.choices[A]) for A in T.subsets]
     if next(_errors(T, cids), None) is not None:
         return False
-    for size in range(r, min(max(H.k, r), T.n) + 1):
+    # a size-r verdict reads one choice set: check each distinct one once
+    if not all(checker.block_verdict(r, (c,)) for c in dict.fromkeys(cids)):
+        return False
+    for size in range(r + 1, min(max(H.k, r), T.n) + 1):
         for get in block_getters(T.n, r, size):
             if not checker.block_verdict(size, get(cids)):
                 return False

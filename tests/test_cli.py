@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hereditary import cli, containers, jsonio
+from hereditary import cli, containers, extremal, jsonio
 from hereditary.instances import digraphs, metric
 
 
@@ -370,7 +370,19 @@ def test_probe_stability(capsys):
     code, out = run(capsys, "probe-stability", "--instance", "metric",
                     "--r", "4", "--n", "4", "--epsilon", "5/100")
     assert code == 0
-    assert json.loads(out)["report"]["worst_gap"]["exact"] == "0/1"
+    body = json.loads(out)["report"]
+    assert body["worst_gap"]["exact"] == "0/1"
+    assert body["truncated"] is False
+
+
+def test_probe_stability_says_when_truncated(capsys, monkeypatch):
+    # metric r=3, n=5, epsilon=1/10 has 590 near-extremal templates
+    monkeypatch.setattr(extremal, "DEFAULT_CAP", 3)
+    code, out = run(capsys, "probe-stability", "--instance", "metric",
+                    "--r", "3", "--n", "5", "--epsilon", "1/10")
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert (body["near_extremal_count"], body["truncated"]) == (3, True)
 
 
 def test_report_determinism(capsys):

@@ -4,9 +4,8 @@ import time
 from fractions import Fraction
 
 from hereditary import extremal
-from hereditary.extremal import (ExtremalReport, density_sequence,
-                                 near_extremal_set, pow_geq, search_extremal,
-                                 stability_probe)
+from hereditary.extremal import (density_sequence, near_extremal_set,
+                                 pow_geq, search_extremal, stability_probe)
 from hereditary.instances import digraphs, metric
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty)
@@ -38,9 +37,7 @@ def test_empty_members_give_ex_zero():
 
 
 def test_near_extremal_floor_is_bisected(monkeypatch):
-    ex = 3 ** 72
-    monkeypatch.setattr(extremal, "search_extremal", lambda H, n, budget: (
-        ExtremalReport(n, ex, [], 2, {}, exact=True)))
+    ex, frac = 3 ** 72, Fraction(9, 10)
     calls = []
 
     def counted(*args):
@@ -49,11 +46,12 @@ def test_near_extremal_floor_is_bisected(monkeypatch):
 
     monkeypatch.setattr(extremal, "pow_geq", counted)
     started = time.perf_counter()
-    found, report = near_extremal_set(digraphs.digraph_instance(2), 3,
-                                      Fraction(1, 10))
+    floor = extremal._floor(ex, frac)
     assert time.perf_counter() - started < 1.0
-    assert found == [] and report.ex == ex
     assert len(calls) <= ex.bit_length()
+    # the least v with v^10 >= ex^9
+    assert 1 <= floor <= ex
+    assert floor ** 10 >= ex ** 9 and (floor - 1) ** 10 < ex ** 9
 
 
 def test_maximizer_cap_truncates(monkeypatch):

@@ -239,7 +239,8 @@ def cmd_probe_stability(args):
     return {"n": probe.n, "epsilon": _frac(probe.epsilon),
             "near_extremal_count": len(probe.near_extremal),
             "truncated": probe.truncated,
-            "worst_gap": _frac(probe.worst_gap)}
+            "worst_gap": _frac(probe.worst_gap),
+            "stats": probe.stats}
 
 
 def _oracle(args, n):

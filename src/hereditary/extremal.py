@@ -7,7 +7,14 @@ completed block of size <= k, read from the block kernel's allowed types
 (see templates._BlockChecker), and (d) when some realized type has a fact
 on fewer than r points, one candidate mask per earlier r-subset in the
 error window, from fact-mask agreement. The masks of a step are ANDed, so
-each node tests one bit per candidate.
+each node tests one bit per candidate. (e) Relabeling the points of
+{1..n} keeps H-randomness and sub, since H is closed under isomorphism, so
+the search visits only templates that are lex-least under the point
+transpositions (x, x + 1) (lex-leader symmetry breaking, Crawford,
+Ginsberg, Luks and Roy 1996): a candidate is refused as soon as some
+transposed vector is below the current one. At a leaf that is the least
+of its S_n orbit, the orbit is expanded back into its labeled leaves, so
+every labeled H-random template at or above the floor is still found once.
 
 search_extremal, near_extremal_set and stability_probe each make one
 search (_search). Its floor follows the best product found so far: the
@@ -15,9 +22,14 @@ least v with v^b >= best^a for 1 - epsilon = a/b, which is best itself for
 the exact search. Leaves stay choice-set id vectors, and the run keeps
 those at the current floor, at most DEFAULT_CAP of them, the largest
 products first; a list is truncated when a leaf at its floor was not kept.
-Templates are built only for the leaves returned, and each report's stats
-(nodes and prunes) count that one search. The stability probe measures
-distances as Hamming distances between the id vectors.
+Under the cap, the leaves kept among those tied at the least kept product
+are the first ones found, so they depend on the order in which orbits are
+met. Templates are built only for the leaves returned, and each report's
+stats count that one search: `nodes` is the nodes visited plus the
+labeled leaves of each expanded orbit after its first, and `pruned` the
+candidates cut by a check, by the product bound or by the symmetry test.
+The stability probe measures distances as Hamming distances between the
+id vectors.
 """
 
 import itertools
@@ -65,11 +77,13 @@ class ExtremalReport(object):
 
 
 class StabilityProbe(object):
-    def __init__(self, n, epsilon, near_extremal, worst_gap, truncated=False):
+    def __init__(self, n, epsilon, near_extremal, worst_gap, stats,
+                 truncated=False):
         self.n = n
         self.epsilon = epsilon
         self.near_extremal = near_extremal  # list of (template, sub, min_dist)
         self.worst_gap = worst_gap
+        self.stats = stats  # nodes and prunes of the probe's one search
         self.truncated = truncated  # some near-extremal template was cut
 
     def __repr__(self):
@@ -155,10 +169,57 @@ class _SearchEngine(object):
                 self.checks[i].append(({}, itemgetter(j),
                                        partial(self._pair_mask, j, i)))
         # size-r validity is structural: candidates are subsets of S_r(H)
+        self.transpositions = self._transpositions()
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
         self.floor = 0
+
+    def _transpositions(self):
+        """Per point transposition (x, x + 1) of {1..n}, x = 1..n-1, its
+        action on vectors of candidate positions: (srcs, acts) with
+        (tau v)[j] = acts[j][v[srcs[j]]].
+
+        Relabeling a template by the transposition moves the choice set on
+        subsets[src] to subsets[j], where subsets[src] is the image of
+        subsets[j]; on a subset holding both x and x + 1 (then src = j) it
+        swaps the two variables at x and x + 1 in every type
+        (_BlockChecker.swapped_set). A subset holding neither is fixed.
+        """
+        pos = {cid: p for p, (_, cid) in enumerate(self.cands)}
+        same = list(range(len(self.cands)))
+        swaps = {k: [pos[self.checker.swapped_set(k, cid)]
+                     for _, cid in self.cands] for k in range(1, self.r)}
+        index = {A: i for i, A in enumerate(self.subsets)}
+        tables = []
+        for x in range(1, self.n):
+            tau = {x: x + 1, x + 1: x}
+            srcs = [index[tuple(sorted(tau.get(a, a) for a in A))]
+                    for A in self.subsets]
+            acts = [swaps[A.index(x) + 1] if x + 1 in A and x in A else same
+                    for A in self.subsets]
+            tables.append((srcs, acts))
+        return tables
+
+    def _orbit(self, leaf):
+        """The S_n orbit of the position vector `leaf`, sorted: its closure
+        under the transpositions. None as soon as it holds a vector below
+        `leaf`, which then is not the orbit's lex-least element."""
+        get = list.__getitem__
+        moves = [(tuple_getter(srcs), acts)
+                 for srcs, acts in self.transpositions]
+        seen = {leaf}
+        todo = [leaf]
+        while todo:
+            v = todo.pop()
+            for gather, acts in moves:
+                w = tuple(map(get, acts, gather(v)))
+                if w not in seen:
+                    if w < leaf:
+                        return None
+                    seen.add(w)
+                    todo.append(w)
+        return sorted(seen)
 
     def _fit(self, types):
         """The candidates whose types all lie in the type mask `types`."""
@@ -190,21 +251,49 @@ class _SearchEngine(object):
                                          for A, c in zip(self.subsets, cids)})
 
     def run(self, collect):
-        """Generic DFS.
+        """Generic DFS over the lex-least templates under relabeling of [n].
 
-        collect(cids, product): called at every H-random leaf with its
-        choice-set id vector (a tuple over self.subsets); it may raise
-        self.floor. Subtrees whose bound is below the floor are cut, so
-        every leaf reached has product >= floor (the last step's bound is
-        the product itself). Every leaf is error-free, so its product is
-        sub(T): the error-pair masks checked every error partner, or no
-        candidate type has a fact on fewer than r points.
+        collect(cids, product): called once for every labeled H-random
+        leaf at or above the floor, with its choice-set id vector (a tuple
+        over self.subsets); it may raise self.floor. Subtrees whose bound
+        is below the floor are cut, so every leaf reached has product >=
+        floor (the last step's bound is the product itself). Every leaf is
+        error-free, so its product is sub(T): the error-pair masks checked
+        every error partner, or no candidate type has a fact on fewer than
+        r points.
+
+        Relabeling the points keeps H-randomness and the product, so the
+        DFS compares the vectors v and tau v of candidate positions for
+        every point transposition tau = (x, x + 1) (see _transpositions),
+        and refuses a candidate as soon as tau v < v, counted in
+        `pruned`. Per transposition a pointer walks through the positions
+        j it moves, in order, while v[j] and (tau v)[j] are both assigned
+        and equal; it is saved and restored on backtrack, and it jumps to
+        the end once tau v > v, for the subtree. A leaf reached passes these
+        tests; if it is the least vector of its S_n orbit, the whole orbit
+        is collected, in increasing order, and each leaf after the first
+        counts as a node. The least vector of every orbit of H-random
+        leaves at or above the floor is reached: its product is the
+        orbit's, and no tau v is below it.
         """
         cands, checks = self.cands, self.checks
         depth, width, budget = len(self.subsets), len(cands), self.node_budget
         caps = [self.max_card ** (depth - i - 1) for i in range(depth)]
         every = (1 << width) - 1
+        cids = [cid for _, cid in cands]
         cur = [None] * depth  # choice-set ids of subsets[0..i]
+        at = [None] * depth  # their candidate positions
+        # Per transposition: an entry (ready, j, src, act) for every j
+        # whose subset it moves, by increasing j, where ready = max(j, src)
+        # is the step at which v[j] and (tau v)[j] = act[v[src]] are both
+        # assigned; then a sentinel that is never ready. Its pointer is the
+        # index of the next entry to compare.
+        tables = [[(max(j, srcs[j]), j, srcs[j], acts[j])
+                   for j, A in enumerate(self.subsets)
+                   if x in A or x + 1 in A] + [(depth, 0, 0, None)]
+                  for x, (srcs, acts) in enumerate(self.transpositions, 1)]
+        ends = [len(table) - 1 for table in tables]
+        ptrs = [0] * len(tables)
         nodes, pruned = self.nodes, self.pruned
 
         def rec(i, product):
@@ -213,7 +302,13 @@ class _SearchEngine(object):
             if nodes > budget:
                 raise BudgetExceeded("search node budget exhausted")
             if i == depth:
-                collect(tuple(cur), product)
+                for k, leaf in enumerate(self._orbit(tuple(at)) or ()):
+                    if k:
+                        nodes += 1
+                        if nodes > budget:
+                            raise BudgetExceeded(
+                                "search node budget exhausted")
+                    collect(tuple(map(cids.__getitem__, leaf)), product)
                 return
             mask = every
             for memo, get, miss in checks[i]:
@@ -222,6 +317,9 @@ class _SearchEngine(object):
                 if m is None:
                     m = memo[key] = miss(key)
                 mask &= m
+            # the transpositions with a comparison that step i makes ready
+            active = [(t, p) for t, p in enumerate(ptrs)
+                      if tables[t][p][0] == i]
             # Candidates are visited in list order. One that fails a check
             # is pruned; so is every candidate from the first one below the
             # bound on, since sizes never grow along cands. Only the
@@ -232,16 +330,36 @@ class _SearchEngine(object):
             nxt = 0  # the position after the last candidate visited
             while mask:
                 low = mask & -mask
+                mask ^= low
                 pos = low.bit_length() - 1
                 size, cid = cands[pos]
                 if product * size * cap < self.floor:
                     break
                 pruned += pos - nxt
                 nxt = pos + 1
-                cur[i] = cid
-                rec(i + 1, product * size)
-                mask ^= low
+                at[i] = pos
+                for t, p in active:
+                    table = tables[t]
+                    ready, j, src, act = table[p]
+                    while ready <= i:
+                        a, b = at[j], act[at[src]]
+                        if a != b:
+                            break
+                        p += 1
+                        ready, j, src, act = table[p]
+                    else:
+                        ptrs[t] = p
+                        continue
+                    if a > b:  # tau v < v
+                        pruned += 1
+                        break
+                    ptrs[t] = ends[t]  # tau v > v
+                else:
+                    cur[i] = cid
+                    rec(i + 1, product * size)
             pruned += width - nxt
+            for t, p in active:
+                ptrs[t] = p
 
         try:
             rec(0, 1)
@@ -400,7 +518,7 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     vector is an int with one bit per (position, choice-set id), so the
     number of r-subsets where two templates differ
     (distances.template_diff) is half the popcount of the XOR of their
-    ints.
+    ints. `stats` counts the nodes and prunes of that search.
     """
     report, found, leaves, truncated = _near(H, n, epsilon, node_budget)
     width = len(block_checker(H).sets)
@@ -418,7 +536,8 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
                        total)
         rows.append((T, value, gap))
         worst = max(worst, gap)
-    return StabilityProbe(n, Fraction(epsilon), rows, worst, truncated)
+    return StabilityProbe(n, Fraction(epsilon), rows, worst, report.stats,
+                          truncated)
 
 
 def e_membership(G, templates):

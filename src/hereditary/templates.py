@@ -20,7 +20,12 @@ the mask of the types allowed on the last one. block_subsets gives the
 r-subset indices of every block, and block_getters reads a block's
 entries out of a vector over the r-subsets. Two located types agree when
 neither's true facts meet the other's false facts (located_agree); errors
-are disagreements on the pairs of r-subsets in error_pairs.
+are disagreements on the pairs of r-subsets in error_pairs. A point
+transposition (x, x + 1) of {1..n} carries the type of an r-subset that
+holds one of x, x + 1 unchanged to the subset's image, and leaves a
+subset holding neither as it is; on a subset holding both it swaps two
+adjacent variables of the type. The kernel keeps that swap's action on
+choice-set ids (_BlockChecker.swapped_set).
 """
 
 import itertools
@@ -32,7 +37,7 @@ from .diagrams import LocatedType, located_facts, merge_entries
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import (_fact_index, _facts, _gathers, _holds_copy,
                          copy_table, is_member, mask_is_member)
-from .qftypes import atoms, qftp
+from .qftypes import QfType, atom_index, atoms, qftp
 from .structures import structure_from_mask
 
 DEFAULT_CHI_BUDGET = 10 ** 6
@@ -264,6 +269,16 @@ def block_getters(n, r, size):
     return tuple(map(tuple_getter, block_subsets(n, r, size)))
 
 
+@lru_cache(maxsize=None)
+def _atom_swap(signature, k):
+    """For each atom (relation, variable map) of the signature, the index
+    of the same atom with variables k and k + 1 exchanged."""
+    index = atom_index(signature)
+    swap = {k: k + 1, k + 1: k}
+    return tuple(index[name, tuple(swap.get(v, v) for v in varmap)]
+                 for name, varmap in atoms(signature))
+
+
 def _join(merges, pool):
     """The ORs of a (true facts, false facts) mask pair in `merges` with
     one in `pool` that are satisfiable: their true facts miss their false
@@ -311,6 +326,9 @@ class _BlockChecker(object):
     block_verdict on a choice map. The containers hypergraph reads
     `outcome`, since its edges include the unsatisfiable merges, which a
     verdict allows (errors are checked apart).
+
+    `swapped_set` is the action on choice-set ids of a swap of adjacent
+    variables; the extremal search reads it to relabel id vectors.
     """
 
     def __init__(self, H):
@@ -324,6 +342,7 @@ class _BlockChecker(object):
         self.set_low = []    # choice-set id -> has_low_facts of some type
         self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
+        self.swaps = {}      # (k, choice-set id) -> id with k, k+1 swapped
 
     def type_id(self, p):
         t = self.type_ids.get(p)
@@ -347,6 +366,20 @@ class _BlockChecker(object):
             self.set_masks.append(sum(1 << t for t in ids))
             self.set_low.append(any(map(has_low_facts, types)))
         return c
+
+    def swapped_set(self, k, c):
+        """The id of choice set c with variables k and k + 1 exchanged in
+        each of its types (1 <= k < r): the set that a point transposition
+        exchanging the k-th and (k + 1)-th points of an r-subset puts on
+        it. A type's image relabels its fact vector through atoms."""
+        out = self.swaps.get((k, c))
+        if out is None:
+            perm = _atom_swap(self.H.signature, k)
+            out = self.swaps[k, c] = self.set_id(
+                QfType(self.H.signature,
+                       [self.types[t].facts[a] for a in perm])
+                for t in self.sets[c])
+        return out
 
     def _size(self, s):
         """The tables of block size s, built on first use: (located,

@@ -375,6 +375,16 @@ def test_probe_stability(capsys):
     assert body["truncated"] is False
 
 
+def test_probe_stability_reports_its_search_stats(capsys):
+    code, out = run(capsys, "probe-stability", "--instance", "metric",
+                    "--r", "3", "--n", "5", "--epsilon", "1/10")
+    assert code == 0
+    probe = extremal.stability_probe(metric.metric_instance(3), 5,
+                                     Fraction(1, 10))
+    assert json.loads(out)["report"]["stats"] == probe.stats
+    assert probe.stats["nodes"] > 0
+
+
 def test_probe_stability_says_when_truncated(capsys, monkeypatch):
     # metric r=3, n=5, epsilon=1/10 has 590 near-extremal templates
     monkeypatch.setattr(extremal, "DEFAULT_CAP", 3)

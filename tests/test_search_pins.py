@@ -1,7 +1,9 @@
 """Search trees, maximizers and stability rows pinned to recorded values.
 
-The values were recorded from the search before its block kernel worked on
-bit masks; any change to the tree (nodes, prunes), the maximizers or the
+The maximizers and near-extremal rows were recorded from the search
+before its block kernel worked on bit masks, and the trees (nodes,
+prunes) from the search that visits only lex-least templates under the
+point transpositions; any change to the tree, the maximizers or the
 near-extremal rows shows here. Templates are written with their types
 named by position in realized_type_space, and long lists are pinned by a
 digest of their repr.
@@ -83,18 +85,18 @@ def test_digraph_n5_tree_and_maximizers():
     rep = search_extremal(digraphs.digraph_instance(2), 5)
     assert rep.exact and not rep.truncated
     assert (rep.ex, rep.stats["nodes"], rep.stats["pruned"]) == (
-        729, 128368, 1796988)
+        729, 3075, 42824)
     assert [named(T) for T in rep.extremal_templates] == DIGRAPH_N5_MAXIMIZERS
     assert digest(DIGRAPH_N5_MAXIMIZERS) == "32b198182ce9f04f"
 
 
 @pytest.mark.parametrize("make, n, want, count, keys", [
-    (lambda: metric.metric_instance(3), 6, (110592, 213743, 1282242), 15,
+    (lambda: metric.metric_instance(3), 6, (110592, 7221, 40305), 15,
      "836ffdf1e392b4e7"),
-    (loop_arcs, 3, (1, 42, 469), 8, "fad2926d2a0c36f4"),
-    (loop_triangles, 3, (1, 41, 470), 7, "7885bcc949969a75"),
-    (loop_triangles, 4, (1, 86, 1040), 11, "1d76bb11e187d529"),
-    (loop_triangles, 5, (1, 175, 2211), 16, "4247fdc79f6af0db"),
+    (loop_arcs, 3, (1, 27, 263), 8, "fad2926d2a0c36f4"),
+    (loop_triangles, 3, (1, 26, 264), 7, "7885bcc949969a75"),
+    (loop_triangles, 4, (1, 41, 418), 11, "1d76bb11e187d529"),
+    (loop_triangles, 5, (1, 61, 628), 16, "4247fdc79f6af0db"),
 ], ids=["metric-r3-n6", "loop-arcs-n3", "loop-triangles-n3",
         "loop-triangles-n4", "loop-triangles-n5"])
 def test_search_tree_and_maximizers_are_pinned(make, n, want, count, keys):

@@ -15,6 +15,9 @@ Ginsberg, Luks and Roy 1996): a candidate is refused as soon as some
 transposed vector is below the current one. At a leaf that is the least
 of its S_n orbit, the orbit is expanded back into its labeled leaves, so
 every labeled H-random template at or above the floor is still found once.
+The expansion closes the leaf under two relabelings that generate S_n, the
+transposition (1 2) and the n-cycle (1 2 ... n), while the DFS's test
+still uses the adjacent transpositions.
 
 search_extremal, near_extremal_set and stability_probe each make one
 search (_search). Its floor follows the best product found so far: the
@@ -28,15 +31,17 @@ met. Templates are built only for the leaves returned, and each report's
 stats count that one search: `nodes` is the nodes visited plus the
 labeled leaves of each expanded orbit after its first, and `pruned` the
 candidates cut by a check, by the product bound or by the symmetry test.
-The stability probe measures distances as Hamming distances between the
-id vectors.
+Leaves are sorted by the ranks of their ids, which keep the order of the
+ids' sorted fact vectors. The stability probe measures distances as
+Hamming distances between the id vectors, in integers, with one Fraction
+per row.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
@@ -170,6 +175,8 @@ class _SearchEngine(object):
                                        partial(self._pair_mask, j, i)))
         # size-r validity is structural: candidates are subsets of S_r(H)
         self.transpositions = self._transpositions()
+        self.moves = [(tuple_getter(srcs), acts)
+                      for srcs, acts in self._generators()]
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
@@ -201,13 +208,29 @@ class _SearchEngine(object):
             tables.append((srcs, acts))
         return tables
 
+    def _generators(self):
+        """Two tables, in the form of _transpositions, whose relabelings
+        generate S_n: (1 2) and the n-cycle that is the product of every
+        (x, x + 1). The product g h, acting as (g h) v = g (h v), has
+        srcs[j] = h_srcs[g_srcs[j]] and acts[j][c] =
+        g_acts[j][h_acts[g_srcs[j]][c]]. For n <= 2 the transpositions
+        are the generators."""
+        if self.n <= 2:
+            return self.transpositions
+        srcs, acts = self.transpositions[0]
+        for h_srcs, h_acts in self.transpositions[1:]:
+            srcs, acts = ([h_srcs[s] for s in srcs],
+                          [[act[c] for c in h_acts[s]]
+                           for s, act in zip(srcs, acts)])
+        return [self.transpositions[0], (srcs, acts)]
+
     def _orbit(self, leaf):
         """The S_n orbit of the position vector `leaf`, sorted: its closure
-        under the transpositions. None as soon as it holds a vector below
-        `leaf`, which then is not the orbit's lex-least element."""
+        under (1 2) and the n-cycle (_generators). None as soon as it holds
+        a vector below `leaf`, which then is not the orbit's lex-least
+        element."""
         get = list.__getitem__
-        moves = [(tuple_getter(srcs), acts)
-                 for srcs, acts in self.transpositions]
+        moves = self.moves
         seen = {leaf}
         todo = [leaf]
         while todo:
@@ -440,11 +463,14 @@ def _search(H, n, frac, node_budget):
         engine.run(collect)
     except BudgetExceeded:
         exact = False
+    # distinct ids have distinct fact vectors, so ranking the ids by them
+    # keeps the order of the canonical keys
     facts = {cid: tuple(sorted(p.facts for p in types))
              for cid, types in engine.sets.items()}
+    rank = {cid: i for i, cid in enumerate(sorted(facts, key=facts.get))}
     leaves = sorted(((value, cids) for value, group in kept.items()
                      for cids in group),
-                    key=lambda leaf: (-leaf[0], tuple(map(facts.get,
+                    key=lambda leaf: (-leaf[0], tuple(map(rank.get,
                                                           leaf[1]))))
     found = [(engine.template(cids), value) for value, cids in leaves]
     stats = {"nodes": engine.nodes, "pruned": engine.pruned}
@@ -522,22 +548,21 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     """
     report, found, leaves, truncated = _near(H, n, epsilon, node_budget)
     width = len(block_checker(H).sets)
+    total = math.comb(n, H.signature.r)
+    offsets = range(0, total * width, width)
 
     def bits(cids):
-        return sum(1 << (i * width + c) for i, c in enumerate(cids))
+        return sum(map((1).__lshift__, map(add, offsets, cids)))
 
     vectors = list(map(bits, leaves))
     extremal = vectors[:len(report.extremal_templates)]
-    total = math.comb(n, H.signature.r)
-    rows = []
-    worst = Fraction(0)
-    for (T, value), vec in zip(found, vectors):
-        gap = Fraction(min((vec ^ E).bit_count() for E in extremal) // 2,
-                       total)
-        rows.append((T, value, gap))
-        worst = max(worst, gap)
-    return StabilityProbe(n, Fraction(epsilon), rows, worst, report.stats,
-                          truncated)
+    gaps = [min(map(int.bit_count, map(vec.__xor__, extremal))) // 2
+            for vec in vectors]
+    rows = [(T, value, Fraction(gap, total))
+            for (T, value), gap in zip(found, gaps)]
+    return StabilityProbe(n, Fraction(epsilon), rows,
+                          Fraction(max(gaps, default=0), total),
+                          report.stats, truncated)
 
 
 def e_membership(G, templates):

@@ -83,7 +83,9 @@ def universe_entries(signature, allowed):
     relation and repeated-element pattern whose values first appear in the
     order 1, 2, ... Then the induced entries on r points: one per
     isomorphism class of the other loop-free fact sets, the first in mask
-    order (see first_of_classes).
+    order (see first_of_classes). Those are walked over every fact set on
+    r points, so BudgetExceeded is raised, as in closure, when there are
+    more than DEFAULT_ENUM_BUDGET of them.
     """
     arities = {arity for _, arity in signature.relations}
     if len(arities) != 1:
@@ -99,6 +101,9 @@ def universe_entries(signature, allowed):
                for name, _ in signature.relations for t in patterns]
     facts = [(name, t) for name, _ in signature.relations
              for t in itertools.permutations(range(1, r + 1))]
+    if 1 << len(facts) > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            "universe space 2^%d exceeds budget" % len(facts))
     bit = {fact: 1 << i for i, fact in enumerate(facts)}
     good = {sum(bit[fact] for fact in S) for S in allowed}
     bad = [mask for mask in range(1 << len(facts)) if mask not in good]

@@ -57,6 +57,12 @@ def _subset_order(n, r):
 
 
 @lru_cache(maxsize=256)
+def _subset_keys(n, r):
+    """The keys of _subset_order(n, r) as a set: the canonical r-subsets."""
+    return frozenset(_subset_order(n, r))
+
+
+@lru_cache(maxsize=256)
 def error_pairs(n, r):
     """The index pairs (j, i), j < i, of r_subsets(n, r) whose union has
     more than r and fewer than 2r points (the error window), in
@@ -73,11 +79,15 @@ class Template(object):
         r = H.signature.r
         if n < r:
             raise InvalidArgument("template domain smaller than r")
+        canonical = _subset_keys(n, r)
         normalized = {}
         for A, types in choices.items():
-            A = tuple(sorted(A))
-            if len(A) != r or A[0] < 1 or A[-1] > n:
-                raise InvalidArgument("bad r-subset %r" % (A,))
+            # a sorted in-range tuple is stored as it is; a list key is
+            # not hashable, so only tuples are looked up
+            if type(A) is not tuple or A not in canonical:
+                A = tuple(sorted(A))
+                if len(A) != r or A[0] < 1 or A[-1] > n:
+                    raise InvalidArgument("bad r-subset %r" % (A,))
             normalized[A] = frozenset(types)
         self.property = H
         self.n = n

@@ -116,6 +116,12 @@ def test_exit_code_budget(capsys):
     assert "budget" in json.loads(out)["report"]["error"]
 
 
+def test_exit_code_budget_on_a_large_universe(capsys):
+    code, out = run(capsys, "types", "--instance", "metric", "--r", "12")
+    assert code == 3
+    assert json.loads(out)["report"]["error"] == "budget exhausted"
+
+
 def test_budget_stop_prints_the_partial_report(capsys):
     code, out = run(capsys, "extremal", "--instance", "metric", "--r", "3",
                     "--n", "4", "--budget", "5")

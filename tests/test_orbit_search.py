@@ -6,7 +6,8 @@ labeled templates. None of the oracles here goes through _SearchEngine:
 the kernel's swap of adjacent variables is checked against qftp of the
 realizing structure read in swapped order, the near-extremal sets against
 a brute force over every complete template, and the pinned maximizer lists
-against a Template relabeling built from qftp.
+and the engine's orbit expansion (_orbit, which closes a leaf under (1 2)
+and the n-cycle) against a Template relabeling built from qftp.
 """
 
 import itertools
@@ -15,8 +16,8 @@ from functools import lru_cache
 
 import pytest
 
-from hereditary.extremal import (candidate_sets, near_extremal_set,
-                                 pow_geq, search_extremal)
+from hereditary.extremal import (_SearchEngine, candidate_sets,
+                                 near_extremal_set, pow_geq, search_extremal)
 from hereditary.instances import colored, digraphs, metric, triples
 from hereditary.properties import realized_type_space
 from hereditary.qftypes import atoms, qftp, type_space
@@ -146,3 +147,42 @@ def test_relabel_moves_types_with_their_points():
     for A in r_subsets(3, 2):
         (p,) = T.choices[A]
         assert U.choices[A] == {swapped_read(p, 1)}
+
+
+ORBITS = [(name, n) for name in sorted(FAMILIES)
+          for n in range(FAMILIES[name]().signature.r,
+                         FAMILIES[name]().signature.r + 3)]
+
+
+@pytest.mark.parametrize("name, n", ORBITS, ids=["%s-n%d" % c for c in ORBITS])
+def test_orbit_is_the_set_of_relabelings(name, n):
+    H = FAMILIES[name]()
+    engine = _SearchEngine(H, n)
+    leaves = []  # the first 20 labeled leaves, then every 997th
+    count = itertools.count()
+
+    def collect(cids, product):
+        i = next(count)
+        if i < 20 or (i - 20) % 997 == 0:
+            leaves.append(cids)
+
+    engine.run(collect)
+    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
+    checker, subsets = engine.checker, engine.subsets
+    outcomes = set()
+    for cids in leaves:
+        leaf = tuple(pos[c] for c in cids)
+        T = engine.template(cids)
+        orbit = set()
+        for values in itertools.permutations(range(1, n + 1)):
+            U = relabel(T, dict(zip(range(1, n + 1), values)))
+            orbit.add(tuple(pos[checker.set_id(U.choices[A])]
+                            for A in subsets))
+        got = engine._orbit(leaf)
+        if min(orbit) < leaf:
+            assert got is None
+        else:
+            assert got == sorted(orbit)
+        outcomes.add(got is None)
+    # past n = r some sampled leaf is not the least of its orbit
+    assert n == H.signature.r or outcomes == {False, True}

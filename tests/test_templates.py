@@ -37,6 +37,20 @@ def test_template_normalization_and_validation():
         Template(H, 1, {})
     with pytest.raises(InvalidArgument):
         Template(H, 3, {(1, 2, 3): {digraphs.P1}})
+    # a canonical key is stored as it is, any other is sorted and checked
+    A = r_subsets(3, 2)[1]
+    assert Template(H, 3, {A: [digraphs.P1]}).choices == {
+        (1, 3): frozenset({digraphs.P1})}
+
+    class ListKeyed(object):  # a mapping whose key is a list
+        def items(self):
+            return [([3, 1], {digraphs.P1})]
+
+    assert Template(H, 3, ListKeyed()).choices == {
+        (1, 3): frozenset({digraphs.P1})}
+    for bad in [(1, 4), (0, 1), (1,)]:
+        with pytest.raises(InvalidArgument):
+            Template(H, 3, {bad: {digraphs.P1}})
 
 
 def test_choice_count_and_functions():

@@ -9,6 +9,7 @@ same copy tables, the same realized type space and the same member counts.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -207,3 +208,11 @@ def test_copy_tables_type_space_and_counts_match(name):
         assert realized_type_space(old) == realized_type_space(new)
     for n in range(1, n_max + 1):
         assert count_members(old, n) == count_members(new, n), n
+
+
+def test_universe_space_is_bounded():
+    # metric r=12 has 24 facts on a pair: 2^24 fact sets exceed the budget
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="universe space 2\\^24"):
+        metric.metric_instance(12)
+    assert time.perf_counter() - start < 1

@@ -17,7 +17,9 @@ of its S_n orbit, the orbit is expanded back into its labeled leaves, so
 every labeled H-random template at or above the floor is still found once.
 The expansion closes the leaf under two relabelings that generate S_n, the
 transposition (1 2) and the n-cycle (1 2 ... n), while the DFS's test
-still uses the adjacent transpositions.
+uses the adjacent transpositions. Each relabeling is one table built
+straight from its point permutation (_SearchEngine._relabeling), read
+through the block kernel's action of an order of 1..r on choice sets.
 
 search_extremal, near_extremal_set and stability_probe each make one
 search (_search). Its floor follows the best product found so far: the
@@ -174,61 +176,55 @@ class _SearchEngine(object):
                 self.checks[i].append(({}, itemgetter(j),
                                        partial(self._pair_mask, j, i)))
         # size-r validity is structural: candidates are subsets of S_r(H)
-        self.transpositions = self._transpositions()
+        points = tuple(range(1, n + 1))
+        self.index = {A: j for j, A in enumerate(self.subsets)}
+        self.pos = {cid: p for p, (_, cid) in enumerate(self.cands)}
+        # order of 1..r -> its act list; the identity's is `same`
+        self.same = list(range(len(self.cands)))
+        self.acts = {points[:self.r]: self.same}
+        self.transpositions = [
+            self._relabeling(points[:x - 1] + (x + 1, x) + points[x + 1:])
+            for x in range(1, n)]
+        # (1 2) and the n-cycle 1 -> 2 -> ... -> n -> 1 generate S_n
+        generators = dict.fromkeys([points[1::-1] + points[2:],
+                                    points[1:] + points[:1]])
         self.moves = [(tuple_getter(srcs), acts)
-                      for srcs, acts in self._generators()]
+                      for srcs, acts in map(self._relabeling, generators)]
         self.node_budget = node_budget
         self.nodes = 0
         self.pruned = 0
         self.floor = 0
 
-    def _transpositions(self):
-        """Per point transposition (x, x + 1) of {1..n}, x = 1..n-1, its
-        action on vectors of candidate positions: (srcs, acts) with
-        (tau v)[j] = acts[j][v[srcs[j]]].
+    def _relabeling(self, perm):
+        """The action on vectors of candidate positions of renaming each
+        point a of {1..n} to perm[a - 1]: (srcs, acts) with (g v)[j] =
+        acts[j][v[srcs[j]]].
 
-        Relabeling a template by the transposition moves the choice set on
-        subsets[src] to subsets[j], where subsets[src] is the image of
-        subsets[j]; on a subset holding both x and x + 1 (then src = j) it
-        swaps the two variables at x and x + 1 in every type
-        (_BlockChecker.swapped_set). A subset holding neither is fixed.
+        The renaming moves the choice set on an r-subset A to A's image
+        subsets[j], where subsets[srcs[j]] = A is the preimage of
+        subsets[j], and reads its types in the order in which A's points
+        land on subsets[j] (_BlockChecker.relabeled_set). Each order has
+        one act list, shared by every subset and relabeling (self.acts).
         """
-        pos = {cid: p for p, (_, cid) in enumerate(self.cands)}
-        same = list(range(len(self.cands)))
-        swaps = {k: [pos[self.checker.swapped_set(k, cid)]
-                     for _, cid in self.cands] for k in range(1, self.r)}
-        index = {A: i for i, A in enumerate(self.subsets)}
-        tables = []
-        for x in range(1, self.n):
-            tau = {x: x + 1, x + 1: x}
-            srcs = [index[tuple(sorted(tau.get(a, a) for a in A))]
-                    for A in self.subsets]
-            acts = [swaps[A.index(x) + 1] if x + 1 in A and x in A else same
-                    for A in self.subsets]
-            tables.append((srcs, acts))
-        return tables
-
-    def _generators(self):
-        """Two tables, in the form of _transpositions, whose relabelings
-        generate S_n: (1 2) and the n-cycle that is the product of every
-        (x, x + 1). The product g h, acting as (g h) v = g (h v), has
-        srcs[j] = h_srcs[g_srcs[j]] and acts[j][c] =
-        g_acts[j][h_acts[g_srcs[j]][c]]. For n <= 2 the transpositions
-        are the generators."""
-        if self.n <= 2:
-            return self.transpositions
-        srcs, acts = self.transpositions[0]
-        for h_srcs, h_acts in self.transpositions[1:]:
-            srcs, acts = ([h_srcs[s] for s in srcs],
-                          [[act[c] for c in h_acts[s]]
-                           for s, act in zip(srcs, acts)])
-        return [self.transpositions[0], (srcs, acts)]
+        inverse = {b: a for a, b in enumerate(perm, 1)}
+        srcs, acts = [], []
+        for B in self.subsets:
+            A = tuple(sorted(inverse[b] for b in B))
+            order = tuple(A.index(inverse[b]) + 1 for b in B)
+            act = self.acts.get(order)
+            if act is None:
+                act = self.acts[order] = [
+                    self.pos[self.checker.relabeled_set(order, cid)]
+                    for _, cid in self.cands]
+            srcs.append(self.index[A])
+            acts.append(act)
+        return srcs, acts
 
     def _orbit(self, leaf):
         """The S_n orbit of the position vector `leaf`, sorted: its closure
-        under (1 2) and the n-cycle (_generators). None as soon as it holds
-        a vector below `leaf`, which then is not the orbit's lex-least
-        element."""
+        under the relabelings (1 2) and (1 2 ... n) (self.moves, built by
+        _relabeling). None as soon as it holds a vector below `leaf`, which
+        then is not the orbit's lex-least element."""
         get = list.__getitem__
         moves = self.moves
         seen = {leaf}
@@ -287,7 +283,7 @@ class _SearchEngine(object):
 
         Relabeling the points keeps H-randomness and the product, so the
         DFS compares the vectors v and tau v of candidate positions for
-        every point transposition tau = (x, x + 1) (see _transpositions),
+        every point transposition tau = (x, x + 1) (see _relabeling),
         and refuses a candidate as soon as tau v < v, counted in
         `pruned`. Per transposition a pointer walks through the positions
         j it moves, in order, while v[j] and (tau v)[j] are both assigned
@@ -307,14 +303,16 @@ class _SearchEngine(object):
         cur = [None] * depth  # choice-set ids of subsets[0..i]
         at = [None] * depth  # their candidate positions
         # Per transposition: an entry (ready, j, src, act) for every j
-        # whose subset it moves, by increasing j, where ready = max(j, src)
+        # whose subset it moves (from another subset, or in an order that
+        # is not the identity), by increasing j, where ready = max(j, src)
         # is the step at which v[j] and (tau v)[j] = act[v[src]] are both
         # assigned; then a sentinel that is never ready. Its pointer is the
         # index of the next entry to compare.
-        tables = [[(max(j, srcs[j]), j, srcs[j], acts[j])
-                   for j, A in enumerate(self.subsets)
-                   if x in A or x + 1 in A] + [(depth, 0, 0, None)]
-                  for x, (srcs, acts) in enumerate(self.transpositions, 1)]
+        tables = [[(max(j, src), j, src, act)
+                   for j, (src, act) in enumerate(zip(srcs, acts))
+                   if src != j or act is not self.same]
+                  + [(depth, 0, 0, None)]
+                  for srcs, acts in self.transpositions]
         ends = [len(table) - 1 for table in tables]
         ptrs = [0] * len(tables)
         nodes, pruned = self.nodes, self.pruned

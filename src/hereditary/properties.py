@@ -164,8 +164,13 @@ def _facts(signature, n):
     The facts are grouped by the set of points they touch, the groups in
     colex order of those sets (every proper subset of a set comes first)
     and each group sorted. The order is prefix-stable: the facts on {1..m}
-    are the first facts on {1..n} for every n >= m.
+    are the first facts on {1..n} for every n >= m. They are counted before
+    any is built: more than DEFAULT_ENUM_BUDGET raise BudgetExceeded.
     """
+    count = sum(n ** arity for _, arity in signature.relations)
+    if count > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded("%d facts on %d points exceed budget"
+                             % (count, n))
     facts = [(name, t) for name, arity in signature.relations
              for t in itertools.product(range(1, n + 1), repeat=arity)]
     return tuple(sorted(facts, key=lambda f: (sorted(set(f[1]),
@@ -304,11 +309,12 @@ def _plan(H, n):
     One step (offset, width, check) per point subset S of {1..n}, in colex
     order: the facts on exactly S are facts[offset:offset + width], one bit
     each in a fact mask. A subset with no facts and no entry of its size is
-    no step. When entries of size m = |S| exist, check = ((runs,), m,
-    support): once the group on S is chosen, M[S] is complete, and
-    _holds_copy reads it by S's runs (_runs) out of the chosen facts. Those
-    facts matter only within `support`, the mask of the facts on S and its
-    subsets (see _walker).
+    no step, and subsets of a size that carries neither are not listed, so
+    the plan is polynomial in n. When entries of size m = |S| exist,
+    check = ((runs,), m, support): once the group on S is chosen, M[S] is
+    complete, and _holds_copy reads it by S's runs (_runs) out of the
+    chosen facts. Those facts matter only within `support`, the mask of the
+    facts on S and its subsets (see _walker).
 
     The facts on {1..m} are a prefix of the facts on {1..n}, and so are the
     steps of the subsets of {1..m}, the same for every n >= m: a mask of a
@@ -319,7 +325,10 @@ def _plan(H, n):
     signature = H.signature
     widths = collections.Counter(tuple(sorted(set(t)))
                                  for _, t in _facts(signature, n))
-    subsets = sorted((S for m in range(1, n + 1)
+    # only sizes that carry facts or entries give steps; size 1 is one of
+    # them, so every point m ends a run of subsets and sets ends[m]
+    sizes = {len(S) for S in widths} | set(H._copy_tables)
+    subsets = sorted((S for m in sizes
                       for S in itertools.combinations(range(1, n + 1), m)),
                      key=lambda S: S[::-1])
     plan, ends, offset = [], [0] * (n + 1), 0

@@ -103,10 +103,11 @@ def type_space(signature):
     """S_r(L): every complete proper type, lex-ordered by fact vector.
 
     The list index equals the numeric part of each type's stable id. Raises
-    BudgetExceeded above DEFAULT_SPACE_LIMIT types.
+    BudgetExceeded above DEFAULT_SPACE_LIMIT types, counting the atoms
+    before any is built.
     """
-    num = len(atoms(signature))
-    if 1 << num > DEFAULT_SPACE_LIMIT:
+    num = sum(signature.r ** arity for _, arity in signature.relations)
+    if num > DEFAULT_SPACE_LIMIT.bit_length() - 1:
         raise BudgetExceeded("type space has 2^%d elements, above the limit %d"
                              % (num, DEFAULT_SPACE_LIMIT))
     out = []

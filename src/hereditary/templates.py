@@ -20,12 +20,11 @@ the mask of the types allowed on the last one. block_subsets gives the
 r-subset indices of every block, and block_getters reads a block's
 entries out of a vector over the r-subsets. Two located types agree when
 neither's true facts meet the other's false facts (located_agree); errors
-are disagreements on the pairs of r-subsets in error_pairs. A point
-transposition (x, x + 1) of {1..n} carries the type of an r-subset that
-holds one of x, x + 1 unchanged to the subset's image, and leaves a
-subset holding neither as it is; on a subset holding both it swaps two
-adjacent variables of the type. The kernel keeps that swap's action on
-choice-set ids (_BlockChecker.swapped_set).
+are disagreements on the pairs of r-subsets in error_pairs. A permutation
+of the points of {1..n} carries the type of an r-subset A to A's image,
+read in the order in which A's points land there: its variables are
+permuted by that order of 1..r. The kernel keeps that action of every
+order on choice-set ids (_BlockChecker.relabeled_set).
 """
 
 import itertools
@@ -280,12 +279,12 @@ def block_getters(n, r, size):
 
 
 @lru_cache(maxsize=None)
-def _atom_swap(signature, k):
+def _atom_perm(signature, order):
     """For each atom (relation, variable map) of the signature, the index
-    of the same atom with variables k and k + 1 exchanged."""
+    of the atom whose variable v is order[v - 1]: a type read in `order`
+    (an order of 1..r) has at each atom the fact of that index."""
     index = atom_index(signature)
-    swap = {k: k + 1, k + 1: k}
-    return tuple(index[name, tuple(swap.get(v, v) for v in varmap)]
+    return tuple(index[name, tuple(order[v - 1] for v in varmap)]
                  for name, varmap in atoms(signature))
 
 
@@ -337,7 +336,7 @@ class _BlockChecker(object):
     `outcome`, since its edges include the unsatisfiable merges, which a
     verdict allows (errors are checked apart).
 
-    `swapped_set` is the action on choice-set ids of a swap of adjacent
+    `relabeled_set` is the action on choice-set ids of an order of the
     variables; the extremal search reads it to relabel id vectors.
     """
 
@@ -352,7 +351,7 @@ class _BlockChecker(object):
         self.set_low = []    # choice-set id -> has_low_facts of some type
         self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
-        self.swaps = {}      # (k, choice-set id) -> id with k, k+1 swapped
+        self.relabelings = {}  # (order, choice-set id) -> its image
 
     def type_id(self, p):
         t = self.type_ids.get(p)
@@ -377,15 +376,16 @@ class _BlockChecker(object):
             self.set_low.append(any(map(has_low_facts, types)))
         return c
 
-    def swapped_set(self, k, c):
-        """The id of choice set c with variables k and k + 1 exchanged in
-        each of its types (1 <= k < r): the set that a point transposition
-        exchanging the k-th and (k + 1)-th points of an r-subset puts on
-        it. A type's image relabels its fact vector through atoms."""
-        out = self.swaps.get((k, c))
+    def relabeled_set(self, order, c):
+        """The id of choice set c with each type p read in `order`, an
+        order of 1..r: the set of qftp(p.realizing_structure(), order),
+        which a point permutation moving the points of an r-subset in that
+        order puts on the subset's image. A type's image permutes its fact
+        vector through atoms (_atom_perm)."""
+        out = self.relabelings.get((order, c))
         if out is None:
-            perm = _atom_swap(self.H.signature, k)
-            out = self.swaps[k, c] = self.set_id(
+            perm = _atom_perm(self.H.signature, order)
+            out = self.relabelings[order, c] = self.set_id(
                 QfType(self.H.signature,
                        [self.types[t].facts[a] for a in perm])
                 for t in self.sets[c])

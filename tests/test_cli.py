@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +125,50 @@ def test_exit_code_budget_on_a_large_universe(capsys):
     code, out = run(capsys, "types", "--instance", "metric", "--r", "12")
     assert code == 3
     assert json.loads(out)["report"]["error"] == "budget exhausted"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_capped(*argv):
+    """The CLI in a fresh interpreter under a 60 s timeout and a 1.5 GB
+    address-space cap, so that a path which builds too much fails here
+    instead of filling the machine's memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC,
+                                                      env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    return subprocess.run([sys.executable, "-m", "hereditary.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=cap)
+
+
+def assert_budget_exit(proc):
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["report"]["error"] == "budget exhausted"
+
+
+def test_exit_code_budget_on_many_points():
+    # the member walk's plan lists the point subsets of the sizes that
+    # carry facts or entries, not all 2^40 of them, so the budget is read
+    assert_budget_exit(run_capped("enumerate", "--instance", "digraph",
+                                  "--k", "2", "--n", "40", "--count-only",
+                                  "--budget", "1000"))
+
+
+def test_exit_code_budget_on_a_huge_arity(tmp_path):
+    # one 9-ary relation has 9^9 atoms on 9 points: counted, not built
+    signature = [{"name": "R", "arity": 9}]
+    sig_path, prop_path = tmp_path / "sig.json", tmp_path / "prop.json"
+    sig_path.write_text(json.dumps(signature))
+    prop_path.write_text(json.dumps({"signature": signature,
+                                     "forbidden": []}))
+    assert_budget_exit(run_capped("types", "--signature", str(sig_path)))
+    assert_budget_exit(run_capped("types", "--property", str(prop_path)))
 
 
 def test_budget_stop_prints_the_partial_report(capsys):

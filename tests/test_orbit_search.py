@@ -3,14 +3,18 @@
 The search visits only templates that are lex-least under the point
 transpositions (x, x + 1) of {1..n} and expands each orbit back to its
 labeled templates. None of the oracles here goes through _SearchEngine:
-the kernel's swap of adjacent variables is checked against qftp of the
-realizing structure read in swapped order, the near-extremal sets against
-a brute force over every complete template, and the pinned maximizer lists
-and the engine's orbit expansion (_orbit, which closes a leaf under (1 2)
-and the n-cycle) against a Template relabeling built from qftp.
+the kernel's action of an order of the variables is checked against qftp
+of the realizing structure read in that order, the near-extremal sets
+against a brute force over every complete template, and the pinned
+maximizer lists, the engine's relabeling tables (_relabeling) and its
+orbit expansion (_orbit, which closes a leaf under (1 2) and the n-cycle)
+against a Template relabeling built from qftp. Oriented triples, whose
+types the orders of 1..3 permute without commuting, pin the direction of
+the action.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,8 +23,10 @@ import pytest
 from hereditary.extremal import (_SearchEngine, candidate_sets,
                                  near_extremal_set, pow_geq, search_extremal)
 from hereditary.instances import colored, digraphs, metric, triples
-from hereditary.properties import realized_type_space
+from hereditary.properties import (HereditaryProperty, realized_type_space,
+                                   universe_entries)
 from hereditary.qftypes import atoms, qftp, type_space
+from hereditary.structures import Signature
 from hereditary.templates import (Template, block_checker, is_h_random,
                                   r_subsets, sub_count)
 
@@ -37,6 +43,20 @@ FAMILIES = {
     "loop-triangles": loop_triangles,
 }
 
+ORIENTED = Signature([("R", 3)])
+
+
+@lru_cache(maxsize=None)
+def oriented_triples():
+    """Each triple holds no fact or one orientation R(a, b, c) of itself:
+    7 realized types, the 6 oriented ones permuted regularly by S_3."""
+    return HereditaryProperty(ORIENTED, universe_entries(
+        ORIENTED, [set()] + [{("R", t)}
+                             for t in itertools.permutations((1, 2, 3))]))
+
+
+EVERY_FAMILY = dict(FAMILIES, **{"oriented-triples": oriented_triples})
+
 
 @lru_cache(maxsize=None)
 def read(p, order):
@@ -51,23 +71,34 @@ def swapped_read(p, k):
     return read(p, tuple(order))
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_oriented_triples_types_are_permuted_regularly():
+    space = set(realized_type_space(oriented_triples()))
+    empty = {p for p in space if not any(p.facts)}
+    assert len(space) == 7 and len(empty) == 1
+    for p in space:
+        images = {read(p, order)
+                  for order in itertools.permutations((1, 2, 3))}
+        # six orders, six images: S_3 acts regularly on the oriented types
+        assert images == (empty if p in empty else space - empty)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
 def test_swapped_types_are_the_swapped_reads(name):
-    H = FAMILIES[name]()
+    H = EVERY_FAMILY[name]()
     r = H.signature.r
     checker = block_checker(H)
     # every type where the space is small, else the realized ones
     types = (type_space(H.signature) if len(atoms(H.signature)) <= 8
              else realized_type_space(H))
-    for k in range(1, r):
+    cands = set(candidate_sets(H))
+    for order in itertools.permutations(range(1, r + 1)):
         for p in types:
-            got = checker.swapped_set(k, checker.set_id({p}))
-            assert checker.sets[got] == (checker.type_id(swapped_read(p, k)),)
+            got = checker.relabeled_set(order, checker.set_id({p}))
+            assert checker.sets[got] == (checker.type_id(read(p, order)),)
         # a set maps to the set of its types' images, inside the candidates
-        cands = set(candidate_sets(H))
         for c in cands:
-            got = checker.swapped_set(k, checker.set_id(c))
-            want = frozenset(swapped_read(p, k) for p in c)
+            got = checker.relabeled_set(order, checker.set_id(c))
+            want = frozenset(read(p, order) for p in c)
             assert got == checker.set_id(want) and want in cands
 
 
@@ -149,16 +180,12 @@ def test_relabel_moves_types_with_their_points():
         assert U.choices[A] == {swapped_read(p, 1)}
 
 
-ORBITS = [(name, n) for name in sorted(FAMILIES)
-          for n in range(FAMILIES[name]().signature.r,
-                         FAMILIES[name]().signature.r + 3)]
-
-
-@pytest.mark.parametrize("name, n", ORBITS, ids=["%s-n%d" % c for c in ORBITS])
-def test_orbit_is_the_set_of_relabelings(name, n):
-    H = FAMILIES[name]()
-    engine = _SearchEngine(H, n)
-    leaves = []  # the first 20 labeled leaves, then every 997th
+@lru_cache(maxsize=None)
+def sampled_leaves(name, n):
+    """An engine of EVERY_FAMILY[name] on {1..n}, run once, and the choice-
+    set id vectors of its first 20 labeled leaves, then every 997th."""
+    engine = _SearchEngine(EVERY_FAMILY[name](), n)
+    leaves = []
     count = itertools.count()
 
     def collect(cids, product):
@@ -167,17 +194,60 @@ def test_orbit_is_the_set_of_relabelings(name, n):
             leaves.append(cids)
 
     engine.run(collect)
+    return engine, leaves
+
+
+def relabeled_positions(engine, cids, values):
+    """The candidate positions of relabel(T, perm) on engine.subsets, for
+    the template T of the ids `cids` and the point a renamed values[a-1]."""
     pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
-    checker, subsets = engine.checker, engine.subsets
+    U = relabel(engine.template(cids),
+                dict(zip(range(1, engine.n + 1), values)))
+    return tuple(pos[engine.checker.set_id(U.choices[A])]
+                 for A in engine.subsets)
+
+
+RELABELINGS = [(name, n) for name in sorted(FAMILIES)
+               for n in range(FAMILIES[name]().signature.r,
+                              FAMILIES[name]().signature.r + 2)
+               ] + [("oriented-triples", 3), ("oriented-triples", 4)]
+
+
+@pytest.mark.parametrize("name, n", RELABELINGS,
+                         ids=["%s-n%d" % c for c in RELABELINGS])
+def test_relabeling_tables_are_the_relabelings(name, n):
+    if (name, n) == ("oriented-triples", 4):
+        # every template is H-random there: 127^4 leaves, so sample ids
+        engine = _SearchEngine(oriented_triples(), n)
+        rng = random.Random(4)
+        ids = [cid for _, cid in engine.cands]
+        leaves = [tuple(rng.choice(ids) for _ in engine.subsets)
+                  for _ in range(40)]
+    else:
+        engine, leaves = sampled_leaves(name, n)
+    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
+    for values in itertools.permutations(range(1, n + 1)):
+        srcs, acts = engine._relabeling(values)
+        for cids in leaves:
+            v = [pos[c] for c in cids]
+            got = tuple(act[v[src]] for src, act in zip(srcs, acts))
+            assert got == relabeled_positions(engine, cids, values)
+
+
+ORBITS = [(name, n) for name in sorted(FAMILIES)
+          for n in range(FAMILIES[name]().signature.r,
+                         FAMILIES[name]().signature.r + 3)]
+
+
+@pytest.mark.parametrize("name, n", ORBITS, ids=["%s-n%d" % c for c in ORBITS])
+def test_orbit_is_the_set_of_relabelings(name, n):
+    engine, leaves = sampled_leaves(name, n)
+    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
     outcomes = set()
     for cids in leaves:
         leaf = tuple(pos[c] for c in cids)
-        T = engine.template(cids)
-        orbit = set()
-        for values in itertools.permutations(range(1, n + 1)):
-            U = relabel(T, dict(zip(range(1, n + 1), values)))
-            orbit.add(tuple(pos[checker.set_id(U.choices[A])]
-                            for A in subsets))
+        orbit = {relabeled_positions(engine, cids, values)
+                 for values in itertools.permutations(range(1, n + 1))}
         got = engine._orbit(leaf)
         if min(orbit) < leaf:
             assert got is None
@@ -185,4 +255,4 @@ def test_orbit_is_the_set_of_relabelings(name, n):
             assert got == sorted(orbit)
         outcomes.add(got is None)
     # past n = r some sampled leaf is not the least of its orbit
-    assert n == H.signature.r or outcomes == {False, True}
+    assert n == engine.r or outcomes == {False, True}

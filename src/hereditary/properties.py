@@ -17,12 +17,14 @@ one shift per fact group (_runs).
 The family is compiled into copy tables (see copy_table), one per entry
 size m, each built the first time a structure or subset of m points is
 checked: the fact masks of every relabeling of every size-m entry on
-{1..m}. Membership and enumeration then ask one question of each m-point
-subset: does its mask hold a copy (_holds_copy)? The table for m answers
-it. HereditaryProperty.entry_matches keeps the direct definition,
-matching one entry by isomorphism or embedding search; it is the
-independent path the tests compare against, and it matches the entries too
-large to compile (more than COPY_LIMIT relabelings).
+{1..m}, read as the orbit of the entry's mask under the one relabeling
+action on fact masks (structures.FactAction), which also keys the
+classes of count_members. Membership and enumeration then ask one
+question of each m-point subset: does its mask hold a copy (_holds_copy)?
+The table for m answers it. HereditaryProperty.entry_matches keeps the
+direct definition, matching one entry by isomorphism or embedding search;
+it is the independent path the tests compare against, and it matches the
+entries too large to compile (more than COPY_LIMIT relabelings).
 
 enumerate_members and count_members share one walk (_walker) of one plan
 (_plan): the fact groups of the point subsets in colex order, each subset
@@ -34,14 +36,14 @@ and weighs each extension count by the class's orbit.
 
 import collections
 import itertools
-import math
 from functools import lru_cache
 
 from .errors import BudgetExceeded, InvalidArgument
 from .qftypes import qftp
-from .structures import (Signature, Structure, class_key, embeds_noninduced,
-                         first_of_classes, induced_substructure,
-                         is_isomorphic, relabelings, structure_from_mask)
+from .structures import (FactAction, Signature, Structure, class_key,
+                         embeds_noninduced, first_of_classes,
+                         induced_substructure, is_isomorphic,
+                         structure_from_mask)
 
 INDUCED = "induced"
 NON_INDUCED = "non-induced"
@@ -186,35 +188,40 @@ def _fact_index(signature, n):
 def copy_table(H, m):
     """The labeled-copy table of the size-m entries, built on first use.
 
-    A triple (induced, non_induced, direct). A copy is the fact mask of one
-    of the m! relabelings of an entry. `induced` pairs the mask of an entry
-    signature's relations with the copies of the induced entries on that
-    signature; `non_induced` holds the copies of the non-induced entries as
-    (lowest bit, copies with that lowest bit) pairs.
+    A triple (induced, non_induced, direct). The copies of an entry are
+    the orbit of its fact mask on {1..m} under the relabelings
+    (structures.FactAction). `induced` pairs the mask of an entry
+    signature's relations, built once per signature, with the copies of
+    the induced entries on that signature; `non_induced` holds the copies
+    of the non-induced entries as (lowest bit, copies with that lowest
+    bit) pairs.
     Entries with more than COPY_LIMIT relabelings (more than 6 points) are
     not compiled: `direct` holds them, for HereditaryProperty.entry_matches.
     """
     table = H._copy_tables[m]
     if table is None:
-        induced, non_induced, direct = {}, set(), []
-        index = _fact_index(H.signature, m)
+        induced, non_induced, direct, relmasks = {}, set(), [], {}
+        action = FactAction(m, _facts(H.signature, m))
         for f in H.forbidden:
             F = f.structure
             if F.n != m:
                 continue
-            if math.factorial(m) > COPY_LIMIT:
+            if action.size > COPY_LIMIT:
                 direct.append(f)
                 continue
-            copies = {sum(1 << index[(name, tuple(perm[x - 1] for x in t))]
-                          for name, t in F.facts())
-                      for perm in itertools.permutations(range(1, m + 1))}
+            copies = action.orbit(sum(action.bits[name, t]
+                                      for name, ts in F.relations.items()
+                                      for t in ts))
             if f.resolved_match(H.mode) == NON_INDUCED:
                 non_induced |= copies
-            else:
-                names = set(F.signature.names())
-                relmask = sum(1 << i for (name, _), i in index.items()
-                              if name in names)
-                induced.setdefault(relmask, set()).update(copies)
+                continue
+            reduct = F.signature.relations
+            relmask = relmasks.get(reduct)
+            if relmask is None:
+                relmask = relmasks[reduct] = sum(
+                    bit for (name, _), bit in action.bits.items()
+                    if name in F.signature.arities)
+            induced.setdefault(relmask, set()).update(copies)
         by_low = {}
         for c in sorted(non_induced):
             by_low.setdefault(c & -c, []).append(c)
@@ -346,12 +353,14 @@ def _plan(H, n):
     return plan, ends
 
 
-def _walker(H, plan, tick):
+def _walker(H, plan, tick, budget):
     """walk(gi, end, chosen): depth-first, the fact mask of every extension
     of the facts `chosen` through plan[gi:end], with tick() once per node.
     A step keeps the choices c (bit masks over its group) that leave M[S] a
     member; they depend only on the chosen facts on the subsets of S, and
-    are memoized on those per step."""
+    are memoized on those per step. Those choices are checked one by one
+    before the first is walked, so a checked step with more than `budget`
+    of them raises BudgetExceeded at once."""
     memo = {}
 
     def walk(gi, end, chosen):
@@ -367,6 +376,9 @@ def _walker(H, plan, tick):
             key = chosen & support
             choices = memo.get((gi, key))
             if choices is None:
+                if 1 << width > budget:
+                    raise BudgetExceeded(
+                        "2^%d choices of one step exceed budget" % width)
                 table = copy_table(H, m)
                 choices = memo[gi, key] = [
                     c for c in range(1 << width)
@@ -393,14 +405,15 @@ def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
     The member walk (_walker) through every step of _plan, each leaf mask
-    decoded into a Structure. Budget counts walk nodes. This is the labeled
-    stream, and the oracle of count_members.
+    decoded into a Structure. Budget counts walk nodes, and a checked step
+    with more than `budget` choices raises at once (see _walker). This is
+    the labeled stream, and the oracle of count_members.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     facts = _facts(H.signature, n)
     plan, _ = _plan(H, n)
-    walk = _walker(H, plan, _budget_counter(budget, n))
+    walk = _walker(H, plan, _budget_counter(budget, n), budget)
     for mask in walk(0, len(plan), 0):
         yield structure_from_mask(H.signature, n, facts, mask)
 
@@ -416,21 +429,21 @@ def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     plan steps of the subsets whose largest point is m, and each extension
     is keyed by class as it arrives: the first of a class represents it in
     H_m. The last level is counted. Budget counts walk nodes, and m! per
-    key.
+    key; the key is read from the orbit under one FactAction per level.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     plan, ends = _plan(H, n)
     tick = _budget_counter(budget, n)
-    walk = _walker(H, plan, tick)
+    walk = _walker(H, plan, tick, budget)
     classes = [(0, 1)]  # (representative mask, orbit) of the classes of H_0
     for m in range(1, n):
-        images = relabelings(m, _facts(H.signature, m))
+        action = FactAction(m, _facts(H.signature, m))
         found = {}
         for rep, _ in classes:
             for mask in walk(ends[m - 1], ends[m], rep):
-                tick(len(images))
-                key, orbit = class_key(images, mask)
+                tick(action.size)
+                key, orbit = class_key(action, mask)
                 if key not in found:
                     found[key] = (mask, orbit)
         classes = list(found.values())

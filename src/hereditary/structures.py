@@ -6,7 +6,7 @@ operations are pure functions.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import InvalidArgument
 
@@ -148,43 +148,74 @@ def structure_from_mask(signature, n, facts, mask):
     return Structure(signature, n, rels)
 
 
-def relabelings(n, facts):
-    """Per permutation of {1..n}, the image bit of each fact.
+class FactAction(object):
+    """The action of the n! permutations of {1..n} on fact masks, in columns.
 
     A mask is a set of facts on {1..n}: bit i stands for facts[i], a list
-    of (relation, tuple) closed under relabeling. The result is the input
-    of class_key.
+    of (relation, tuple) closed under relabeling. column(i) holds the image
+    bit of facts[i] under every permutation, in itertools.permutations
+    order, and is built the first time fact i is read, so a caller that
+    reads few facts builds few columns. A permutation maps distinct facts
+    to distinct facts, so the image of a mask under it is the sum of its
+    facts' image bits, and orbit sums the columns of the set bits row by
+    row.
     """
-    index = {f: i for i, f in enumerate(facts)}
-    return [[1 << index[(name, tuple(perm[x - 1] for x in t))]
-             for name, t in facts]
-            for perm in itertools.permutations(range(1, n + 1))]
+
+    def __init__(self, n, facts):
+        self.n = n
+        self.size = factorial(n)  # the number of permutations
+        self.facts = facts
+        self.bits = {f: 1 << i for i, f in enumerate(facts)}
+        self.columns = [None] * len(facts)
+        self._points = None
+
+    def column(self, i):
+        """The image bit of facts[i] under every permutation."""
+        col = self.columns[i]
+        if col is None:
+            if self._points is None:
+                # _points[x - 1]: the image of x under every permutation,
+                # listed on first read, so an action nobody reads (an
+                # uncompiled copy table on 7+ points) lists none
+                self._points = list(zip(*itertools.permutations(
+                    range(1, self.n + 1))))
+            name, t = self.facts[i]
+            images = zip(itertools.repeat(name),
+                         zip(*(self._points[x - 1] for x in t)))
+            col = self.columns[i] = tuple(map(self.bits.__getitem__, images))
+        return col
+
+    def orbit(self, mask):
+        """The set of the distinct images of mask."""
+        columns, cols = self.columns, []
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            cols.append(columns[i] or self.column(i))
+            mask ^= low
+        if not cols:
+            return {0}
+        return set(map(sum, zip(*cols)))
 
 
-def class_key(images, mask):
-    """(key, orbit) of a mask's isomorphism class, for images =
-    relabelings(n, facts).
+def class_key(action, mask):
+    """(key, orbit) of a mask's isomorphism class under a FactAction.
 
     Two masks are isomorphic when a permutation of {1..n} maps one onto the
     other, so the least mask over the n! relabelings is a key of the class.
     The orbit is the number of distinct masks among them, n!/|Aut|.
     """
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    seen = {sum(image[i] for i in bits) for image in images}
+    seen = action.orbit(mask)
     return min(seen), len(seen)
 
 
 def first_of_classes(n, facts, masks):
     """The masks, in the given order, that come first in their isomorphism
     class (see class_key)."""
-    images = relabelings(n, facts)
+    action = FactAction(n, facts)
     seen, out = set(), []
     for mask in masks:
-        key = class_key(images, mask)[0]
+        key = class_key(action, mask)[0]
         if key not in seen:
             seen.add(key)
             out.append(mask)

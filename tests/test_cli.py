@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +170,23 @@ def test_exit_code_budget_on_a_huge_arity(tmp_path):
                                      "forbidden": []}))
     assert_budget_exit(run_capped("types", "--signature", str(sig_path)))
     assert_budget_exit(run_capped("types", "--property", str(prop_path)))
+
+
+def test_exit_code_budget_on_a_wide_checked_step(tmp_path, capsys):
+    # one 4-ary relation and the non-induced entry R(1,2,3,4): the step of
+    # {1,2,3,4} has 2^24 choices, more than the budget, so it is refused
+    # before they are checked
+    signature = [{"name": "R", "arity": 4}]
+    path = write(tmp_path, "r4.json", {
+        "signature": signature, "mode": "non-induced",
+        "forbidden": [{"signature": signature, "n": 4,
+                       "relations": {"R": [[1, 2, 3, 4]]}}]})
+    start = time.time()
+    code, out = run(capsys, "enumerate", "--property", path, "--n", "4",
+                    "--budget", "1000")
+    assert time.time() - start < 1
+    assert code == 3
+    assert json.loads(out)["report"]["error"] == "budget exhausted"
 
 
 def test_budget_stop_prints_the_partial_report(capsys):

@@ -1,9 +1,9 @@
 """The frontier record: the largest searches that finish, each pinned to
-its family's closed form and extremal family.
+its family's closed form and extremal family, and the largest counts.
 
-Each search runs under DEFAULT_NODE_BUDGET and must be exact. Later
-changes to the search compare against these values; grow the record by
-adding cases.
+Each search runs under DEFAULT_NODE_BUDGET and must be exact, and each
+count under DEFAULT_ENUM_BUDGET. Later changes to the search and the
+count compare against these values; grow the record by adding cases.
 """
 
 import json
@@ -13,6 +13,7 @@ import pytest
 from hereditary import cli
 from hereditary.extremal import search_extremal
 from hereditary.instances import digraphs, metric, triples
+from hereditary.properties import count_members
 
 CASES = [
     ("triples-n7", triples.triples_instance, 7, 4096, 105,
@@ -60,3 +61,9 @@ def test_cli_triples_n7_is_exact_under_the_default_budget(capsys):
     body = json.loads(capsys.readouterr().out)["report"]
     assert code == 0
     assert (body["ex"], body["exact"]) == (4096, True)
+
+
+def test_frontier_count_triples_n7():
+    # the labeled walk of enumerate_members gives the same count (in
+    # about 40 s)
+    assert count_members(triples.triples_instance(), 7) == 451_793

@@ -1,16 +1,17 @@
 import itertools
+import time
 
 import pytest
 
 from hereditary import properties
-from hereditary.errors import InvalidArgument
+from hereditary.errors import BudgetExceeded, InvalidArgument
 from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, closure, count_members,
                                    enumerate_members, is_member,
                                    is_trivial_up_to, realized_type_space)
-from hereditary.structures import (Structure, induced_substructure,
-                                   is_isomorphic)
+from hereditary.structures import (Signature, Structure,
+                                   induced_substructure, is_isomorphic)
 
 from helpers import DIGRAPH_SIG
 
@@ -131,3 +132,16 @@ def test_triviality_report():
                       ForbiddenEntry(Structure(DIGRAPH_SIG, 1,
                                                {"E": [(1, 1)]}))])
     assert is_trivial_up_to(everything, 2)
+
+
+def test_a_checked_step_wider_than_the_budget_raises_at_once():
+    # the step of {1,2,3,4} holds the 24 facts R(a,b,c,d) on four distinct
+    # points: its 2^24 choices would each be checked before the first is
+    # walked
+    sig = Signature([("R", 4)])
+    H = HereditaryProperty(sig, [ForbiddenEntry(
+        Structure(sig, 4, {"R": [(1, 2, 3, 4)]}), NON_INDUCED)])
+    start = time.time()
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_members(H, 4, budget=1000))
+    assert time.time() - start < 1

@@ -9,17 +9,24 @@ canonical type-diagram of every member.
 Every k-block's edges are the edges of the relative block {1..k},
 relabeled order-preservingly, so the hypergraph is kept as that block: the
 type assignments on its r-subsets whose merge is not a member, as tuples of
-type ids of the block kernel (templates._BlockChecker). Co-degrees count the
-j-sets of those tuples once and add the counts into every block through
-int vertex keys; independence is one lookup per block. Edges as frozensets
-of located types are built only on request, block by block.
+type ids of the block kernel (templates._BlockChecker). They are the
+lexicographic product of the type ids minus the members, which one DFS over
+the relative r-subsets finds (_BlockChecker.members). Co-degrees count the
+j-sets of those tuples once. A j-set in exactly one k-block (covering k
+points, or any j-set when n = k) has its count as degree, and the largest
+counts through each vertex follow in closed form from where the vertex's
+r-subset can sit in a k-block; the other j-sets are added into every block
+through int vertex keys. Independence is one lookup per block. Edges as
+frozensets of located types are built only on request, block by block.
 """
 
 import itertools
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from operator import ge, itemgetter
 
 from .diagrams import LocatedType, SyntacticDiagram, type_diagram
 from .errors import BudgetExceeded, InvalidArgument
@@ -81,7 +88,7 @@ class ContainerHypergraph(object):
         type ids there. Memoized."""
         counts = self._rel_counts.get(j)
         if counts is None:
-            columns = [[e[p] for e in self.rel_edges] for p in range(self.s)]
+            columns = list(zip(*self.rel_edges)) or [()] * self.s
             counts = self._rel_counts[j] = {
                 pos: Counter(zip(*[columns[p] for p in pos]))
                 for pos in itertools.combinations(range(self.s), j)}
@@ -114,7 +121,12 @@ class _BlockEdges(Mapping):
 
 def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     """The hypergraph for containers analysis at size k: the edges of the
-    block {1..k}, which every k-subset of {1..n} repeats."""
+    block {1..k}, which every k-subset of {1..n} repeats. They are the type
+    assignments of itertools.product over S_r(H) that are not members
+    (_BlockChecker.members), in the product's order.
+
+    The budget bounds |S_r(H)|^C(k,r) * C(n,k), the size of the edge space
+    over all blocks."""
     r = H.signature.r
     if not H.forbidden:
         raise InvalidArgument("forbidden family must be nonempty")
@@ -131,8 +143,9 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     # the type assignments on {1..k} whose merge is not a member
     checker = block_checker(H)
     ids = [checker.type_id(p) for p in space]
+    members = set(checker.members(k, ids))
     rel_edges = [combo for combo in itertools.product(ids, repeat=s)
-                 if checker.outcome(k, combo) is not True]
+                 if combo not in members]
     return ContainerHypergraph(H, n, k, vertices, rel_edges)
 
 
@@ -156,44 +169,81 @@ def degree(Hg, sigma):
     return total
 
 
+def _room(A, n, k):
+    """The points of {1..n} free below, between and above the points of A,
+    each capped at k - |A|. A sits at the relative r-subset Q of {1..k} in
+    some k-block iff each entry is at least Q's own, _room(Q, k, k)."""
+    ends = (0,) + A + (n + 1,)
+    return tuple(min(b - a - 1, k - len(A)) for a, b in zip(ends, ends[1:]))
+
+
+@lru_cache(maxsize=256)
+def _placements(n, r, k):
+    """The r-subsets of {1..n} grouped by the relative r-subsets of {1..k}
+    they can sit at in some k-block: pairs of those relative positions (in
+    lexicographic order) and the indices in r_subsets(n, r) of the
+    r-subsets there. The r-subsets with equal _room share a group."""
+    need = [_room(Q, k, k) for Q in itertools.combinations(range(1, k + 1), r)]
+    by_room = defaultdict(list)
+    for a, A in enumerate(r_subsets(n, r)):
+        by_room[_room(A, n, k)].append(a)
+    return tuple((tuple(p for p, want in enumerate(need)
+                        if all(map(ge, room, want))), tuple(indices))
+                 for room, indices in by_room.items())
+
+
 def _max_codegree_keys(Hg, j):
     """d^(j) by int vertex key, for the vertices on some edge.
 
     The j-sets of the relative edges are counted once (rel_counts). A
-    j-set whose r-subsets cover all k points lies in one block only, so its
-    degree is its count, and its largest count through each (position, type)
-    is found once for all blocks. The other j-sets lie in several blocks:
+    j-set that lies in exactly one k-block, as when its r-subsets cover
+    all k points or when n = k, has its count as its degree, and is taken
+    in closed form. The counts at each j relative positions, sorted
+    ascending, build one dict per position, which keeps the largest count
+    through each type there without a max per j-set. A vertex (A, t) of
+    {1..n} takes the largest of those over the relative r-subsets Q of
+    {1..k} where A can sit in some k-block: a_1 >= q_1, a_{i+1} - a_i >=
+    q_{i+1} - q_i and n - a_r >= k - q_r (_placements, which groups the
+    r-subsets by those Q). No block is visited for these j-sets.
+
+    When n > k, the j-sets on fewer than k points lie in several blocks:
     their counts are added up block by block. Within a block a j-set's
     vertices come in the lexicographic order of their r-subsets, which
     relabeling preserves, so the same j-set gets the same key tuple from
     every block holding it.
     """
-    width = Hg.width
-    rel = list(itertools.combinations(range(1, Hg.k + 1), Hg.r))
-    top = defaultdict(int)  # (position, type id) -> count
+    n, k, r, width = Hg.n, Hg.k, Hg.r, Hg.width
+    rel = list(itertools.combinations(range(1, k + 1), r))
+    through = [[] for _ in rel]  # position -> {type id: count} dicts
     shared = []
     for pos, counts in Hg.rel_counts(j).items():
-        if len(set().union(*[rel[p] for p in pos])) == Hg.k:
-            for types, d in counts.items():
-                for key in zip(pos, types):
-                    top[key] = max(top[key], d)
+        if n == k or len(set().union(*[rel[p] for p in pos])) == k:
+            # ascending, so each dict keeps the largest count per type
+            ranked = sorted(counts, key=counts.__getitem__)
+            values = list(map(counts.__getitem__, ranked))
+            for i, p in enumerate(pos):
+                through[p].append(dict(zip(map(itemgetter(i), ranked), values)))
         else:
             shared.append((pos, list(counts.items())))
-    top = list(top.items())
-    best = defaultdict(int)
+    best = {}
+    for fits, indices in _placements(n, r, k):
+        tops = dict(sorted(itertools.chain.from_iterable(
+            top.items() for p in fits for top in through[p]),
+            key=itemgetter(1)))
+        for t, d in tops.items():
+            best.update(zip([a * width + t for a in indices],
+                            itertools.repeat(d)))
+    if not shared:
+        return best
     degrees = defaultdict(int)
-    for idx in block_subsets(Hg.n, Hg.r, Hg.k):
-        for (p, t), d in top:
-            v = idx[p] * width + t
-            if d > best[v]:
-                best[v] = d
+    for idx in block_subsets(n, r, k):
         for pos, items in shared:
             base = [idx[p] * width for p in pos]
             for types, d in items:
                 degrees[tuple(map(int.__add__, base, types))] += d
     for sigma, d in degrees.items():
         for v in sigma:
-            if d > best[v]:
+            if d > best.get(v, 0):
                 best[v] = d
     return best
 
@@ -204,6 +254,8 @@ def max_codegrees(Hg, j):
     Only j-sets inside some edge can have positive degree; vertices on no
     edge get 0.
     """
+    if j < 0:
+        raise InvalidArgument("need j >= 0, got %r" % (j,))
     best = _max_codegree_keys(Hg, j)
     index = {A: i for i, A in enumerate(r_subsets(Hg.n, Hg.r))}
     return {v: best.get(index[v.support] * Hg.width + Hg.type_ids[v.qftype], 0)
@@ -292,12 +344,20 @@ def independence_check(Hg, M):
     Diag^tp(M) holds one type per r-subset, so at most one edge per block
     lies inside it: the one whose type ids are M's on the block, if that
     tuple is a relative edge. The first such block, in lexicographic order,
-    gives the witness.
+    gives the witness. When Diag^tp(M) holds a type outside S_r(H), it is
+    not a vertex set of the hypergraph and M is not a member, but no edge
+    witnesses that: the answer is (False, None).
     """
+    if not (M.signature == Hg.property.signature):
+        raise InvalidArgument("signature mismatch")
     if M.n != Hg.n:
         raise InvalidArgument("domain mismatch")
+    entries = type_diagram(M).entries
+    space = set(realized_type_space(Hg.property))
+    if any(v.qftype not in space for v in entries):
+        return False, None
     ids = Hg.type_ids
-    on = {v.support: ids.get(v.qftype, -1) for v in type_diagram(M).entries}
+    on = {v.support: ids[v.qftype] for v in entries}
     edge_index = {e: i for i, e in enumerate(Hg.rel_edges)}
     for block in Hg.edges_by_block:
         i = edge_index.get(tuple(on[A] for A in

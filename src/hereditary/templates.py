@@ -333,8 +333,9 @@ class _BlockChecker(object):
     The search reads `allowed` for all its candidate types at once;
     is_h_random reads it through block_verdict, and block_ok is
     block_verdict on a choice map. The containers hypergraph reads
-    `outcome`, since its edges include the unsatisfiable merges, which a
-    verdict allows (errors are checked apart).
+    `members`, the member assignments of one block found by one DFS, since
+    its edges include the unsatisfiable merges, which a verdict allows
+    (errors are checked apart).
 
     `relabeled_set` is the action on choice-set ids of an order of the
     variables; the extremal search reads it to relabel id vectors.
@@ -352,6 +353,7 @@ class _BlockChecker(object):
         self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
         self.relabelings = {}  # (order, choice-set id) -> its image
+        self.copies = {}  # (m, fact mask on {1..m}) -> it holds a copy
 
     def type_id(self, p):
         t = self.type_ids.get(p)
@@ -450,6 +452,61 @@ class _BlockChecker(object):
             true |= pt
             false |= pf
         return None if true & false else not self._non_member(s, true)
+
+    def members(self, s, ids):
+        """The assignments of the type ids `ids` on the relative r-subsets
+        of {1..s} whose merge is a member (outcome True), in the
+        lexicographic order of itertools.product(ids, repeat=C(s, r)).
+
+        One DFS over the relative r-subsets: each type's located pair is
+        ORed onto the prefix once, and a branch stops as soon as its merge
+        is unsatisfiable or holds an unrealized type, or a checked
+        m-subset whose r-subsets are all placed holds a copy. Every fact
+        of such a subset is fixed by then (a fact's points lie in one of
+        its r-subsets), so no later placement changes what it holds. The
+        copy test is properties._holds_copy on the subset's mask read onto
+        {1..m}, which also matches the uncompiled entries, memoized by
+        that mask (`copies`)."""
+        H = self.H
+        located, checks, _ = self._size(s)
+        points = range(1, s + 1)
+        rel = [set(A) for A in itertools.combinations(points, self.r)]
+        # the checked subsets, by the position of their last r-subset (on
+        # s = r points every subset is due at the one position)
+        due = [[] for _ in rel]
+        for m, table, gathers in checks:
+            onto = _gathers(H.signature, m, m)
+            for B, runs in zip(itertools.combinations(points, m), gathers):
+                last = max((i for i, A in enumerate(rel) if A.issubset(B)),
+                           default=0)
+                due[last].append((m, table, onto, runs))
+        facts = len(_facts(H.signature, s))
+        copies = self.copies
+        out = []
+
+        def extend(i, true, false, prefix):
+            for t in ids:
+                pt, pf = located[i][t]
+                mt, mf = true | pt, false | pf
+                if mt & mf or mt >> facts:
+                    continue
+                for m, table, onto, runs in due[i]:
+                    x = 0
+                    for bit, width, local in runs:
+                        x |= (mt >> bit & width) << local
+                    hit = copies.get((m, x))
+                    if hit is None:
+                        hit = copies[m, x] = _holds_copy(H, m, table, onto, x)
+                    if hit:
+                        break
+                else:
+                    if i + 1 < len(rel):
+                        extend(i + 1, mt, mf, prefix + (t,))
+                    else:
+                        out.append(prefix + (t,))
+
+        extend(0, 0, 0, ())
+        return out
 
     def allowed(self, s, prefix, need):
         """The types, among the type mask `need`, allowed on the last

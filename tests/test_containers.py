@@ -13,6 +13,7 @@ from hereditary.diagrams import type_diagram
 from hereditary.errors import InvalidArgument
 from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import enumerate_members, is_member
+from hereditary.structures import Structure
 from hereditary.templates import is_h_random
 
 
@@ -36,6 +37,29 @@ def test_members_give_independent_sets():
     bad = digraphs.transitive_tournament(4)
     ok, edge = independence_check(Hg, bad)
     assert not ok and edge is not None
+
+
+def test_independence_check_rejects_other_signatures():
+    Hg = build_hypergraph(digraphs.digraph_instance(2), 3, 4)
+    M = next(iter(enumerate_members(metric.metric_instance(3), 4)))
+    with pytest.raises(InvalidArgument):
+        independence_check(Hg, M)
+
+
+def test_independence_check_on_a_type_outside_the_space():
+    # a loop is in no realized type: M is not a member, and no edge (a set
+    # of vertices) lies inside its type-diagram
+    H = digraphs.digraph_instance(2)
+    Hg = build_hypergraph(H, 3, 4)
+    M = Structure(digraphs.SIG, 4, {"E": [(1, 1)]})
+    assert not is_member(H, M)
+    assert independence_check(Hg, M) == (False, None)
+
+
+def test_max_codegrees_rejects_negative_j():
+    Hg = build_hypergraph(digraphs.digraph_instance(2), 3, 4)
+    with pytest.raises(InvalidArgument):
+        max_codegrees(Hg, -1)
 
 
 def test_degree_identity():

@@ -20,7 +20,7 @@ from hereditary.errors import BudgetExceeded
 from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, enumerate_members,
-                                   realized_type_space)
+                                   is_member, realized_type_space)
 from hereditary.templates import block_checker
 
 from helpers import random_structure, seeded
@@ -92,8 +92,13 @@ def oracle_max_codegrees(vertices, edges_by_block, j):
     return out
 
 
-def oracle_independence(edges_by_block, M):
+def oracle_independence(H, edges_by_block, M):
+    """Scan every edge; a type outside S_r(H) is no vertex, so M is not a
+    member and no edge witnesses it."""
     entries = type_diagram(M).entries
+    space = set(realized_type_space(H))
+    if any(v.qftype not in space for v in entries):
+        return False, None
     for block, edges in edges_by_block.items():
         for edge in edges:
             if edge.issubset(entries):
@@ -134,6 +139,10 @@ CASES = [
     ("loop-digraphs", 3, 5),
 ]
 SIZES = [(name, k, n) for name, k, top in CASES for n in range(k, top + 1)]
+# n well above k: most vertices sit at several relative positions, and
+# j-sets on fewer than k points lie in several blocks
+SIZES += [("digraph-k2", 3, 10), ("metric-r4", 3, 9), ("triples", 4, 9),
+          ("metric-r3", 4, 7)]
 
 
 @pytest.mark.parametrize("name, k, n", SIZES,
@@ -144,9 +153,20 @@ def test_codegrees_match_materialized(name, k, n):
     vertices, edges_by_block, alpha = materialized(H, k, n)
     assert (Hg.vertices, Hg.alpha) == (vertices, alpha)
     assert Hg.num_edges() == sum(map(len, edges_by_block.values()))
+    totals = {}
     for j in range(1, Hg.s + 1):
-        assert max_codegrees(Hg, j) == oracle_max_codegrees(
-            vertices, edges_by_block, j)
+        want = oracle_max_codegrees(vertices, edges_by_block, j)
+        assert max_codegrees(Hg, j) == want
+        totals[j] = sum(want.values())
+    # the report from the oracle's co-degrees, by its defining equations
+    tau = Fraction(1, 4)
+    d = Fraction(alpha * comb(n, k) * Hg.s, len(vertices))
+    delta_j = {j: Fraction(totals[j]) / (tau ** (j - 1) * len(vertices) * d)
+               if d else Fraction(0) for j in range(2, Hg.s + 1)}
+    delta = 2 ** (comb(Hg.s, 2) - 1) * sum(
+        delta_j[j] / 2 ** comb(j - 1, 2) for j in delta_j)
+    rep = codegree_function(Hg, tau)
+    assert (rep.d, rep.delta_j, rep.delta) == (d, delta_j, delta)
 
 
 def _sigmas(vertices, edges_by_block, s, rng, count):
@@ -195,8 +215,9 @@ def test_edges_and_witnesses_match_materialized(name, k, n):
     structures += [random_structure(H.signature, n, rng, density)
                    for density in (0.1, 0.3, 0.5) for _ in range(20)]
     for M in structures:
-        assert independence_check(Hg, M) == oracle_independence(
-            edges_by_block, M)
+        ok, edge = independence_check(Hg, M)
+        assert (ok, edge) == oracle_independence(H, edges_by_block, M)
+        assert ok == is_member(H, M)
 
 
 def test_edge_budget_is_unchanged():

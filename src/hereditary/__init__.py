@@ -2,7 +2,7 @@
 structures: quantifier-free type spaces, templates with choice sets,
 subpattern counting, brute-force extremal numbers and density sequences,
 structure distances, a containers hypergraph, and built-in instance
-families with closed-form oracles.
+families, three with closed-form oracles.
 """
 
 __version__ = "0.1.0"
@@ -19,13 +19,11 @@ from .properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                          HereditaryProperty, closure, count_members,
                          enumerate_members, is_member, is_trivial_up_to,
                          realized_type_space, universe_entries)
-from .templates import (Template, choice_count, choice_functions,
-                        detect_errors, full_subpatterns,
-                        geometric_mean_identity_gap, is_error_free,
-                        is_flaw_free, is_full_subpattern, is_h_random,
-                        is_h_random_direct, restrict, r_subsets, sub_count,
-                        subpattern_of_choice, template_from_structure,
-                        validate_template)
+from .templates import (Template, choice_count, detect_errors,
+                        full_subpatterns, is_error_free, is_flaw_free,
+                        is_full_subpattern, is_h_random, is_h_random_direct,
+                        restrict, r_subsets, sub_count,
+                        template_from_structure, validate_template)
 from .extremal import (ExtremalReport, StabilityProbe, density_sequence,
                        e_delta_membership, e_membership, near_extremal_set,
                        search_extremal, stability_probe)

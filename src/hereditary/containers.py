@@ -12,20 +12,23 @@ type assignments on its r-subsets whose merge is not a member, as tuples of
 type ids of the block kernel (templates._BlockChecker). They are the
 lexicographic product of the type ids minus the members, which one DFS over
 the relative r-subsets finds (_BlockChecker.members). Co-degrees count the
-j-sets of those tuples once. A j-set in exactly one k-block (covering k
-points, or any j-set when n = k) has its count as degree, and the largest
-counts through each vertex follow in closed form from where the vertex's
-r-subset can sit in a k-block; the other j-sets are added into every block
-through int vertex keys. Independence is one lookup per block. Edges as
-frozensets of located types are built only on request, block by block.
+j-sets of those tuples once. The k-blocks that place a point set U at the
+relative points Q of {1..k} are counted by binomials of the free gaps of U
+and Q (_gaps), so a degree is a sum over placements, not over blocks. A
+j-set in exactly one k-block (covering k points, or any j-set when n = k)
+has its count as degree, and the largest counts through each vertex follow
+in closed form from where the vertex's r-subset can sit in a k-block; the
+other j-sets are added into every block through int vertex keys.
+Independence is one lookup per block. The vertex list, and edges as
+frozensets of located types, are built only when read.
 """
 
 import itertools
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import cached_property, lru_cache
+from math import comb, factorial, prod
 from operator import ge, itemgetter
 
 from .diagrams import LocatedType, SyntacticDiagram, type_diagram
@@ -48,17 +51,18 @@ class ContainerHypergraph(object):
     the order of `rel_edges`. Co-degrees key a vertex by the int
     `subset_index * width + type_id`, with its r-subset's index in
     r_subsets(n, r) (the indices templates.block_subsets gives); `width`
-    exceeds every type id of the vertices.
+    exceeds every type id of the vertices. `vertices`, the located realized
+    types over {1..n}, is built on first read; counting reads only its size.
     """
 
-    def __init__(self, H, n, k, vertices, rel_edges):
+    def __init__(self, H, n, k, rel_edges):
         checker = block_checker(H)
         self.property = H
         self.n = n
         self.k = k
         self.r = H.signature.r
         self.s = comb(k, self.r)  # uniformity
-        self.vertices = vertices
+        self.space = realized_type_space(H)
         self.rel_edges = rel_edges
         self.alpha = len(rel_edges)
         self.types = checker.types        # type id -> QfType
@@ -71,14 +75,20 @@ class ContainerHypergraph(object):
         for edges in self.edges_by_block.values():
             yield from edges
 
+    @cached_property
+    def vertices(self):
+        return [LocatedType(A, p)
+                for A in itertools.combinations(range(1, self.n + 1), self.r)
+                for p in self.space]
+
     def num_vertices(self):
-        return len(self.vertices)
+        return comb(self.n, self.r) * len(self.space)
 
     def num_edges(self):
         return self.alpha * comb(self.n, self.k)
 
     def average_degree(self):
-        if not self.vertices:
+        if not self.num_vertices():
             raise InvalidArgument("empty vertex set")
         return Fraction(self.num_edges() * self.s, self.num_vertices())
 
@@ -133,9 +143,6 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     if k < r or n < k:
         raise InvalidArgument("need k >= r and n >= k")
     space = realized_type_space(H)
-    vertices = [LocatedType(A, p)
-                for A in itertools.combinations(range(1, n + 1), r)
-                for p in space]
     s = comb(k, r)
     per_block = len(space) ** s
     if per_block * comb(n, k) > budget:
@@ -146,11 +153,18 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     members = set(checker.members(k, ids))
     rel_edges = [combo for combo in itertools.product(ids, repeat=s)
                  if combo not in members]
-    return ContainerHypergraph(H, n, k, vertices, rel_edges)
+    return ContainerHypergraph(H, n, k, rel_edges)
 
 
 def degree(Hg, sigma):
-    """d(sigma) = number of edges containing the vertex set sigma."""
+    """d(sigma) = number of edges containing the vertex set sigma.
+
+    Let U be the points of sigma's r-subsets. A k-block holding U places
+    it at some |U|-subset Q of {1..k}, and sigma's r-subsets at relative
+    positions there; the blocks that place U at Q are prod_i C(g_i(U),
+    g_i(Q)) over the free gaps (_gaps). So d(sigma) is the sum over Q of
+    the relative count of sigma's types at those positions times that
+    product; no block is visited."""
     sigma = sorted(frozenset(sigma))
     if not sigma:
         return Hg.num_edges()
@@ -158,23 +172,31 @@ def degree(Hg, sigma):
     if len(set(supports)) < len(supports):
         return 0  # two types on one r-subset: no edge holds both
     types = tuple(Hg.type_ids.get(v.qftype, -1) for v in sigma)
+    points = sorted(set().union(*supports))
+    if -1 in types or points[0] < 1 or points[-1] > Hg.n:
+        return 0  # a type outside the space, or a point outside {1..n}
     counts = Hg.rel_counts(len(sigma))
-    points = set().union(*supports)
+    rel = {Q: i for i, Q in
+           enumerate(itertools.combinations(range(1, Hg.k + 1), Hg.r))}
+    gaps = _gaps(points, Hg.n)
     total = 0
-    for block in Hg.edges_by_block:
-        if points.issubset(block):
-            position = {A: i for i, A in
-                        enumerate(itertools.combinations(block, Hg.r))}
-            total += counts[tuple(map(position.get, supports))][types]
+    for Q in itertools.combinations(range(1, Hg.k + 1), len(points)):
+        blocks = prod(map(comb, gaps, _gaps(Q, Hg.k)))
+        if blocks:
+            at = dict(zip(points, Q))
+            position = tuple(rel[tuple(map(at.get, A))] for A in supports)
+            total += counts[position][types] * blocks
     return total
 
 
-def _room(A, n, k):
-    """The points of {1..n} free below, between and above the points of A,
-    each capped at k - |A|. A sits at the relative r-subset Q of {1..k} in
-    some k-block iff each entry is at least Q's own, _room(Q, k, k)."""
-    ends = (0,) + A + (n + 1,)
-    return tuple(min(b - a - 1, k - len(A)) for a, b in zip(ends, ends[1:]))
+def _gaps(A, n):
+    """The numbers of points of {1..n} free below, between and above the
+    sorted points A. The k-blocks of {1..n} that place A at the relative
+    points Q of {1..k} choose g_i(Q) of the g_i(A) points in each gap, so
+    there are prod_i C(g_i(A), g_i(Q)) of them, and some iff g(A) >= g(Q)
+    entrywise."""
+    ends = (0, *A, n + 1)
+    return tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 @lru_cache(maxsize=256)
@@ -182,11 +204,13 @@ def _placements(n, r, k):
     """The r-subsets of {1..n} grouped by the relative r-subsets of {1..k}
     they can sit at in some k-block: pairs of those relative positions (in
     lexicographic order) and the indices in r_subsets(n, r) of the
-    r-subsets there. The r-subsets with equal _room share a group."""
-    need = [_room(Q, k, k) for Q in itertools.combinations(range(1, k + 1), r)]
+    r-subsets there. The r-subsets whose gaps (_gaps), capped at k - r,
+    are equal share a group (Q's gaps are at most k - r, so the cap
+    changes no comparison)."""
+    need = [_gaps(Q, k) for Q in itertools.combinations(range(1, k + 1), r)]
     by_room = defaultdict(list)
     for a, A in enumerate(r_subsets(n, r)):
-        by_room[_room(A, n, k)].append(a)
+        by_room[tuple(min(g, k - r) for g in _gaps(A, n))].append(a)
     return tuple((tuple(p for p, want in enumerate(need)
                         if all(map(ge, room, want))), tuple(indices))
                  for room, indices in by_room.items())
@@ -286,7 +310,7 @@ def codegree_function(Hg, tau, epsilon=None):
     tau = Fraction(tau)
     if not 0 < tau < Fraction(1, 2):
         raise InvalidArgument("tau must lie in (0, 1/2)")
-    if not Hg.vertices:
+    if not Hg.num_vertices():
         raise InvalidArgument("empty vertex set")
     s = Hg.s
     d = Hg.average_degree()

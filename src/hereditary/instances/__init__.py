@@ -1,6 +1,7 @@
-"""Built-in instance families with their translations and closed-form
-extremal oracles. Oracles are separate code paths from the generic search
-so they can serve as independent cross-checks."""
+"""Built-in instance families with their translations. The metric,
+digraph and triples families also have closed-form extremal oracles
+(`*_extremal_oracle`), separate from the generic search;
+`cli verify` checks the search against them."""
 
 from . import colored, digraphs, metric, mixed, triples
 

@@ -9,7 +9,6 @@ the closed form relies on).
 
 import itertools
 from functools import lru_cache
-from math import comb
 
 from ..errors import InvalidArgument
 from ..properties import NON_INDUCED, ForbiddenEntry, HereditaryProperty
@@ -84,15 +83,6 @@ def downward_close(T):
     return Template(T.property, T.n, choices)
 
 
-def has_transitive_subtournament(arcs, n, size):
-    """Does the digraph contain T_size as a subdigraph?"""
-    for combo in itertools.permutations(range(1, n + 1), size):
-        if all((combo[i], combo[j]) in arcs
-               for i in range(size) for j in range(i + 1, size)):
-            return True
-    return False
-
-
 def turan_partition_sizes(k, n):
     q, rem = divmod(n, k)
     return [q + 1] * rem + [q] * (k - rem)
@@ -151,36 +141,3 @@ def digraph_extremal_oracle(k, n):
     if n < 3:
         raise InvalidArgument("closed form requires n >= 3")
     return 3 ** turan_edges(k, n), dt_family(k, n)
-
-
-def reduced_search(k, n):
-    """Downward-closure reduction: maximize 2^f1 * 3^f2 over digraphs with
-    no T_{k+1} subdigraph, by direct enumeration of pair states.
-
-    Returns (max value, list of maximizer arc sets).
-    """
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    best = [0]
-    winners = []
-    states = [((), 1), (((0, 1),), 2), (((1, 0),), 2), (((0, 1), (1, 0)), 3)]
-
-    def rec(i, arcs, product):
-        if product * 3 ** (len(pairs) - i) < best[0]:
-            return
-        if i == len(pairs):
-            if product > best[0]:
-                best[0] = product
-                winners.clear()
-            if product == best[0]:
-                winners.append(frozenset(arcs))
-            return
-        u, v = pairs[i]
-        for arcpat, weight in states:
-            new_arcs = set(arcs)
-            for a, b in arcpat:
-                new_arcs.add((u, v) if (a, b) == (0, 1) else (v, u))
-            if not has_transitive_subtournament(new_arcs, n, k + 1):
-                rec(i + 1, new_arcs, product * weight)
-
-    rec(0, set(), 1)
-    return best[0], winners

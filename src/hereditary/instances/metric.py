@@ -134,9 +134,13 @@ def extremal_family(r, n):
 
 
 def metric_extremal_oracle(r, n):
-    """Closed-form ex(n) plus the extremal set-graph family."""
-    if r < 3 or n < 2:
-        raise InvalidArgument("need r >= 3 and n >= 2")
+    """Closed-form ex(n) plus the extremal set-graph family.
+
+    Valid for n >= 3: on two points every distance is a member and there
+    is no triangle, so ex(2) is r, outside the closed form.
+    """
+    if r < 3 or n < 3:
+        raise InvalidArgument("need r >= 3 and n >= 3")
     from math import comb
     m = m_value(r)
     if r % 2 == 0:
@@ -151,103 +155,3 @@ def all_low_template(r, n):
     m = m_value(r)
     pairs = itertools.combinations(range(1, n + 1), 2)
     return psi_inverse(r, n, {A: frozenset(range(1, m + 1)) for A in pairs})
-
-
-@lru_cache(maxsize=None)
-def _compatible_triple_table(r):
-    """For candidate distance sets A,B,C: every cross choice metric."""
-    sets = [frozenset(c) for size in range(r, 0, -1)
-            for c in itertools.combinations(range(1, r + 1), size)]
-    table = {}
-    for A in sets:
-        for B in sets:
-            for C in sets:
-                table[(A, B, C)] = all(
-                    triangle_ok(a, b, c) for a in A for b in B for c in C)
-    return sets, table
-
-
-def restricted_search(r, n):
-    """Independent product search over complete set-graphs.
-
-    Returns (max product, list of maximizer set-graphs). No template
-    machinery is involved; serves as the oracle cross-check and as the
-    restricted path for larger r.
-    """
-    sets, table = _compatible_triple_table(r)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    pair_index = {A: i for i, A in enumerate(pairs)}
-    triangles = []
-    for i, A in enumerate(pairs):
-        tri = []
-        for x, y, z in itertools.combinations(range(1, n + 1), 3):
-            e1, e2, e3 = (x, y), (x, z), (y, z)
-            if max(pair_index[e] for e in (e1, e2, e3)) == i:
-                tri.append((pair_index[e1], pair_index[e2], pair_index[e3]))
-        triangles.append(tri)
-    best = [0]
-    winners = []
-    assignment = [None] * len(pairs)
-
-    def rec(i, product):
-        if i == len(pairs):
-            if product > best[0]:
-                best[0] = product
-                winners.clear()
-            if product == best[0]:
-                winners.append({A: assignment[j] for j, A in enumerate(pairs)})
-            return
-        for S in sets:
-            bound = product * len(S) * (r ** (len(pairs) - i - 1))
-            if bound < best[0]:
-                continue
-            assignment[i] = S
-            if all(table[(assignment[a], assignment[b], assignment[c])]
-                   for (a, b, c) in triangles[i]):
-                rec(i + 1, product * len(S))
-        assignment[i] = None
-
-    rec(0, 1)
-    return best[0], winners
-
-
-def check_multigraph_bound(weights, n, a):
-    """Classify a multigraph as a (3,3a)- or (3,3a+1)-graph and check the
-    corresponding product bound, with equality-case membership."""
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    w = {tuple(sorted(A)): weights[tuple(sorted(A))] for A in pairs}
-    max_triple = max(w[(x, y)] + w[(x, z)] + w[(y, z)]
-                     for x, y, z in itertools.combinations(range(1, n + 1), 3))
-    product = 1
-    for A in pairs:
-        product *= w[A]
-    report = {"product": product, "max_triple_sum": max_triple}
-    if max_triple <= 3 * a:
-        bound = a ** len(pairs)
-        report.update(kind="(3,%d)" % (3 * a), bound=bound,
-                      holds=product <= bound,
-                      equality_case=all(w[A] == a for A in pairs))
-    elif max_triple <= 3 * a + 1:
-        bound = a ** len(pairs) * (a + 1) ** (n // 2) // a ** (n // 2)
-        matched = is_u2(w, n, a)
-        report.update(kind="(3,%d)" % (3 * a + 1), bound=bound,
-                      holds=product <= bound, equality_case=matched)
-    else:
-        report.update(kind="neither", bound=None, holds=None,
-                      equality_case=False)
-    return report
-
-
-def is_u2(w, n, a):
-    """Weights a everywhere except a+1 on a maximum matching."""
-    heavy = [A for A in w if w[A] == a + 1]
-    if any(w[A] not in (a, a + 1) for A in w):
-        return False
-    if len(heavy) != n // 2:
-        return False
-    used = set()
-    for x, y in heavy:
-        if x in used or y in used:
-            return False
-        used.update((x, y))
-    return True

@@ -140,20 +140,6 @@ def choice_count(T):
     return out
 
 
-def choice_functions(T):
-    """All choice functions, lexicographic in (colex subset, type order)."""
-    _require_complete(T)
-    pools = [sorted(T.choices[A]) for A in T.subsets]
-    for combo in itertools.product(*pools):
-        yield dict(zip(T.subsets, combo))
-
-
-def subpattern_of_choice(T, chi):
-    """Merge the located choices of chi; None when unsatisfiable."""
-    entries = [LocatedType(A, p) for A, p in chi.items()]
-    return merge_entries(entries, n=T.n, signature=T.property.signature)
-
-
 def has_low_facts(p):
     """Does p have a true atom on fewer than r distinct variables?
 
@@ -657,20 +643,3 @@ def is_full_subpattern(G, T):
         if qftp(G, A) not in T.choices.get(A, ()):
             return False
     return True
-
-
-def geometric_mean_identity_gap(T):
-    """|log sub(T) - (1/(n-r)) sum_a log sub(T minus a)| for error-free T."""
-    n = T.n
-    r = T.property.signature.r
-    if n <= r:
-        raise InvalidArgument("need n > r")
-    s, error_free = sub_count(T)
-    if not error_free:
-        raise InvalidArgument("identity only asserted for error-free templates")
-    total = 0.0
-    for a in range(1, n + 1):
-        rest = [x for x in range(1, n + 1) if x != a]
-        sa, _ = sub_count(restrict(T, rest))
-        total += math.log(sa)
-    return abs(math.log(s) - total / (n - r))

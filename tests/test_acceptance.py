@@ -19,6 +19,7 @@ from hereditary.templates import (Template, choice_count, is_error_free,
                                   is_h_random, is_h_random_direct, r_subsets,
                                   sub_count)
 
+import oracles
 from helpers import random_structure, seeded
 
 COLORED_SPEC = [all_one_triangle()]
@@ -39,11 +40,11 @@ def test_criterion_01_metric_even_r4():
     # n = 4, both paths
     rep4 = search_extremal(metric.metric_instance(4), 4)
     assert rep4.ex == 729 and rep4.exact
-    value, winners = metric.restricted_search(4, 4)
+    value, winners = oracles.restricted_search(4, 4)
     assert value == 729
     for g in winners:
         weights = {A: len(c) for A, c in g.items()}
-        cert = metric.check_multigraph_bound(weights, 4, 3)
+        cert = oracles.check_multigraph_bound(weights, 4, 3)
         assert cert["holds"] and cert["product"] <= 729
 
 
@@ -67,7 +68,7 @@ def test_criterion_03_digraph_k2():
     rep3 = search_extremal(H, 3)
     assert rep3.ex == 9 and rep3.exact
     # n = 4 via the downward-closure reduction, search as cross-check
-    value, winners = digraphs.reduced_search(2, 4)
+    value, winners = oracles.reduced_search(2, 4)
     assert value == 81
     rep4 = search_extremal(H, 4)
     assert rep4.ex == 81 and rep4.exact
@@ -216,10 +217,10 @@ def test_criterion_11_colored_consistency():
     H = _colored_instance()
     for n in (3, 4):
         rep = search_extremal(H, n)
-        value, _ = colored.max_product(2, [1, 2], COLORED_SPEC, n)
+        value, _ = oracles.max_product(2, [1, 2], COLORED_SPEC, n)
         assert rep.ex == value and rep.exact
         # the brute-force value is 2^(max(n,P) * C(n,2))
-        exponent = colored.max_density_log2(2, [1, 2], COLORED_SPEC, n) * comb(n, 2)
+        exponent = oracles.max_density_log2(2, [1, 2], COLORED_SPEC, n) * comb(n, 2)
         assert 2 ** exponent == value
 
 

@@ -22,13 +22,13 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
 from hereditary.properties import _fact_index
 from hereditary.qftypes import QfType
 from hereditary.templates import (DEFAULT_CHI_BUDGET, Template, choice_count,
-                                  choice_functions, detect_errors,
-                                  error_pairs, full_subpatterns,
-                                  has_low_facts, is_h_random_direct,
-                                  located_agree, r_subsets, sub_count,
-                                  subpattern_of_choice)
+                                  detect_errors, error_pairs,
+                                  full_subpatterns, has_low_facts,
+                                  is_h_random_direct, located_agree,
+                                  r_subsets, sub_count)
 
 from helpers import seeded
+from oracles import choice_functions, subpattern_of_choice
 
 
 def loop_digraphs():

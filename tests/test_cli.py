@@ -340,6 +340,14 @@ def test_verify_pass_and_fail(capsys):
     assert json.loads(out)["report"]["all_match"]
 
 
+def test_verify_metric_starts_at_three_points(capsys):
+    # on two points ex(2) = r, outside the closed form: verify skips n = 2
+    code, out = run(capsys, "verify", "--instance", "metric", "--r", "4",
+                    "--nmax", "4")
+    assert code == 0
+    assert sorted(json.loads(out)["report"]["ex_table"]) == ["3", "4"]
+
+
 def test_types_listing(capsys):
     code, out = run(capsys, "types", "--instance", "triples")
     assert code == 0

@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
+from hereditary import containers
 from hereditary.containers import (build_hypergraph,
                                    build_template_from_diagram_set,
                                    codegree_function, degree, exponent_m,
                                    independence_check, max_codegrees,
                                    suggested_tau)
-from hereditary.diagrams import type_diagram
+from hereditary.diagrams import LocatedType, type_diagram
 from hereditary.errors import InvalidArgument
 from hereditary.instances import digraphs, metric, triples
 from hereditary.properties import enumerate_members, is_member
@@ -60,6 +61,33 @@ def test_max_codegrees_rejects_negative_j():
     Hg = build_hypergraph(digraphs.digraph_instance(2), 3, 4)
     with pytest.raises(InvalidArgument):
         max_codegrees(Hg, -1)
+
+
+def test_counting_builds_no_vertex_list(monkeypatch):
+    # the report reads only the number of vertices; the list is built on
+    # first read
+    built = []
+
+    def counted(A, p):
+        built.append(A)
+        return LocatedType(A, p)
+
+    monkeypatch.setattr(containers, "LocatedType", counted)
+    Hg = build_hypergraph(digraphs.digraph_instance(2), 3, 98)
+    assert codegree_function(Hg, Fraction(1, 4)).delta == Fraction(4, 43)
+    assert built == []
+    assert Hg.num_vertices() == 4 * comb(98, 2)
+    assert len(Hg.vertices) == len(built) == Hg.num_vertices()
+
+
+def test_degree_off_the_points_is_zero():
+    # no k-block holds a point outside {1..n}
+    H = digraphs.digraph_instance(2)
+    Hg = build_hypergraph(H, 3, 6)
+    p = Hg.space[0]
+    assert degree(Hg, [LocatedType((1, 2), p)]) > 0
+    for A in [(0, 1), (5, 7), (-3, 2)]:
+        assert degree(Hg, [LocatedType(A, p)]) == 0
 
 
 def test_degree_identity():

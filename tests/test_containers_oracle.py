@@ -183,9 +183,11 @@ def _sigmas(vertices, edges_by_block, s, rng, count):
 
 @pytest.mark.parametrize("name, k, n", [
     ("digraph-k2", 3, 5), ("digraph-k2", 4, 5), ("metric-r3", 4, 5),
-    ("metric-r4", 3, 6), ("triples", 4, 6), ("loop-digraphs", 3, 4)],
+    ("metric-r4", 3, 6), ("triples", 4, 6), ("loop-digraphs", 3, 4),
+    ("digraph-k2", 3, 10), ("metric-r3", 4, 8), ("triples", 4, 8)],
     ids=["digraph-k2-k3", "digraph-k2-k4", "metric-r3-k4", "metric-r4-k3",
-         "triples-k4", "loop-digraphs-k3"])
+         "triples-k4", "loop-digraphs-k3", "digraph-k2-k3-n10",
+         "metric-r3-k4-n8", "triples-k4-n8"])
 def test_degrees_match_materialized(name, k, n):
     H = FAMILIES[name]()
     Hg = build_hypergraph(H, k, n)

@@ -11,6 +11,7 @@ from hereditary.properties import INDUCED, is_member, universe_entries
 from hereditary.structures import Structure, is_isomorphic
 from hereditary.templates import (is_h_random, r_subsets, sub_count)
 
+import oracles
 from helpers import seeded
 
 
@@ -29,10 +30,18 @@ def test_metric_psi_round_trip():
     assert metric.psi(T) == g
 
 
+def test_metric_oracle_starts_at_three_points():
+    # on two points every distance is a member and there is no triangle
+    for r in (3, 4):
+        assert search_extremal(metric.metric_instance(r), 2).ex == r
+        with pytest.raises(InvalidArgument):
+            metric.metric_extremal_oracle(r, 2)
+
+
 def test_metric_oracle_matches_searches():
     for r, n in ((3, 3), (3, 4), (4, 3), (4, 4)):
         value, family = metric.metric_extremal_oracle(r, n)
-        assert metric.restricted_search(r, n)[0] == value
+        assert oracles.restricted_search(r, n)[0] == value
         assert len(family) >= 1
     # even r: unique extremal set-graph; odd r: one per maximum matching
     assert len(metric.extremal_family(4, 4)) == 1
@@ -52,10 +61,10 @@ def test_metric_multigraph_bound():
     w = {A: 2 for A in pairs}
     w[(1, 2)] = 3
     w[(3, 4)] = 3
-    rep = metric.check_multigraph_bound(w, 4, 2)
+    rep = oracles.check_multigraph_bound(w, 4, 2)
     assert rep["kind"] == "(3,7)" and rep["holds"] and rep["equality_case"]
     assert rep["product"] == rep["bound"] == 144
-    flat = metric.check_multigraph_bound({A: 2 for A in pairs}, 4, 2)
+    flat = oracles.check_multigraph_bound({A: 2 for A in pairs}, 4, 2)
     assert flat["kind"] == "(3,6)" and flat["holds"] and flat["equality_case"]
 
 
@@ -91,7 +100,7 @@ def test_digraph_downward_close_grows_sub():
 
 def test_digraph_reduced_search_matches_oracle():
     for n in (3, 4):
-        value, winners = digraphs.reduced_search(2, n)
+        value, winners = oracles.reduced_search(2, n)
         assert value == digraphs.digraph_extremal_oracle(2, n)[0]
         assert set(winners) == set(digraphs.dt_family(2, n))
 
@@ -154,10 +163,10 @@ def test_colored_instance_and_brute_force():
     H = colored.colored_instance(2, [1, 2], spec)
     for n in (3, 4):
         rep = search_extremal(H, n)
-        value, winners = colored.max_product(2, [1, 2], spec, n)
+        value, winners = oracles.max_product(2, [1, 2], spec, n)
         assert rep.ex == value
         assert len(winners) >= 1
-    assert colored.max_density_log2(2, [1, 2], spec, 3).denominator == 3
+    assert oracles.max_density_log2(2, [1, 2], spec, 3).denominator == 3
 
 
 def test_colored_psi_round_trip():

@@ -8,15 +8,15 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, is_member)
 from hereditary.qftypes import type_from_structure
 from hereditary.structures import Structure
-from hereditary.templates import (Template, choice_count, choice_functions,
-                                  detect_errors, full_subpatterns,
-                                  geometric_mean_identity_gap, is_error_free,
+from hereditary.templates import (Template, choice_count, detect_errors,
+                                  full_subpatterns, is_error_free,
                                   is_flaw_free, is_full_subpattern,
                                   is_h_random, is_h_random_direct, restrict,
                                   r_subsets, sub_count,
                                   template_from_structure, validate_template)
 
 from helpers import seeded
+from oracles import choice_functions, geometric_mean_identity_gap
 
 
 def _digraph_template(n, sets):

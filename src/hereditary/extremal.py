@@ -48,7 +48,7 @@ from operator import add, itemgetter
 from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
-from .templates import (Template, block_checker, block_subsets, error_pairs,
+from .templates import (Template, block_checker, closing_blocks, error_pairs,
                         is_full_subpattern, located_agree, r_subsets,
                         template_from_structure, tuple_getter)
 
@@ -121,18 +121,6 @@ def candidate_sets(H):
             for combo in itertools.combinations(space, m)]
 
 
-def _completion_schedule(n, r, kk):
-    """For each step i: (size, getter) for every block (size r+1..kk)
-    whose colex-last r-subset is subsets[i]; the getter reads the tuple of
-    its other r-subsets' entries (in lexicographic order) from the
-    assignment."""
-    schedule = [[] for _ in range(math.comb(n, r))]
-    for size in range(r + 1, kk + 1):
-        for idx in block_subsets(n, r, size):
-            schedule[idx[-1]].append((size, tuple_getter(idx[:-1])))
-    return schedule
-
-
 class _SearchEngine(object):
     """DFS over choice-set assignments, read through the block kernel.
 
@@ -161,12 +149,11 @@ class _SearchEngine(object):
         self.type_mask = 0  # every candidate's types
         for _, cid in self.cands:
             self.type_mask |= self.checker.set_masks[cid]
-        self.kk = min(max(H.k, self.r), n)
         self.fits = {}  # type mask -> the candidates inside it
         # per step: (memo, getter of the ids read, mask of those ids)
         self.checks = [[] for _ in self.subsets]
         block_masks = {}  # shared by the blocks of one size
-        for i, blocks in enumerate(_completion_schedule(n, self.r, self.kk)):
+        for i, blocks in enumerate(closing_blocks(n, self.r, H.k)):
             for size, get in blocks:
                 self.checks[i].append((block_masks.setdefault(size, {}), get,
                                        partial(self._block_mask, size)))

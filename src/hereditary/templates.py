@@ -16,15 +16,18 @@ is read from the copy tables (properties.mask_is_member); no Structure is
 built. Per block size, the kernel keeps the mask pair of every type on
 every relative r-subset and memoizes membership per merged true mask; per
 block size and choice sets on all but the block's last r-subset, it keeps
-the mask of the types allowed on the last one. block_subsets gives the
-r-subset indices of every block, and block_getters reads a block's
-entries out of a vector over the r-subsets. Two located types agree when
-neither's true facts meet the other's false facts (located_agree); errors
-are disagreements on the pairs of r-subsets in error_pairs. A permutation
-of the points of {1..n} carries the type of an r-subset A to A's image,
-read in the order in which A's points land there: its variables are
-permuted by that order of 1..r. The kernel keeps that action of every
-order on choice-set ids (_BlockChecker.relabeled_set).
+the mask of the types allowed on the last one. Above r points it is asked
+about realized types (S_r(H)) only: is_h_random checks every type at size
+r first, and the search and the containers hypergraph take their types
+from S_r(H). block_subsets gives the r-subset indices of every block;
+closing_blocks lists, per r-subset, the larger blocks it closes (is the
+colex-last r-subset of), each with a getter of its other entries. Two
+located types agree when neither's true facts meet the other's false
+facts (located_agree); errors are disagreements on the pairs of r-subsets
+in error_pairs. A permutation of the points of {1..n} carries the type of
+an r-subset A to A's image, read in the order in which A's points land
+there: its variables are permuted by that order of 1..r. The kernel keeps
+that action of every order on choice-set ids (_BlockChecker.relabeled_set).
 """
 
 import itertools
@@ -32,7 +35,7 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagrams import LocatedType, located_facts, merge_entries
+from .diagrams import located_facts
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import (_fact_index, _facts, _gathers, _holds_copy,
                          copy_table, is_member, mask_is_member)
@@ -224,14 +227,17 @@ def validate_template(T):
     """Flaw check in the canonical representation.
 
     Every choice set must be nonempty and consist of types whose realizing
-    structures are members (i.e. lie in S_r(H)). Returns (ok, diagnostic).
+    structures are members (i.e. lie in S_r(H)): the block kernel's
+    size-r outcome. Returns (ok, diagnostic).
     """
+    checker = block_checker(T.property)
+    r = T.property.signature.r
     for A in T.subsets:
         types = T.choices.get(A)
         if not types:
             return False, ("incomplete", A)
         for p in sorted(types):
-            if not is_member(T.property, p.realizing_structure()):
+            if not checker.outcome(r, (checker.type_id(p),)):
                 return False, ("type outside realized space", A, p.id())
     return True, None
 
@@ -257,11 +263,16 @@ def tuple_getter(idx):
 
 
 @lru_cache(maxsize=256)
-def block_getters(n, r, size):
-    """For every block of block_subsets(n, r, size), in the same order: the
-    tuple_getter of its indices, which reads the block's entries from a
-    sequence over r_subsets(n, r)."""
-    return tuple(map(tuple_getter, block_subsets(n, r, size)))
+def closing_blocks(n, r, k):
+    """For each index i of r_subsets(n, r): (size, getter) for every block
+    of size r+1..min(k, n) whose colex-last r-subset is the i-th; the
+    getter reads the entries of the block's other r-subsets, in
+    lexicographic order, from a sequence over r_subsets(n, r)."""
+    out = [[] for _ in range(math.comb(n, r))]
+    for size in range(r + 1, min(k, n) + 1):
+        for idx in block_subsets(n, r, size):
+            out[idx[-1]].append((size, tuple_getter(idx[:-1])))
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +300,9 @@ class _BlockChecker(object):
     never enumerates S_r(H) itself, since is_h_random and detect_errors
     also serve properties whose type space is out of reach (mixed has
     about 3 * 10^9 members on 3 points). A type outside S_r(H) is one
-    more id, and its size-r outcome is False. A choice set is also a bit
+    more id, and its size-r outcome is False; on more than r points the
+    kernel answers for realized types only, the only ones its callers
+    ask about there. A choice set is also a bit
     mask over type ids (`set_masks`). For a block of s points, an
     assignment is a tuple of ids on the relative r-subsets of {1..s}
     (lexicographic, so the colex-last subset comes last).
@@ -298,14 +311,11 @@ class _BlockChecker(object):
     located (true facts, false facts) mask pair of every type id on every
     relative r-subset of {1..s}, so a merge is an OR of list entries; and
     the member checks on {1..s}, each a copy table with its gathers
-    (properties._holds_copy). On s > r points, a satisfiable merge is a
-    member exactly when each of its types is realized (size-r outcome
-    True) and no m-subset with m > r holds a copy: every smaller subset
-    lies inside one r-subset, whose facts are that type's own. So only
-    the entry sizes m > r are checked there, and an unrealized type
-    carries one more true bit, above the facts on {1..s}, that marks any
-    merge holding it as a non-member. The checks of a merge are memoized
-    per size by its true mask.
+    (properties._holds_copy). On s > r points, a satisfiable merge of
+    realized types is a member exactly when no m-subset with m > r holds
+    a copy: every smaller subset lies inside one r-subset, whose facts are
+    that type's own. So only the entry sizes m > r are checked there. The
+    checks of a merge are memoized per size by its true mask.
 
     `cache`, keyed by (s, choice-set ids of all but the last subset),
     holds the types allowed on the last subset: those whose every
@@ -346,8 +356,7 @@ class _BlockChecker(object):
         if t is None:
             t = self.type_ids[p] = len(self.types)
             self.types.append(p)
-            # size r first: the located pairs of larger sizes read it
-            for s in sorted(self.sizes):
+            for s in self.sizes:
                 self._locate(s, t)
         return t
 
@@ -399,28 +408,21 @@ class _BlockChecker(object):
 
     def _locate(self, s, t):
         """Append the mask pairs of type id t on the relative r-subsets
-        of {1..s} to the located table of size s; on s > r points an
-        unrealized type's true masks get the bit above the facts."""
-        signature, r = self.H.signature, self.r
-        unrealized = 0
-        if s > r and not self.outcome(r, (t,)):
-            unrealized = 1 << len(_facts(signature, s))
-        rel = itertools.combinations(range(1, s + 1), r)
+        of {1..s} to the located table of size s."""
+        signature = self.H.signature
+        rel = itertools.combinations(range(1, s + 1), self.r)
         for A, row in zip(rel, self.sizes[s][0]):
-            pt, pf = _located_masks(signature, s, A, self.types[t])
-            row.append((pt | unrealized, pf))
+            row.append(_located_masks(signature, s, A, self.types[t]))
 
     def _non_member(self, s, true):
         """Is the satisfiable merge with true mask `true` (from the located
-        table of size s) a non-member? It holds the unrealized bit or a
-        copy on a checked subset. Memoized per size."""
+        table of size s) a non-member? It holds a copy on a checked
+        subset. Memoized per size."""
         _, checks, memo = self._size(s)
         out = memo.get(true)
         if out is None:
-            out = memo[true] = (
-                true >> len(_facts(self.H.signature, s)) > 0
-                or any(_holds_copy(self.H, m, table, gathers, true)
-                       for m, table, gathers in checks))
+            out = memo[true] = any(_holds_copy(self.H, m, table, gathers, true)
+                                   for m, table, gathers in checks)
         return out
 
     def outcome(self, s, ids):
@@ -446,13 +448,13 @@ class _BlockChecker(object):
 
         One DFS over the relative r-subsets: each type's located pair is
         ORed onto the prefix once, and a branch stops as soon as its merge
-        is unsatisfiable or holds an unrealized type, or a checked
-        m-subset whose r-subsets are all placed holds a copy. Every fact
-        of such a subset is fixed by then (a fact's points lie in one of
-        its r-subsets), so no later placement changes what it holds. The
-        copy test is properties._holds_copy on the subset's mask read onto
-        {1..m}, which also matches the uncompiled entries, memoized by
-        that mask (`copies`)."""
+        is unsatisfiable or a checked m-subset whose r-subsets are all
+        placed holds a copy. Every fact of such a subset is fixed by then
+        (a fact's points lie in one of its r-subsets), so no later
+        placement changes what it holds. The copy test is
+        properties._holds_copy on the subset's mask read onto {1..m},
+        which also matches the uncompiled entries, memoized by that mask
+        (`copies`)."""
         H = self.H
         located, checks, _ = self._size(s)
         points = range(1, s + 1)
@@ -466,7 +468,6 @@ class _BlockChecker(object):
                 last = max((i for i, A in enumerate(rel) if A.issubset(B)),
                            default=0)
                 due[last].append((m, table, onto, runs))
-        facts = len(_facts(H.signature, s))
         copies = self.copies
         out = []
 
@@ -474,7 +475,7 @@ class _BlockChecker(object):
             for t in ids:
                 pt, pf = located[i][t]
                 mt, mf = true | pt, false | pf
-                if mt & mf or mt >> facts:
+                if mt & mf:
                     continue
                 for m, table, onto, runs in due[i]:
                     x = 0
@@ -554,7 +555,9 @@ def block_checker(H):
 
 def is_h_random(T):
     """Prop.-random style test: error-free and no small block of choices
-    merges to a non-member (block sizes r..k, k = max forbidden size)."""
+    merges to a non-member (block sizes r..k, k = max forbidden size).
+    Every type passes the size-r check before any larger block is read,
+    so the kernel is asked only about realized types there."""
     _require_complete(T)
     H = T.property
     r = H.signature.r
@@ -565,9 +568,12 @@ def is_h_random(T):
     # a size-r verdict reads one choice set: check each distinct one once
     if not all(checker.block_verdict(r, (c,)) for c in dict.fromkeys(cids)):
         return False
-    for size in range(r + 1, min(max(H.k, r), T.n) + 1):
-        for get in block_getters(T.n, r, size):
-            if not checker.block_verdict(size, get(cids)):
+    # each subset's types, against the blocks it closes
+    allowed, masks = checker.allowed, checker.set_masks
+    for blocks, c in zip(closing_blocks(T.n, r, H.k), cids):
+        need = masks[c]
+        for size, get in blocks:
+            if need & ~allowed(size, get(cids), need):
                 return False
     return True
 

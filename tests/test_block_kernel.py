@@ -20,8 +20,8 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    realized_type_space)
 from hereditary.qftypes import QfType, atoms, type_from_structure
 from hereditary.structures import Structure
-from hereditary.templates import (Template, block_checker, block_getters,
-                                  block_subsets, is_h_random,
+from hereditary.templates import (Template, block_checker, block_subsets,
+                                  closing_blocks, is_h_random,
                                   is_h_random_direct, r_subsets)
 
 from helpers import seeded
@@ -102,16 +102,29 @@ def test_block_subsets_index_the_colex_subsets():
             assert block_subsets(n, r, size) == tuple(
                 tuple(subsets.index(A) for A in itertools.combinations(B, r))
                 for B in blocks)
-    # block_getters reads the entries of each block, in the same order
+    # closing_blocks lists every block of r+1..min(k, n) points once, at
+    # its colex-last r-subset, with a getter of its other r-subsets' entries
+    # in lexicographic order
     for r in (2, 3):
         for n in range(r, 8):
+            subsets = r_subsets(n, r)
             cids = [7 * i + 3 for i in range(comb(n, r))]
-            for size in range(r, n + 1):
-                blocks = block_subsets(n, r, size)
-                getters = block_getters(n, r, size)
-                assert len(getters) == len(blocks)
-                for idx, get in zip(blocks, getters):
-                    assert get(cids) == tuple(cids[i] for i in idx)
+            for k in range(r, n + 2):
+                closing = closing_blocks(n, r, k)
+                assert len(closing) == len(subsets)
+                seen = []
+                for i, blocks in enumerate(closing):
+                    for size, get in blocks:
+                        idx = tuple((c - 3) // 7 for c in get(cids)) + (i,)
+                        B = tuple(sorted(set().union(
+                            *(subsets[j] for j in idx))))
+                        assert len(B) == size
+                        assert idx == tuple(subsets.index(A) for A in
+                                            itertools.combinations(B, r))
+                        seen.append(B)
+                assert sorted(seen) == sorted(
+                    B for size in range(r + 1, min(k, n) + 1)
+                    for B in itertools.combinations(range(1, n + 1), size))
 
 
 @pytest.mark.parametrize("make, n, want", [

@@ -1,0 +1,101 @@
+"""A seeded differential net over small random properties.
+
+Each property is drawn from a fixed seed: 1-3 forbidden entries on at most
+4 points, each on the signature E/2, P/1 or one of its one-relation
+reducts, each matched induced or not. Loops and P are facts on fewer than
+r = 2 points, so templates can have errors. Every draw is kept. On each
+property the fast paths are checked against their direct definitions:
+
+- is_h_random against is_h_random_direct, on seeded templates on 3 and 4
+  points whose choice sets hold realized and unrealized types;
+- validate_template against membership in realized_type_space;
+- the block kernel's member DFS (members) against its outcome on every
+  assignment, where there are at most 10^4 of them.
+"""
+
+import itertools
+from math import comb
+
+import pytest
+
+from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
+                                   HereditaryProperty, realized_type_space)
+from hereditary.qftypes import qftp, type_space
+from hereditary.structures import Signature, Structure
+from hereditary.templates import (Template, block_checker, is_h_random,
+                                  is_h_random_direct, r_subsets,
+                                  validate_template)
+
+from helpers import random_structure, seeded
+
+SIG = Signature([("E", 2), ("P", 1)])
+REDUCTS = [SIG, Signature([("E", 2)]), Signature([("P", 1)])]
+SEEDS = range(64)
+MAX_ASSIGNMENTS = 10 ** 4
+
+
+def random_property(rng):
+    """1-3 entries, each on 1-4 points over a random reduct, with facts of
+    density 0.3 and a random match mode, under a random default mode."""
+    entries = []
+    for _ in range(rng.randint(1, 3)):
+        signature = rng.choice(REDUCTS)
+        F = random_structure(signature, rng.randint(1, 4), rng, density=0.3)
+        entries.append(ForbiddenEntry(F, rng.choice([INDUCED, NON_INDUCED])))
+    return HereditaryProperty(SIG, entries,
+                              mode=rng.choice([INDUCED, NON_INDUCED]))
+
+
+def random_template(H, n, rng):
+    """Choice sets read off a random structure M on n points and up to two
+    variants of M that keep its loops and P but redraw its other arcs, so
+    the types agree on their shared facts; then, on each r-subset with
+    probability 0.15, one more type of the whole type space, realized or
+    not."""
+    M = random_structure(SIG, n, rng, density=rng.choice([0.2, 0.5]))
+    loops = {t for t in M.relations["E"] if t[0] == t[1]}
+    variants = [M]
+    for _ in range(rng.randint(0, 2)):
+        V = random_structure(SIG, n, rng, density=0.5)
+        arcs = {t for t in V.relations["E"] if t[0] != t[1]}
+        variants.append(Structure(SIG, n, {"P": M.relations["P"],
+                                           "E": loops | arcs}))
+    space = type_space(SIG)
+    choices = {}
+    for A in r_subsets(n, SIG.r):
+        chosen = rng.sample(variants, rng.randint(1, len(variants)))
+        types = {qftp(V, A) for V in chosen}
+        if rng.random() < 0.15:
+            types.add(rng.choice(space))
+        choices[A] = types
+    return Template(H, n, choices)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fast_paths_match_the_direct_definitions(seed):
+    rng = seeded(seed)
+    H = random_property(rng)
+    r = SIG.r
+    realized = realized_type_space(H)
+    realized_set = set(realized)
+    for n in (3, 4):
+        for _ in range(16):
+            T = random_template(H, n, rng)
+            assert is_h_random(T) == is_h_random_direct(T)
+            assert validate_template(T)[0] == all(
+                realized_set.issuperset(types)
+                for types in T.choices.values())
+    # members lists the assignments whose outcome is True, on every block
+    # size r..k: any types at size r, realized ones only above r
+    checker = block_checker(H)
+    space = type_space(SIG)
+    for size in range(r, max(H.k, r) + 1):
+        pool = space if size == r else realized
+        count = comb(size, r)
+        most = max(m for m in range(1, len(space) + 1)
+                   if m ** count <= MAX_ASSIGNMENTS)
+        ids = [checker.type_id(p)
+               for p in rng.sample(pool, min(most, len(pool)))]
+        want = {a for a in itertools.product(ids, repeat=count)
+                if checker.outcome(size, a)}
+        assert set(checker.members(size, ids)) == want

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from hereditary import properties, templates
+from hereditary import diagrams, properties, templates
 from hereditary.diagrams import LocatedType, merge_entries
 from hereditary.extremal import _SearchEngine, search_extremal
 from hereditary.instances import colored, digraphs, metric, triples
@@ -22,7 +22,9 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
 from hereditary.qftypes import QfType, type_space
 from hereditary.structures import Structure
-from hereditary.templates import block_checker, located_agree, r_subsets
+from hereditary.templates import (Template, block_checker, is_h_random,
+                                  is_h_random_direct, located_agree,
+                                  r_subsets)
 
 from helpers import seeded
 
@@ -172,50 +174,66 @@ def assignments(rng, pool, count, exhaustive):
 
 def check_sizes(H, checker, pool, ids, rng, exhaustive):
     """outcome, allowed and block_verdict against direct() on every block
-    size r..k, for the types of `pool` (their ids in `ids`); returns the
-    number of satisfiable merges holding an unrealized type on more than
-    r points."""
+    size r..k: for every type of `pool` (their ids in `ids`) at size r,
+    and for its realized types only above r, where the kernel is asked
+    about no other."""
     r = H.signature.r
     realized = set(realized_type_space(H))
-    every = sum(1 << ids[p] for p in pool)
-    unrealized_merges = 0
     for size in range(r, max(H.k, r) + 1):
+        types_here = pool if size == r else [p for p in pool
+                                             if p in realized]
+        every = sum(1 << ids[p] for p in types_here)
         count = comb(size, r)
-        for types in assignments(rng, pool, count, exhaustive):
+        for types in assignments(rng, types_here, count, exhaustive):
             want = direct(H, size, types)
             assert checker.outcome(size, tuple(ids[p] for p in types)) is want
-            if size > r and want is not None and not realized.issuperset(
-                    types):
-                unrealized_merges += 1
         for _ in range(20):
             # at most 16 choice functions per prefix, to bound direct()
             sets, combos = [], 1
             for _ in range(count - 1):
-                c = frozenset(rng.sample(pool, 2 if combos < 16 and
-                                         rng.random() < 0.4 else 1))
+                c = frozenset(rng.sample(types_here, min(
+                    len(types_here),
+                    2 if combos < 16 and rng.random() < 0.4 else 1)))
                 sets.append(c)
                 combos *= len(c)
             prefix = tuple(checker.set_id(c) for c in sets)
             allowed = checker.allowed(size, prefix, every)
-            for q in pool:
+            for q in types_here:
                 want = all(direct(H, size, types + (q,)) is not False
                            for types in itertools.product(*sets))
                 assert bool(allowed >> ids[q] & 1) == want
-            last = frozenset(rng.sample(pool, rng.choice([1, 2])))
+            last = frozenset(rng.sample(types_here, min(
+                len(types_here), rng.choice([1, 2]))))
             assert checker.block_verdict(size, prefix + (
                 checker.set_id(last),)) == all(
                     allowed >> ids[q] & 1 for q in last)
-    return unrealized_merges
+
+
+def check_unrealized_templates(H, pool, rng):
+    """is_h_random against is_h_random_direct on seeded templates on r + 1
+    points that hold an unrealized type of `pool`: realized choice sets
+    of one or two types, one of them with an unrealized type added."""
+    r = H.signature.r
+    realized = set(realized_type_space(H))
+    unrealized = [p for p in pool if p not in realized]
+    subsets = r_subsets(r + 1, r)
+    for _ in range(10):
+        choices = {A: set(rng.sample(sorted(realized), min(
+            len(realized), rng.choice([1, 2])))) for A in subsets}
+        choices[rng.choice(subsets)].add(rng.choice(unrealized))
+        T = Template(H, r + 1, choices)
+        assert is_h_random(T) == is_h_random_direct(T)
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
 @pytest.mark.parametrize("name", FULL_SPACE + SAMPLED)
 def test_unrealized_types_match_the_direct_definition(name, fallback,
                                                       monkeypatch):
-    # Unrealized types can merge satisfiably with others on a block of more
-    # than r points; such a merge is never a member. Half of the pool, with
-    # unrealized types among it, gets its ids only after the tables of
-    # every block size are built, so type_id locates it in each of them.
+    # Half of the pool, with unrealized types among it, gets its ids only
+    # after the tables of every block size are built, so type_id locates
+    # it in each of them. Above r points the kernel is asked about realized
+    # types only (is_h_random rejects an unrealized one at size r first),
+    # so unrealized types are checked there through whole templates.
     H = fresh(name, monkeypatch, fallback)
     r = H.signature.r
     rng = seeded(1313)
@@ -235,8 +253,9 @@ def test_unrealized_types_match_the_direct_definition(name, fallback,
     check_sizes(H, checker, early, ids, rng, exhaustive)
     assert set(checker.sizes) == set(range(r, max(H.k, r) + 1))
     ids.update((p, checker.type_id(p)) for p in late)
-    unrealized_merges = check_sizes(H, checker, pool, ids, rng, exhaustive)
-    assert unrealized_merges or H.k <= r or realized.issuperset(pool)
+    check_sizes(H, checker, pool, ids, rng, exhaustive)
+    if not realized.issuperset(pool):
+        check_unrealized_templates(H, pool, rng)
 
 
 @pytest.mark.parametrize("name", ["loop-digraphs"] + sorted(MIXED))
@@ -270,7 +289,7 @@ def test_search_masks_are_the_former_checks(name, monkeypatch):
                 assert got == want
     checker = engine.checker
     rng = seeded(909)
-    for size in range(engine.r + 1, engine.kk + 1):
+    for size in range(engine.r + 1, min(H.k, engine.n) + 1):
         for _ in range(20):
             prefix = tuple(rng.choice(cands)[1]
                            for _ in range(comb(size, engine.r) - 1))
@@ -285,7 +304,7 @@ def test_search_builds_no_merge_and_no_member_lookup(name, monkeypatch):
         raise AssertionError("the search kernel called the slow path")
 
     H = fresh(name, monkeypatch, False)
-    monkeypatch.setattr(templates, "merge_entries", forbidden)
+    monkeypatch.setattr(diagrams, "merge_entries", forbidden)
     monkeypatch.setattr(templates, "is_member", forbidden)
     monkeypatch.setattr(properties, "is_member", forbidden)
     assert search_extremal(H, 4).exact

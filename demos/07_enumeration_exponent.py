@@ -4,7 +4,7 @@ count_members counts H_n over isomorphism classes, extending each class of
 H_{n-1} by one point, so it reaches n = 6 or 7. ex(n) comes from each
 family's closed-form oracle (checked against the extremal search in the
 tests). Each family goes up to the largest n whose count finishes within
-the node budget; the whole demo takes about half a minute.
+the node budget; the whole demo takes about 8 s on a 2-core machine.
 """
 
 import math

@@ -27,8 +27,13 @@ it is the independent path the tests compare against, and it matches the
 entries too large to compile (more than COPY_LIMIT relabelings).
 
 enumerate_members and count_members share one walk (_walker) of one plan
-(_plan): the fact groups of the point subsets in colex order, each subset
-checked once its facts are complete, yielding every member's fact mask.
+(_plan), yielding every member's fact mask. The plan has one step per
+point subset that carries facts, in colex order, and each subset S with
+entries of its size is one check, on the step where the last fact S reads
+is chosen: S's own step, or the step of its top points when S has no
+facts. At a step the walk ANDs one memoized allowed mask per check into
+one int mask over the step's choices and descends into its set bits in
+increasing order, so it takes one DFS level per fact group.
 enumerate_members decodes every mask into a labeled member; count_members
 extends one representative per isomorphism class by one point at a time
 and weighs each extension count by the class's orbit.
@@ -313,27 +318,30 @@ def is_member(H, M):
 def _plan(H, n):
     """The steps of the member DFS over the facts on {1..n} (see _facts).
 
-    One step (offset, width, check) per point subset S of {1..n}, in colex
-    order: the facts on exactly S are facts[offset:offset + width], one bit
-    each in a fact mask. A subset with no facts and no entry of its size is
-    no step, and subsets of a size that carries neither are not listed, so
-    the plan is polynomial in n. When entries of size m = |S| exist,
-    check = ((runs,), m, support): once the group on S is chosen, M[S] is
-    complete, and _holds_copy reads it by S's runs (_runs) out of the
-    chosen facts. Those facts matter only within `support`, the mask of the
-    facts on S and its subsets (see _walker).
+    One step (offset, width, checks) per point subset S of {1..n} that
+    carries facts, in colex order: the facts on exactly S are
+    facts[offset:offset + width], one bit each in a fact mask. Every subset
+    S with entries of its size m = |S| gives one check ((runs,), m, support):
+    once the facts on S and its subsets are chosen, M[S] is complete, and
+    _holds_copy reads it by S's runs (_runs) out of the chosen facts. Those
+    facts matter only within `support`, the mask of the facts on S and its
+    subsets (see _walker). The check joins S's own step, or, when S has no
+    facts, the last step before S: that is the step of S's top points
+    (every signature has facts on a point, so sizes with facts are 1..r,
+    and the subsets between those points and S in colex order are too
+    large to carry facts), where every fact S reads is fixed. Only sizes
+    that carry facts or entries are listed, so the plan is polynomial in n.
 
     The facts on {1..m} are a prefix of the facts on {1..n}, and so are the
     steps of the subsets of {1..m}, the same for every n >= m: a mask of a
     member on {1..m} is a partial assignment of the plan for {1..n}. ends[m]
     is the length of that prefix of steps, so the steps of the subsets
-    whose largest point is m are plan[ends[m - 1]:ends[m]].
+    whose largest point is m are plan[ends[m - 1]:ends[m]], and every check
+    of those subsets is on one of them.
     """
     signature = H.signature
     widths = collections.Counter(tuple(sorted(set(t)))
                                  for _, t in _facts(signature, n))
-    # only sizes that carry facts or entries give steps; size 1 is one of
-    # them, so every point m ends a run of subsets and sets ends[m]
     sizes = {len(S) for S in widths} | set(H._copy_tables)
     subsets = sorted((S for m in sizes
                       for S in itertools.combinations(range(1, n + 1), m)),
@@ -341,52 +349,81 @@ def _plan(H, n):
     plan, ends, offset = [], [0] * (n + 1), 0
     for S in subsets:
         m, width = len(S), widths[S]
-        check = None
+        if width:
+            plan.append((offset, width, []))
+            offset += width
         if m in H._copy_tables:
             runs = _runs(signature, n, S)
-            check = ((runs,), m, sum(ones << bit for bit, ones, _ in runs))
-        # a subset with no facts and no check would be a level of one child
-        if width or check is not None:
-            plan.append((offset, width, check))
-        offset += width
+            plan[-1][2].append(
+                ((runs,), m, sum(ones << bit for bit, ones, _ in runs)))
         ends[S[-1]] = len(plan)
     return plan, ends
 
 
 def _walker(H, plan, tick, budget):
     """walk(gi, end, chosen): depth-first, the fact mask of every extension
-    of the facts `chosen` through plan[gi:end], with tick() once per node.
-    A step keeps the choices c (bit masks over its group) that leave M[S] a
-    member; they depend only on the chosen facts on the subsets of S, and
-    are memoized on those per step. Those choices are checked one by one
-    before the first is walked, so a checked step with more than `budget`
-    of them raises BudgetExceeded at once."""
-    memo = {}
+    of the facts `chosen` through plan[gi:end], with tick() once per node:
+    once per step and once per leaf.
+
+    The choices of a step are the bit masks c over its group, in increasing
+    order. A step without checks takes every c. At a checked step the
+    surviving choices are one int mask over its 2^width choices, bit c for
+    choice c: the AND of one allowed mask per check, the choices that leave
+    M[S] a member. Those depend only on the chosen facts within the check's
+    support, so each check memoizes a [checked, allowed] pair of masks per
+    step, check and chosen & support. The pair is filled lazily, only for
+    the choices still alive when the check is read, so a later check of a
+    step tests only the survivors of the earlier ones; the first check fills
+    every choice at once, and a checked step with more than `budget` choices
+    raises BudgetExceeded before any is tested."""
+    steps = [(offset, width, [(gathers, m, support, {})
+                              for gathers, m, support in checks])
+             for offset, width, checks in plan]
 
     def walk(gi, end, chosen):
         tick()
         if gi == end:
             yield chosen
             return
-        offset, width, check = plan[gi]
-        if check is None:
-            choices = range(1 << width)
-        else:
-            gathers, m, support = check
+        offset, width, checks = steps[gi]
+        if not checks:
+            for c in range(1 << width):
+                yield from walk(gi + 1, end, chosen | c << offset)
+            return
+        alive = -1  # every choice: a todo < 0 below is every choice too
+        for gathers, m, support, memo in checks:
             key = chosen & support
-            choices = memo.get((gi, key))
-            if choices is None:
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = [0, 0]
+            todo = alive & ~entry[0]
+            if todo:
                 if 1 << width > budget:
                     raise BudgetExceeded(
                         "2^%d choices of one step exceed budget" % width)
                 table = copy_table(H, m)
-                choices = memo[gi, key] = [
-                    c for c in range(1 << width)
+                entry[1] |= sum(1 << c for c in (
+                    range(1 << width) if todo < 0 else _ones(todo))
                     if not _holds_copy(H, m, table, gathers,
-                                       key | c << offset)]
-        for c in choices:
-            yield from walk(gi + 1, end, chosen | c << offset)
+                                       key | c << offset))
+                entry[0] |= todo
+            alive &= entry[1]
+            if not alive:
+                return
+        while alive:
+            low = alive & -alive
+            yield from walk(gi + 1, end,
+                            chosen | (low.bit_length() - 1) << offset)
+            alive ^= low
     return walk
+
+
+def _ones(mask):
+    """The set bits of a nonnegative int mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _budget_counter(budget, n):
@@ -404,10 +441,12 @@ def _budget_counter(budget, n):
 def enumerate_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     """Stream every labeled member on {1..n} exactly once, deterministically.
 
-    The member walk (_walker) through every step of _plan, each leaf mask
-    decoded into a Structure. Budget counts walk nodes, and a checked step
-    with more than `budget` choices raises at once (see _walker). This is
-    the labeled stream, and the oracle of count_members.
+    The member walk (_walker) through every step of _plan, one DFS level
+    per point subset that carries facts, each leaf mask decoded into a
+    Structure. The order is the walk's: the choices of each step in
+    increasing order. Budget counts walk nodes (steps and leaves), and a
+    checked step with more than `budget` choices raises at once (see
+    _walker). This is the labeled stream, and the oracle of count_members.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
@@ -426,10 +465,11 @@ def count_members(H, n, budget=DEFAULT_ENUM_BUDGET):
     R, so |H_m| = sum over classes R of H_{m-1} of orbit(R) * ext(R), with
     orbit(R) = (m-1)!/|Aut R| (see structures.class_key). Level by level,
     the member walk (_walker) extends each class representative through the
-    plan steps of the subsets whose largest point is m, and each extension
-    is keyed by class as it arrives: the first of a class represents it in
-    H_m. The last level is counted. Budget counts walk nodes, and m! per
-    key; the key is read from the orbit under one FactAction per level.
+    plan steps of the subsets whose largest point is m, which hold every
+    check of those subsets, and each extension is keyed by class as it
+    arrives: the first of a class represents it in H_m. The last level is
+    counted. Budget counts walk nodes (steps with facts and leaves), and m!
+    per key; the key is read from the orbit under one FactAction per level.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")

@@ -15,9 +15,9 @@ from hereditary.properties import count_members, enumerate_members
 # name -> (property, n, least count_members budget, least
 # enumerate_members budget)
 CASES = {
-    "digraph-k2-n5": (lambda: digraphs.digraph_instance(2), 5, 10075, 85469),
-    "metric-r3-n4": (lambda: metric.metric_instance(3), 4, 1008, 2166),
-    "triples-n5": (triples.triples_instance, 5, 1059, 2096),
+    "digraph-k2-n5": (lambda: digraphs.digraph_instance(2), 5, 4153, 19367),
+    "metric-r3-n4": (lambda: metric.metric_instance(3), 4, 495, 814),
+    "triples-n5": (triples.triples_instance, 5, 582, 764),
 }
 
 

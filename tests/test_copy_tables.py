@@ -190,6 +190,18 @@ def test_metric_r5_types_and_triangles():
     assert count_members(metric.metric_instance(5), 3) == triangles == 95
 
 
+def test_metric_wide_pair_steps_count_the_triangles():
+    # The step of a pair holds its 2r facts, 12 and 14 here, and is checked:
+    # its 2^12 and 2^14 choices are each tested once.
+    for r, want in ((6, 156), (7, 238)):
+        H = metric.metric_instance(r)
+        triangles = sum(1 for d in itertools.product(range(1, r + 1),
+                                                     repeat=3)
+                        if 2 * max(d) <= sum(d))
+        assert count_members(H, 3) == triangles == want
+        assert sum(1 for _ in enumerate_members(H, 3)) == triangles
+
+
 def _fresh(H):
     """The same property with no tables built yet."""
     return HereditaryProperty(H.signature, H.forbidden, mode=H.mode)

@@ -10,7 +10,13 @@ property the fast paths are checked against their direct definitions:
   points whose choice sets hold realized and unrealized types;
 - validate_template against membership in realized_type_space;
 - the block kernel's member DFS (members) against its outcome on every
-  assignment, where there are at most 10^4 of them.
+  assignment, where there are at most 10^4 of them;
+- the member walk: on up to 3 points, the streamed fact masks against
+  every mask that mask_is_member accepts, and count_members against the
+  length of the stream; on 4 points, count_members against the length of
+  the stream where the count is at most 10^4 and takes at most 10^4 units
+  of its budget. Entries on 3 or 4 points have no facts of their own over
+  E/2, so their checks ride on the steps of their top two points.
 """
 
 import itertools
@@ -18,8 +24,11 @@ from math import comb
 
 import pytest
 
+from hereditary.errors import BudgetExceeded
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                                   HereditaryProperty, realized_type_space)
+                                   HereditaryProperty, _fact_index,
+                                   count_members, enumerate_members,
+                                   mask_is_member, realized_type_space)
 from hereditary.qftypes import qftp, type_space
 from hereditary.structures import Signature, Structure
 from hereditary.templates import (Template, block_checker, is_h_random,
@@ -99,3 +108,23 @@ def test_fast_paths_match_the_direct_definitions(seed):
         want = {a for a in itertools.product(ids, repeat=count)
                 if checker.outcome(size, a)}
         assert set(checker.members(size, ids)) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_member_walk_matches_membership(seed):
+    # the property of test_fast_paths_match_the_direct_definitions
+    H = random_property(seeded(seed))
+    for n in (1, 2, 3):  # at most 2^12 fact masks
+        stream = list(enumerate_members(H, n))
+        assert count_members(H, n) == len(stream)
+        index = _fact_index(SIG, n)
+        assert sorted(sum(1 << index[f] for f in M.facts())
+                      for M in stream) == [
+            mask for mask in range(1 << len(index))
+            if mask_is_member(H, n, mask)]
+    try:
+        count = count_members(H, 4, MAX_ASSIGNMENTS)
+    except BudgetExceeded:
+        return
+    if count <= MAX_ASSIGNMENTS:
+        assert count == sum(1 for _ in enumerate_members(H, 4))

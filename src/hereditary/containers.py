@@ -10,9 +10,10 @@ Every k-block's edges are the edges of the relative block {1..k},
 relabeled order-preservingly, so the hypergraph is kept as that block: the
 type assignments on its r-subsets whose merge is not a member, as tuples of
 type ids of the block kernel (templates._BlockChecker). They are the
-lexicographic product of the type ids minus the members, which one DFS over
-the relative r-subsets finds (_BlockChecker.members). Co-degrees count the
-j-sets of those tuples once. The k-blocks that place a point set U at the
+lexicographic product of the type ids minus the members, which the
+kernel's DFS along its block schedule (templates.closing_blocks) finds
+(_BlockChecker.members). Co-degrees count the j-sets of those tuples
+once. The k-blocks that place a point set U at the
 relative points Q of {1..k} are counted by binomials of the free gaps of U
 and Q (_gaps), so a degree is a sum over placements, not over blocks. A
 j-set in exactly one k-block (covering k points, or any j-set when n = k)

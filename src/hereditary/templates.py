@@ -20,7 +20,8 @@ the mask of the types allowed on the last one. Above r points it is asked
 about realized types (S_r(H)) only: is_h_random checks every type at size
 r first, and the search and the containers hypergraph take their types
 from S_r(H). block_subsets gives the r-subset indices of every block;
-closing_blocks lists, per r-subset, the larger blocks it closes (is the
+closing_blocks, the one block schedule of every walk over a template or a
+block, lists per r-subset the larger blocks it closes (is the
 colex-last r-subset of), each with a getter of its other entries. Two
 located types agree when neither's true facts meet the other's false
 facts (located_agree); errors are disagreements on the pairs of r-subsets
@@ -322,16 +323,16 @@ class _BlockChecker(object):
     completion by a choice from the others does not merge to a
     non-member. It is filled type by type, as [types checked, types
     allowed] masks; the choices from the other sets are merged once per
-    fill (_join), and each type is tested against those merges. A block
-    verdict reads its entry in one lookup and is one subset test. The
-    cache holds at most |choice sets|^(C(s,r)-1) entries per size.
+    fill (_join), and each type is tested against those merges. The cache
+    holds at most |choice sets|^(C(s,r)-1) entries per size.
 
-    The search reads `allowed` for all its candidate types at once;
-    is_h_random reads it through block_verdict, and block_ok is
+    Every walk reads `allowed` along closing_blocks, the one block
+    schedule: the search for all its candidate types at once, is_h_random
+    for each subset's choice set, and `members` for the singleton sets of
+    its DFS. block_verdict is one read of allowed, and block_ok is
     block_verdict on a choice map. The containers hypergraph reads
-    `members`, the member assignments of one block found by one DFS, since
-    its edges include the unsatisfiable merges, which a verdict allows
-    (errors are checked apart).
+    `members`, since its edges include the unsatisfiable merges, which
+    allowed lets through (errors are checked apart).
 
     `relabeled_set` is the action on choice-set ids of an order of the
     variables; the extremal search reads it to relabel id vectors.
@@ -349,7 +350,6 @@ class _BlockChecker(object):
         self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
         self.relabelings = {}  # (order, choice-set id) -> its image
-        self.copies = {}  # (m, fact mask on {1..m}) -> it holds a copy
 
     def type_id(self, p):
         t = self.type_ids.get(p)
@@ -443,57 +443,50 @@ class _BlockChecker(object):
 
     def members(self, s, ids):
         """The assignments of the type ids `ids` on the relative r-subsets
-        of {1..s} whose merge is a member (outcome True), in the
-        lexicographic order of itertools.product(ids, repeat=C(s, r)).
+        of {1..s} (lexicographic) whose merge is a member (outcome True),
+        sorted.
 
-        One DFS over the relative r-subsets: each type's located pair is
-        ORed onto the prefix once, and a branch stops as soon as its merge
-        is unsatisfiable or a checked m-subset whose r-subsets are all
-        placed holds a copy. Every fact of such a subset is fixed by then
-        (a fact's points lie in one of its r-subsets), so no later
-        placement changes what it holds. The copy test is
-        properties._holds_copy on the subset's mask read onto {1..m},
-        which also matches the uncompiled entries, memoized by that mask
-        (`copies`)."""
-        H = self.H
-        located, checks, _ = self._size(s)
-        points = range(1, s + 1)
-        rel = [set(A) for A in itertools.combinations(points, self.r)]
-        # the checked subsets, by the position of their last r-subset (on
-        # s = r points every subset is due at the one position)
-        due = [[] for _ in rel]
-        for m, table, gathers in checks:
-            onto = _gathers(H.signature, m, m)
-            for B, runs in zip(itertools.combinations(points, m), gathers):
-                last = max((i for i, A in enumerate(rel) if A.issubset(B)),
-                           default=0)
-                due[last].append((m, table, onto, runs))
-        copies = self.copies
+        One DFS over the relative r-subsets in colex order, the search's:
+        at each, the candidates are the types `allowed` on every block the
+        subset closes (closing_blocks), read with the singleton choice sets
+        placed so far, minus those that make the running merge
+        unsatisfiable. On s = r points they are the types allowed on
+        {1..r}."""
+        r = self.r
+        order = block_subsets(s, r, s)[0]  # colex index of each lex subset
+        rows = [row for _, row in sorted(zip(order, self._size(s)[0]))]
+        need = sum(1 << t for t in set(ids))
+        if s == r:
+            # allowed returns its whole cached mask: keep only `ids`
+            need &= self.allowed(r, (), need)
+        single = {t: self.set_id((self.types[t],)) for t in ids}
+        steps = list(zip(closing_blocks(s, r, self.H.k), rows))
+        cids = [None] * len(steps)
+        chosen = [None] * len(steps)
+        lexical = tuple_getter(order)
         out = []
 
-        def extend(i, true, false, prefix):
-            for t in ids:
-                pt, pf = located[i][t]
+        def extend(i, true, false):
+            blocks, row = steps[i]
+            todo = need
+            for size, get in blocks:
+                todo &= self.allowed(size, get(cids), todo)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                t = low.bit_length() - 1
+                pt, pf = row[t]
                 mt, mf = true | pt, false | pf
                 if mt & mf:
                     continue
-                for m, table, onto, runs in due[i]:
-                    x = 0
-                    for bit, width, local in runs:
-                        x |= (mt >> bit & width) << local
-                    hit = copies.get((m, x))
-                    if hit is None:
-                        hit = copies[m, x] = _holds_copy(H, m, table, onto, x)
-                    if hit:
-                        break
+                cids[i], chosen[i] = single[t], t
+                if i + 1 < len(steps):
+                    extend(i + 1, mt, mf)
                 else:
-                    if i + 1 < len(rel):
-                        extend(i + 1, mt, mf, prefix + (t,))
-                    else:
-                        out.append(prefix + (t,))
+                    out.append(lexical(chosen))
 
-        extend(0, 0, 0, ())
-        return out
+        extend(0, 0, 0)
+        return sorted(out)
 
     def allowed(self, s, prefix, need):
         """The types, among the type mask `need`, allowed on the last
@@ -530,17 +523,14 @@ class _BlockChecker(object):
 
     def block_verdict(self, s, cids):
         """Does no choice from the choice sets `cids` on the relative
-        r-subsets of {1..s} merge to a non-member? One cache lookup, and
-        allowed only for types still unchecked."""
+        r-subsets of {1..s} merge to a non-member? One read of allowed."""
         need = self.set_masks[cids[-1]]
-        entry = self.cache.get((s, cids[:-1]))
-        if entry is None or need & ~entry[0]:
-            return not need & ~self.allowed(s, cids[:-1], need)
-        return not need & ~entry[1]
+        return not need & ~self.allowed(s, cids[:-1], need)
 
     def block_ok(self, block, choice_map):
         """block_verdict for callers holding a choice map: block is a sorted
-        point tuple, choice_map maps its r-subsets to sets of types."""
+        point tuple, choice_map maps its r-subsets to sets of types. No
+        library path calls it; bench/layers.py times it as a layer."""
         cids = tuple(self.set_id(choice_map[A])
                      for A in itertools.combinations(block, self.r))
         return self.block_verdict(len(block), cids)
@@ -565,11 +555,14 @@ def is_h_random(T):
     cids = [checker.set_id(T.choices[A]) for A in T.subsets]
     if next(_errors(T, cids), None) is not None:
         return False
-    # a size-r verdict reads one choice set: check each distinct one once
-    if not all(checker.block_verdict(r, (c,)) for c in dict.fromkeys(cids)):
-        return False
-    # each subset's types, against the blocks it closes
+    # every chosen type against {1..r}, then each subset's types against
+    # the blocks it closes
     allowed, masks = checker.allowed, checker.set_masks
+    need = 0
+    for c in cids:
+        need |= masks[c]
+    if need & ~allowed(r, (), need):
+        return False
     for blocks, c in zip(closing_blocks(T.n, r, H.k), cids):
         need = masks[c]
         for size, get in blocks:

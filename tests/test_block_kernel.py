@@ -1,7 +1,7 @@
 """The block kernel (templates._BlockChecker) against direct merges.
 
-The kernel memoizes one merge outcome per type assignment and one verdict
-per choice-set assignment, both keyed by int ids. The oracles are
+The kernel memoizes membership per merged true mask and, per block size
+and prefix of choice-set ids, the mask of allowed types. The oracles are
 `merge_entries` plus `is_member` on every assignment, and
 `is_h_random_direct` on whole templates.
 """
@@ -14,7 +14,7 @@ import pytest
 from hereditary.containers import build_hypergraph
 from hereditary.diagrams import LocatedType, merge_entries
 from hereditary.extremal import search_extremal
-from hereditary.instances import colored, digraphs, metric, triples
+from hereditary.instances import colored, digraphs, metric, mixed, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, is_member,
                                    realized_type_space)
@@ -195,3 +195,19 @@ def test_hypergraph_edges_are_the_failed_merges(make, k, n):
         assert Hg.edges_by_block[block] == [
             frozenset(LocatedType(A, p) for A, p in zip(subsets, types))
             for types in failed]
+
+
+def test_members_across_calls_on_a_ternary_signature():
+    # each draw's members at s = r read the allowed entry of {1..3} that
+    # the earlier draws filled, which holds their types too
+    H = mixed.mixed_instance()
+    checker = block_checker(H)
+    rng = seeded(2611)
+    for _ in range(6):
+        types = [mixed.sample_type(rng) for _ in range(5)]
+        types += [mixed.q1(), mixed.q2()]
+        ids = sorted({checker.type_id(p) for p in types})
+        for s in (3, 4):
+            want = {a for a in itertools.product(ids, repeat=comb(s, 3))
+                    if checker.outcome(s, a)}
+            assert set(checker.members(s, ids)) == want

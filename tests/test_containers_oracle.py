@@ -17,10 +17,11 @@ from hereditary.containers import (build_hypergraph, codegree_function,
                                    degree, independence_check, max_codegrees)
 from hereditary.diagrams import LocatedType, type_diagram
 from hereditary.errors import BudgetExceeded
-from hereditary.instances import digraphs, metric, triples
+from hereditary.instances import colored, digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
-                                   HereditaryProperty, enumerate_members,
-                                   is_member, realized_type_space)
+                                   HereditaryProperty, count_members,
+                                   enumerate_members, is_member,
+                                   realized_type_space)
 from hereditary.templates import block_checker
 
 from helpers import random_structure, seeded
@@ -230,3 +231,18 @@ def test_edge_budget_is_unchanged():
         build_hypergraph(H, 3, 10, budget=64 * comb(10, 3) - 1)
     with pytest.raises(BudgetExceeded):
         build_hypergraph(H, 3, 100)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["colored"])
+def test_members_count_the_members_on_k_points(name):
+    # a structure on k >= r points is fixed by the types on its r-subsets,
+    # so the member assignments over S_r(H) are the labeled members
+    H = (colored.colored_instance(2, [1, 2], [colored.all_one_triangle()])
+         if name == "colored" else FAMILIES[name]())
+    r = H.signature.r
+    checker = block_checker(H)
+    ids = [checker.type_id(p) for p in realized_type_space(H)]
+    for k in range(r, 6):
+        want = count_members(H, k)
+        if want <= 3 * 10 ** 4:
+            assert len(checker.members(k, ids)) == want

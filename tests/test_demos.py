@@ -1,7 +1,8 @@
 """Smoke test: demos 01-06 run to completion in a fresh interpreter.
 
 Demo 07 (the enumeration exponent up to the largest n each node budget
-allows) takes about 20 s on a 2-core machine, so it is left out here.
+allows) takes about 9 s on a 2-core machine, so it is left out here; CI
+runs it in a step of its own.
 """
 
 import os

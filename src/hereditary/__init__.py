@@ -16,9 +16,10 @@ from .diagrams import (LocatedType, SyntacticDiagram, diagram, is_error,
                        is_satisfiable, merge_entries, span, type_diagram,
                        witness_structure)
 from .properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                         HereditaryProperty, closure, count_members,
-                         enumerate_members, is_member, is_trivial_up_to,
-                         realized_type_space, universe_entries)
+                         HereditaryProperty, UniverseEntry, closure,
+                         count_members, enumerate_members, is_member,
+                         is_trivial_up_to, realized_type_space,
+                         universe_entries)
 from .templates import (Template, choice_count, detect_errors,
                         full_subpatterns, is_error_free, is_flaw_free,
                         is_full_subpattern, is_h_random, is_h_random_direct,

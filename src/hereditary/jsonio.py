@@ -1,14 +1,17 @@
 """JSON schemas for structures, properties, templates and type listings.
 
 All elements are 1-based. Type ids are the stable "t<N>" ids from the
-lex-ordered type space, so listings are byte-identical across runs.
+lex-ordered type space, so listings are byte-identical across runs. A
+forbidden entry is a structure, a {"structure", "match"} pair, or a
+universe entry {"signature", "allowed"}, each allowed fact set written as
+the "relations" of a structure.
 """
 
 import json
 
 from .errors import InvalidArgument
 from .properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                         HereditaryProperty)
+                         HereditaryProperty, UniverseEntry)
 from .qftypes import atoms, type_by_id
 from .structures import Signature, Structure
 from .templates import Template
@@ -61,19 +64,56 @@ def structure_from_json(data, where="structure"):
     sig = signature_from_json(_expect(data, "signature", list, where),
                               where + ".signature")
     n = _expect(data, "n", int, where)
-    rels_raw = _expect(data, "relations", dict, where)
-    rels = {}
-    for name, tuples in rels_raw.items():
-        if not isinstance(tuples, list):
-            _fail("%s.relations.%s" % (where, name), "expected a list of tuples")
-        rels[name] = [_ints(t, "%s.relations.%s[%d]" % (where, name, i))
-                      for i, t in enumerate(tuples)]
+    rels = _relations_from_json(_expect(data, "relations", dict, where),
+                                where + ".relations")
     return Structure(sig, n, rels)
+
+
+def _relations_from_json(data, where):
+    rels = {}
+    for name, tuples in data.items():
+        if not isinstance(tuples, list):
+            _fail("%s.%s" % (where, name), "expected a list of tuples")
+        rels[name] = [_ints(t, "%s.%s[%d]" % (where, name, i))
+                      for i, t in enumerate(tuples)]
+    return rels
+
+
+def _relations_to_json(facts):
+    rels = {}
+    for name, t in facts:
+        rels.setdefault(name, []).append(list(t))
+    return rels
+
+
+def universe_to_json(u):
+    return {"signature": signature_to_json(u.signature),
+            "allowed": [_relations_to_json(S)
+                        for S in sorted(sorted(S) for S in u.allowed)]}
+
+
+def universe_from_json(data, where="universe"):
+    sig = signature_from_json(_expect(data, "signature", list, where),
+                              where + ".signature")
+    allowed = []
+    for i, rels in enumerate(_expect(data, "allowed", list, where)):
+        sub = "%s.allowed[%d]" % (where, i)
+        if not isinstance(rels, dict):
+            _fail(sub, "expected an object of relations")
+        allowed.append({(name, t) for name, ts in
+                        _relations_from_json(rels, sub).items() for t in ts})
+    try:
+        return UniverseEntry(sig, allowed)
+    except InvalidArgument as exc:
+        _fail(where, str(exc))
 
 
 def property_to_json(H):
     forbidden = []
     for f in H.forbidden:
+        if isinstance(f, UniverseEntry):
+            forbidden.append(universe_to_json(f))
+            continue
         entry = structure_to_json(f.structure)
         if f.match is not None:
             entry = {"structure": entry, "match": f.match}
@@ -97,7 +137,9 @@ def property_from_json(data, where="property"):
     raw = _expect(data, "forbidden", list, where)
     for i, entry in enumerate(raw):
         sub = "%s.forbidden[%d]" % (where, i)
-        if isinstance(entry, dict) and "structure" in entry:
+        if isinstance(entry, dict) and "allowed" in entry:
+            forbidden.append(universe_from_json(entry, sub))
+        elif isinstance(entry, dict) and "structure" in entry:
             forbidden.append(ForbiddenEntry(
                 structure_from_json(entry["structure"], sub),
                 entry.get("match")))

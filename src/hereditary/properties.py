@@ -6,6 +6,9 @@ either induced (isomorphism of an induced substructure, on the entry's own
 signature, which may be a reduct of the property signature) or non-induced
 (an injection carrying every positive fact of the entry into the structure).
 The property-level mode is the default for entries that do not override it.
+A universe entry (UniverseEntry) declares the loop-free fact sets an
+r-subset may carry on a signature of one arity r, the realized types the
+family allows there, in place of one induced entry per forbidden class.
 
 Every fact mask, here and in the block kernel, uses one bit order (_facts):
 the facts on {1..n} grouped by the set of points they touch, the groups in
@@ -19,12 +22,15 @@ size m, each built the first time a structure or subset of m points is
 checked: the fact masks of every relabeling of every size-m entry on
 {1..m}, read as the orbit of the entry's mask under the one relabeling
 action on fact masks (structures.FactAction), which also keys the
-classes of count_members. Membership and enumeration then ask one
-question of each m-point subset: does its mask hold a copy (_holds_copy)?
-The table for m answers it. HereditaryProperty.entry_matches keeps the
-direct definition, matching one entry by isomorphism or embedding search;
-it is the independent path the tests compare against, and it matches the
-entries too large to compile (more than COPY_LIMIT relabelings).
+classes of count_members. A universe entry compiles into the masks on
+{1..r} whose whole orbit is allowed, one orbit per allowed set.
+Membership and enumeration then ask one question of each m-point subset:
+does its mask hold a copy (_holds_copy)? The table for m answers it.
+HereditaryProperty.entry_matches keeps the direct definition, matching one
+entry by isomorphism or embedding search (a universe entry by relabeling
+each r-subset); it is the independent path the tests compare against, and
+it matches the entries too large to compile (more than COPY_LIMIT
+relabelings).
 
 enumerate_members and count_members share one walk (_walker) of one plan
 (_plan), yielding every member's fact mask. The plan has one step per
@@ -73,11 +79,69 @@ class ForbiddenEntry(object):
         self.structure = structure
         self.match = match
 
+    @property
+    def n(self):
+        return self.structure.n
+
+    @property
+    def signature(self):
+        return self.structure.signature
+
     def resolved_match(self, default):
         return self.match or default
 
     def __repr__(self):
         return "ForbiddenEntry(%r, %r)" % (self.structure, self.match)
+
+
+class UniverseEntry(object):
+    """The r-point universe of a signature whose relations all have arity
+    r: every r-subset carries one of the `allowed` sets of loop-free facts
+    (relation, tuple) on {1..r}, up to relabeling.
+
+    M contains it when some r-subset A, whose induced substructure on this
+    signature has no fact repeating an element, reads, under some
+    bijection onto {1..r}, as a fact set outside `allowed`. That is what
+    the induced entries on the other loop-free fact sets, one per
+    isomorphism class, would forbid; copy_table compiles it into the masks
+    on {1..r} whose whole orbit is allowed, so none of those classes is
+    listed. A fact with a repeated element, a tuple of the wrong arity or
+    an unknown relation raises InvalidArgument.
+    """
+
+    __slots__ = ("signature", "allowed", "n")
+
+    def __init__(self, signature, allowed):
+        arities = {arity for _, arity in signature.relations}
+        if len(arities) != 1:
+            raise InvalidArgument("universe axioms need one arity, got %r"
+                                  % sorted(arities))
+        r = arities.pop()
+        points = list(range(1, r + 1))
+        sets = set()
+        for S in allowed:
+            S = frozenset((name, tuple(t)) for name, t in S)
+            for name, t in S:
+                if name not in signature.arities:
+                    raise InvalidArgument("universe fact %s%r: unknown "
+                                          "relation" % (name, t))
+                if len(t) != r:
+                    raise InvalidArgument("universe fact %s%r: arity %d, "
+                                          "not %d" % (name, t, len(t), r))
+                if len(set(t)) < r:
+                    raise InvalidArgument("universe fact %s%r repeats an "
+                                          "element" % (name, t))
+                if sorted(t) != points:
+                    raise InvalidArgument("universe fact %s%r is not on "
+                                          "{1..%d}" % (name, t, r))
+            sets.add(S)
+        self.signature = signature
+        self.allowed = frozenset(sets)
+        self.n = r
+
+    def __repr__(self):
+        return "UniverseEntry(%r, %d allowed)" % (self.signature,
+                                                  len(self.allowed))
 
 
 def universe_entries(signature, allowed):
@@ -88,35 +152,19 @@ def universe_entries(signature, allowed):
     of loop-free facts (relation, tuple) on {1..r}. First come the
     non-induced single-fact entries, on their relation alone: one per
     relation and repeated-element pattern whose values first appear in the
-    order 1, 2, ... Then the induced entries on r points: one per
-    isomorphism class of the other loop-free fact sets, the first in mask
-    order (see first_of_classes). Those are walked over every fact set on
-    r points, so BudgetExceeded is raised, as in closure, when there are
-    more than DEFAULT_ENUM_BUDGET of them.
+    order 1, 2, ... Then one UniverseEntry holding `allowed`, which
+    forbids every other loop-free fact set on r points without listing
+    them.
     """
-    arities = {arity for _, arity in signature.relations}
-    if len(arities) != 1:
-        raise InvalidArgument("universe axioms need one arity, got %r"
-                              % sorted(arities))
-    r = arities.pop()
+    universe = UniverseEntry(signature, allowed)
+    r = universe.n
     # values in order of first appearance are 1..max(t), with max(t) < r
     patterns = [t for t in itertools.product(range(1, r + 1), repeat=r)
                 if max(t) < r
                 and list(dict.fromkeys(t)) == list(range(1, max(t) + 1))]
-    entries = [ForbiddenEntry(Structure(Signature([(name, r)]), max(t),
-                                        {name: [t]}), NON_INDUCED)
-               for name, _ in signature.relations for t in patterns]
-    facts = [(name, t) for name, _ in signature.relations
-             for t in itertools.permutations(range(1, r + 1))]
-    if 1 << len(facts) > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            "universe space 2^%d exceeds budget" % len(facts))
-    bit = {fact: 1 << i for i, fact in enumerate(facts)}
-    good = {sum(bit[fact] for fact in S) for S in allowed}
-    bad = [mask for mask in range(1 << len(facts)) if mask not in good]
-    return entries + [
-        ForbiddenEntry(structure_from_mask(signature, r, facts, mask), INDUCED)
-        for mask in first_of_classes(r, facts, bad)]
+    return [ForbiddenEntry(Structure(Signature([(name, r)]), max(t),
+                                     {name: [t]}), NON_INDUCED)
+            for name, _ in signature.relations for t in patterns] + [universe]
 
 
 class HereditaryProperty(object):
@@ -129,25 +177,38 @@ class HereditaryProperty(object):
         for f in forbidden:
             if isinstance(f, Structure):
                 f = ForbiddenEntry(f)
-            if f.structure.n < 1:
+            if f.n < 1:
                 raise InvalidArgument("forbidden structures need size >= 1")
-            if not f.structure.signature.is_reduct_of(signature):
+            if not f.signature.is_reduct_of(signature):
                 raise InvalidArgument("forbidden entry signature incompatible")
             entries.append(f)
         self.signature = signature
         self.forbidden = tuple(entries)
         self.mode = mode
         self.name = name
-        self.k = max((f.structure.n for f in entries), default=0)
+        self.k = max((f.n for f in entries), default=0)
         # Built on first use: see realized_type_space, block_checker and
         # copy_table (one slot per entry size, ascending).
         self._type_space = None
         self._checker = None
-        self._copy_tables = dict.fromkeys(sorted({f.structure.n
-                                                  for f in entries}))
+        self._copy_tables = dict.fromkeys(sorted({f.n for f in entries}))
 
     def entry_matches(self, entry, M):
-        """Does M contain the entry under its matching mode?"""
+        """Does M contain the entry under its matching mode? A
+        UniverseEntry is matched by its definition: some r-subset, loop-free
+        on the entry's signature, has a relabeling outside `allowed`."""
+        if isinstance(entry, UniverseEntry):
+            r = entry.n
+            perms = list(itertools.permutations(range(1, r + 1)))
+            for A in itertools.combinations(M.domain(), r):
+                facts = list(induced_substructure(M, A).reduct(
+                    entry.signature).facts())
+                if all(len(set(t)) == r for _, t in facts) and any(
+                        frozenset((name, tuple(p[x - 1] for x in t))
+                                  for name, t in facts) not in entry.allowed
+                        for p in perms):
+                    return True
+            return False
         F = entry.structure
         if entry.resolved_match(self.mode) == NON_INDUCED:
             return embeds_noninduced(F, M)
@@ -193,40 +254,67 @@ def _fact_index(signature, n):
 def copy_table(H, m):
     """The labeled-copy table of the size-m entries, built on first use.
 
-    A triple (induced, non_induced, direct). The copies of an entry are
-    the orbit of its fact mask on {1..m} under the relabelings
+    A tuple (induced, non_induced, direct, universe). The copies of an
+    entry are the orbit of its fact mask on {1..m} under the relabelings
     (structures.FactAction). `induced` pairs the mask of an entry
     signature's relations, built once per signature, with the copies of
     the induced entries on that signature; `non_induced` holds the copies
     of the non-induced entries as (lowest bit, copies with that lowest
-    bit) pairs.
+    bit) pairs. `universe` holds one (relmask, loops, good) triple per
+    UniverseEntry: the mask of its signature's relations, the mask of
+    those facts that repeat an element, and the masks whose whole orbit
+    is allowed; x holds a copy when x & relmask has no loop fact and is
+    not in good.
     Entries with more than COPY_LIMIT relabelings (more than 6 points) are
     not compiled: `direct` holds them, for HereditaryProperty.entry_matches.
+    Each orbit forms m! masks, one per relabeling: more than
+    DEFAULT_ENUM_BUDGET (read at call time) raise BudgetExceeded before
+    any is formed.
     """
     table = H._copy_tables[m]
     if table is None:
-        induced, non_induced, direct, relmasks = {}, set(), [], {}
+        induced, non_induced, universe, relmasks = {}, set(), [], {}
         action = FactAction(m, _facts(H.signature, m))
-        for f in H.forbidden:
+        entries, direct = [f for f in H.forbidden if f.n == m], ()
+        if action.size > COPY_LIMIT:
+            entries, direct = [], entries
+        formed = action.size * sum(
+            len(f.allowed) if isinstance(f, UniverseEntry) else 1
+            for f in entries)
+        if formed > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded("copy table on %d points forms %d masks, "
+                                 "over budget" % (m, formed))
+
+        def relmask_of(signature):
+            relmask = relmasks.get(signature.relations)
+            if relmask is None:
+                relmask = relmasks[signature.relations] = sum(
+                    bit for (name, _), bit in action.bits.items()
+                    if name in signature.arities)
+            return relmask
+
+        for f in entries:
+            if isinstance(f, UniverseEntry):
+                allowed = {sum(map(action.bits.__getitem__, S))
+                           for S in f.allowed}
+                good = set()
+                for mask in allowed:
+                    copies = action.orbit(mask)
+                    if copies <= allowed:
+                        good |= copies
+                relmask = relmask_of(f.signature)
+                loops = sum(bit for (_, t), bit in action.bits.items()
+                            if bit & relmask and len(set(t)) < m)
+                universe.append((relmask, loops, frozenset(good)))
+                continue
             F = f.structure
-            if F.n != m:
-                continue
-            if action.size > COPY_LIMIT:
-                direct.append(f)
-                continue
             copies = action.orbit(sum(action.bits[name, t]
                                       for name, ts in F.relations.items()
                                       for t in ts))
             if f.resolved_match(H.mode) == NON_INDUCED:
                 non_induced |= copies
                 continue
-            reduct = F.signature.relations
-            relmask = relmasks.get(reduct)
-            if relmask is None:
-                relmask = relmasks[reduct] = sum(
-                    bit for (name, _), bit in action.bits.items()
-                    if name in F.signature.arities)
-            induced.setdefault(relmask, set()).update(copies)
+            induced.setdefault(relmask_of(F.signature), set()).update(copies)
         by_low = {}
         for c in sorted(non_induced):
             by_low.setdefault(c & -c, []).append(c)
@@ -234,17 +322,22 @@ def copy_table(H, m):
             tuple((relmask, frozenset(copies))
                   for relmask, copies in induced.items()),
             tuple((low, tuple(by_low[low])) for low in sorted(by_low)),
-            tuple(direct))
+            tuple(direct), tuple(universe))
     return table
 
 
 def _matches(table, x):
     """Does the structure with fact mask x contain a compiled copy?
 
-    A non-induced copy fits when it is a subset of x, so only the copies
-    whose lowest bit is set in x are read (and the empty copy, if any).
+    A universe is one set lookup. A non-induced copy fits when it is a
+    subset of x, so only the copies whose lowest bit is set in x are read
+    (and the empty copy, if any).
     """
-    induced, non_induced, _ = table
+    induced, non_induced, _, universe = table
+    for relmask, loops, good in universe:
+        y = x & relmask
+        if not y & loops and y not in good:
+            return True
     for relmask, copies in induced:
         if (x & relmask) in copies:
             return True

@@ -13,7 +13,11 @@ These are second, independent paths, kept here as oracles:
   (max_product, max_density_log2);
 - templates: every choice function and its merge (choice_functions,
   subpattern_of_choice), and the geometric-mean identity of sub counts
-  (geometric_mean_identity_gap).
+  (geometric_mean_identity_gap);
+- properties: the induced entries a universe entry stands for, one per
+  isomorphism class of the fact sets it does not allow
+  (universe_bad_classes, expanded), and copy tables read back in that
+  form (dissolved).
 """
 
 import itertools
@@ -22,8 +26,11 @@ from functools import lru_cache
 from math import comb
 
 from hereditary.diagrams import LocatedType, merge_entries
-from hereditary.errors import InvalidArgument
+from hereditary.errors import BudgetExceeded, InvalidArgument
 from hereditary.instances.metric import triangle_ok
+from hereditary.properties import (DEFAULT_ENUM_BUDGET, INDUCED,
+                                   ForbiddenEntry, UniverseEntry)
+from hereditary.structures import first_of_classes, structure_from_mask
 from hereditary.templates import _require_complete, restrict, sub_count
 
 
@@ -270,3 +277,66 @@ def geometric_mean_identity_gap(T):
         sa, _ = sub_count(restrict(T, rest))
         total += math.log(sa)
     return abs(math.log(s) - total / (n - r))
+
+
+# ---------- properties: universe entries as induced entries ----------
+
+def universe_bad_classes(signature, allowed):
+    """The induced entries on r points that forbid every loop-free fact
+    set outside `allowed`: one per isomorphism class of those sets, the
+    first in mask order (see first_of_classes). They are walked over every
+    fact set on r points, so BudgetExceeded is raised when there are more
+    than DEFAULT_ENUM_BUDGET of them."""
+    r = signature.r
+    facts = [(name, t) for name, _ in signature.relations
+             for t in itertools.permutations(range(1, r + 1))]
+    if 1 << len(facts) > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            "universe space 2^%d exceeds budget" % len(facts))
+    bit = {fact: 1 << i for i, fact in enumerate(facts)}
+    good = {sum(bit[fact] for fact in S) for S in allowed}
+    bad = [mask for mask in range(1 << len(facts)) if mask not in good]
+    return [
+        ForbiddenEntry(structure_from_mask(signature, r, facts, mask), INDUCED)
+        for mask in first_of_classes(r, facts, bad)]
+
+
+def expanded(entries):
+    """The entries, each UniverseEntry replaced by its bad classes."""
+    out = []
+    for f in entries:
+        if isinstance(f, UniverseEntry):
+            out.extend(universe_bad_classes(f.signature, f.allowed))
+        else:
+            out.append(f)
+    return out
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def dissolved(table):
+    """A copy table (properties.copy_table) as (induced, non_induced,
+    direct) alone: each compiled universe (relmask, loops, good) becomes
+    the induced copies it forbids, the masks within relmask that hold no
+    loop fact and are not good, ahead of the other induced copies; each
+    uncompiled UniverseEntry is expanded. More than 2^20 loop-free masks
+    raise BudgetExceeded, as in universe_bad_classes."""
+    induced, non_induced, direct, universe = table
+    merged = {}
+    for relmask, loops, good in universe:
+        if bin(relmask & ~loops).count("1") > 20:
+            raise BudgetExceeded("dissolved universe exceeds 2^20 masks")
+        merged.setdefault(relmask, set()).update(
+            y for y in _submasks(relmask & ~loops) if y not in good)
+    for relmask, copies in induced:
+        merged.setdefault(relmask, set()).update(copies)
+    return (tuple((relmask, frozenset(copies))
+                  for relmask, copies in merged.items()),
+            non_induced, tuple(expanded(direct)))

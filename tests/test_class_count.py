@@ -27,7 +27,7 @@ from hereditary.templates import (Template, choice_count,
                                   is_h_random_direct, r_subsets)
 
 from helpers import DIGRAPH_SIG, seeded
-from oracles import choice_functions, subpattern_of_choice
+from oracles import choice_functions, expanded, subpattern_of_choice
 
 # name -> (property, largest n checked against the labeled stream). mixed
 # stops at n = 2: E is free, so it has about 3 * 10^9 members on 3 points.
@@ -105,9 +105,10 @@ def test_count_with_an_empty_non_induced_entry():
 
 
 def _linear_matches(H, m, x):
-    """The former scan: every induced copy, then every non-induced copy."""
+    """The former scan: every induced copy, then every non-induced copy,
+    a universe entry standing for its bad classes (oracles.expanded)."""
     index = properties._fact_index(H.signature, m)
-    for f in H.forbidden:
+    for f in expanded(H.forbidden):
         F = f.structure
         if F.n != m:
             continue

@@ -286,6 +286,24 @@ def write(tmp_path, name, data):
     return str(path)
 
 
+PAIRS = [{"name": "R1", "arity": 2}, {"name": "R2", "arity": 2}]
+
+
+@pytest.mark.parametrize("allowed, why", [
+    ([{"R1": [[1, 2], [2, 1]]}, {"R2": [[1, 1]]}], "repeats an element"),
+    ([{"R1": [[1, 2, 3]]}], "arity 3, not 2"),
+    ([{"R9": [[1, 2]]}], "unknown relation"),
+], ids=["repeated-element", "wrong-arity", "unknown-relation"])
+def test_malformed_universe_is_invalid_input(tmp_path, capsys, allowed, why):
+    path = write(tmp_path, "universe.json", {
+        "signature": PAIRS,
+        "forbidden": [{"signature": PAIRS, "allowed": allowed}]})
+    assert cli.main(["types", "--property", path]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and why in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, data", [
     ("distance", with_tuple(["a", 2])),
     ("distance", with_tuple(5)),

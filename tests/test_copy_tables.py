@@ -7,15 +7,19 @@ non-induced embedding, and is the oracle here.
 """
 
 import itertools
+import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hereditary import properties
+from hereditary import cli, jsonio, properties
+from hereditary.errors import BudgetExceeded
 from hereditary.instances import colored, digraphs, metric, mixed, triples
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, copy_table,
                                    count_members, enumerate_members,
-                                   is_member, realized_type_space)
+                                   is_member, realized_type_space,
+                                   universe_entries)
 from hereditary.structures import Signature, Structure
 
 from helpers import random_structure, seeded
@@ -39,7 +43,20 @@ FAMILIES = {
         2, [1, 2], [colored.all_one_triangle()]), 4, None, ()),
     "mixed": (mixed.mixed_instance, 2,
               lambda: realized_type_space(metric.metric_instance(3)), ("E",)),
+    "one-way-triple": (lambda: _one_way_triple(), 4, None, ()),
 }
+
+
+def _one_way_triple():
+    """A universe with an allowed set not closed under relabeling: R(1, 2,
+    3) alone is allowed, its other orientations are not, so a triple with
+    one orientation reads as forbidden and each triple of a member holds
+    no fact or all six orientations. On 3 points it is compiled only when
+    COPY_LIMIT allows 3! relabelings."""
+    R = Signature([("R", 3)])
+    return HereditaryProperty(R, universe_entries(R, [
+        set(), {("R", (1, 2, 3))},
+        {("R", t) for t in itertools.permutations((1, 2, 3))}]))
 
 
 def _flip(rels, signature, n, rng):
@@ -216,8 +233,8 @@ def test_tables_are_built_per_size_on_first_use():
     assert H._copy_tables[3] is None and H._copy_tables[11] is None
     T = digraphs.transitive_tournament
     assert is_member(H, T(10)) and not is_member(H, T(11))
-    induced, non_induced, direct = copy_table(H, 11)
-    assert (induced, non_induced) == ((), ())
+    induced, non_induced, direct, universe = copy_table(H, 11)
+    assert (induced, non_induced, universe) == ((), (), ())
     assert [f.structure for f in direct] == [T(11)]
 
 
@@ -241,3 +258,24 @@ def test_uncompiled_entries_agree_with_tables(monkeypatch):
                 for n in range(1, min(n_max, 3) + 1)] == members, name
         assert [[is_member(H, M) for M in _random_batch(name, n)[1]]
                 for n in range(1, 6)] == verdicts, name
+
+
+def test_copy_table_budget_is_read_at_call_time(monkeypatch, tmp_path,
+                                                capsys):
+    # The table of a 6-point entry forms 6! = 720 masks: over a budget of
+    # 100, though the 6 unary facts on 6 points and the walk stay within it.
+    unary = Signature([("P", 1)])
+    entry = Structure(unary, 6, {"P": [(x,) for x in range(1, 7)]})
+    assert count_members(HereditaryProperty(unary, [entry]), 6) == 63
+    path = tmp_path / "p6.json"
+    path.write_text(json.dumps(jsonio.property_to_json(
+        HereditaryProperty(unary, [entry]))))
+    monkeypatch.setattr(properties, "DEFAULT_ENUM_BUDGET", 100)
+    with pytest.raises(BudgetExceeded,
+                       match="copy table on 6 points forms 720 masks"):
+        count_members(HereditaryProperty(unary, [entry]), 6)
+    code = cli.main(["enumerate", "--property", str(path), "--n", "6",
+                     "--count-only", "--budget", "10000"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert "copy table" in report["detail"]

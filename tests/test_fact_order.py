@@ -19,6 +19,8 @@ from hereditary.instances.colored import all_one_triangle
 from hereditary.properties import (NON_INDUCED, copy_table, count_members,
                                    enumerate_members, realized_type_space)
 
+from oracles import dissolved, expanded
+
 # name: (property, n, members on n points, md5 of their stream,
 #        members on n + 1 points, md5 of repr(realized_type_space))
 CASES = {
@@ -75,7 +77,8 @@ def _copies(F, m):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_copy_tables_as_fact_sets(name):
     # Each table read back through the fact of each bit, against the
-    # relabelings of the entries themselves.
+    # relabelings of the entries themselves, a universe entry standing for
+    # its bad classes (oracles.expanded, oracles.dissolved).
     H = CASES[name][0]()
     for m in H._copy_tables:
         facts = list(properties._fact_index(H.signature, m))
@@ -83,13 +86,13 @@ def test_copy_tables_as_fact_sets(name):
         def fact_set(mask):
             return frozenset(f for i, f in enumerate(facts) if mask >> i & 1)
 
-        induced, non_induced, direct = copy_table(H, m)
+        induced, non_induced, direct = dissolved(copy_table(H, m))
         got_induced = {fact_set(relmask): {fact_set(c) for c in copies}
                        for relmask, copies in induced}
         got_non_induced = {fact_set(c) for _, copies in non_induced
                            for c in copies}
         want_induced, want_non_induced, want_direct = {}, set(), []
-        for f in H.forbidden:
+        for f in expanded(H.forbidden):
             if f.structure.n != m:
                 continue
             if math.factorial(m) > properties.COPY_LIMIT:

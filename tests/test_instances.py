@@ -251,7 +251,8 @@ def test_generated_families_match_pairwise_dedup(case):
         facts, good = _symmetric_blocks(["c%d" % c for c in colors], 2)
         sig, n = colored.signature(2, colors), 2
     # the induced entries: the loop entries lie on fewer than n points
-    entries = [f for f in universe_entries(sig, good) if f.structure.n == n]
+    entries = [f for f in oracles.expanded(universe_entries(sig, good))
+               if f.structure.n == n]
     assert [f.structure for f in entries] == _pairwise_classes(
         sig, n, facts, good)
     assert all(f.match == INDUCED for f in entries)

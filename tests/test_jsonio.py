@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from hereditary import jsonio
-from hereditary.errors import InvalidArgument
-from hereditary.instances import digraphs, metric
-from hereditary.properties import is_member
+from hereditary.errors import BudgetExceeded, InvalidArgument
+from hereditary.instances import colored, digraphs, metric, mixed, triples
+from hereditary.properties import (UniverseEntry, count_members, is_member,
+                                   realized_type_space)
 from hereditary.qftypes import type_space
 from hereditary.structures import Signature, Structure
 
@@ -58,6 +61,43 @@ def test_property_round_trip_with_reduct_entries():
     H2 = jsonio.property_from_json(jsonio.property_to_json(H))
     bad = metric.metric_space(3, 3, {(1, 2): 1, (1, 3): 1, (2, 3): 3})
     assert not is_member(H2, bad)
+
+
+UNIVERSE_FAMILIES = {
+    "metric-r3": lambda: metric.metric_instance(3),
+    "triples": triples.triples_instance,
+    "colored": lambda: colored.colored_instance(
+        2, [1, 2], [colored.all_one_triangle()]),
+    "mixed": mixed.mixed_instance,
+}
+
+
+def _universes(H):
+    return [(f.signature, f.allowed) for f in H.forbidden
+            if isinstance(f, UniverseEntry)]
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSE_FAMILIES))
+def test_universe_round_trip(name):
+    H = UNIVERSE_FAMILIES[name]()
+    data = jsonio.property_to_json(H)
+    H2 = jsonio.property_from_json(json.loads(json.dumps(data)))
+    assert jsonio.property_to_json(H2) == data
+    assert len(_universes(H)) == 1 and _universes(H2) == _universes(H)
+    if name == "mixed":
+        # E is free: S_3 is over TYPE_SPACE_LIMIT, and 3-point members
+        # run past a budget of 10^4, under both properties
+        for G in (H, H2):
+            with pytest.raises(BudgetExceeded):
+                realized_type_space(G)
+            with pytest.raises(BudgetExceeded):
+                count_members(G, 3, budget=10 ** 4)
+        n_max = 2
+    else:
+        assert realized_type_space(H2) == realized_type_space(H)
+        n_max = 4
+    for n in range(1, n_max + 1):
+        assert count_members(H2, n) == count_members(H, n), n
 
 
 def test_template_round_trip():

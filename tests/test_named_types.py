@@ -15,6 +15,8 @@ from hereditary.qftypes import QfType, atoms
 from hereditary.structures import Structure
 from hereditary.instances import colored, digraphs, metric, mixed, triples
 
+from oracles import expanded
+
 
 def pair_type_oracle(forward, backward):
     facts = []
@@ -118,7 +120,8 @@ def test_metric_forbidden_entries(r):
     single = [{("R%d" % i, (1, 2)), ("R%d" % i, (2, 1))}
               for i in range(1, r + 1)]
     want = [(f.structure, f.match)
-            for f in universe_entries(metric.signature(r), single)]
+            for f in expanded(universe_entries(metric.signature(r), single))]
     want += violating_triangles_oracle(r)
-    got = [(f.structure, f.match) for f in metric.forbidden_entries(r)]
+    got = [(f.structure, f.match)
+           for f in expanded(metric.forbidden_entries(r))]
     assert got == want

@@ -3,9 +3,12 @@
 metric, triples and colored used to build their universe axioms (one
 allowed r-point type per r-subset, no fact repeating an element) with
 their own loop-entry and bad-block builders. Those builders are copied
-here as the oracle. The families must keep the same forbidden entries in
-the same order (up to the isomorphic triples loop representative), the
-same copy tables, the same realized type space and the same member counts.
+here as the oracle. The families now declare one UniverseEntry, which
+stands for the induced bad-class entries (oracles.expanded); so expanded,
+they must keep the same forbidden entries in the same order (up to the
+isomorphic triples loop representative), the same copy tables, the same
+verdict on every loop-free r-point mask and every such mask with one loop
+fact added, the same realized type space and the same member counts.
 """
 
 import itertools
@@ -17,10 +20,13 @@ from hereditary.errors import BudgetExceeded
 from hereditary.instances import colored, metric, mixed, triples
 from hereditary.instances.colored import all_one_triangle
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
-                                   HereditaryProperty, copy_table,
+                                   HereditaryProperty, UniverseEntry,
+                                   _facts, _gathers, _holds_copy, copy_table,
                                    count_members, realized_type_space)
 from hereditary.structures import (Signature, Structure, first_of_classes,
                                    is_isomorphic, structure_from_mask)
+
+from oracles import dissolved, expanded
 
 
 # ---------- the former builders ----------
@@ -154,6 +160,7 @@ FAMILIES = _families()
 
 
 def _same_entries(old, new):
+    new = expanded(new)
     assert len(old) == len(new)
     for a, b in zip(old, new):
         assert (a.structure, a.match) == (b.structure, b.match)
@@ -172,7 +179,8 @@ def test_colored_entries_match_the_former_builders(name):
 
 
 def test_triples_entries_match_up_to_the_loop_representative():
-    old, new = _old_triples().forbidden, triples.triples_instance().forbidden
+    old = _old_triples().forbidden
+    new = expanded(triples.triples_instance().forbidden)
     assert len(old) == len(new)
     differ = [(a, b) for a, b in zip(old, new)
               if (a.structure, a.match) != (b.structure, b.match)]
@@ -187,7 +195,7 @@ def _table_sets(H):
     non-induced copies, uncompiled entries)."""
     out = {}
     for m in H._copy_tables:
-        induced, non_induced, direct = copy_table(H, m)
+        induced, non_induced, direct = dissolved(copy_table(H, m))
         out[m] = (dict(induced),
                   {c for _, copies in non_induced for c in copies},
                   [(f.structure, f.match) for f in direct])
@@ -210,9 +218,46 @@ def test_copy_tables_type_space_and_counts_match(name):
         assert count_members(old, n) == count_members(new, n), n
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_compiled_universe_gives_the_former_verdicts(name):
+    # At the universe's size r, on every mask of loop-free facts and on
+    # each of those with one loop fact added, the compiled universe and the
+    # former builders' induced bad-class entries hold a copy alike.
+    old_make, new_make, _ = FAMILIES[name]
+    old, new = old_make(), new_make()
+    universe, = [f for f in new.forbidden if isinstance(f, UniverseEntry)]
+    m = universe.n
+    facts = _facts(new.signature, m)
+    gathers = _gathers(new.signature, m, m)
+    old_table, new_table = copy_table(old, m), copy_table(new, m)
+    assert new_table[3] and not old_table[3]
+    free = [1 << i for i, (_, t) in enumerate(facts) if len(set(t)) == m]
+    loops = [0] + [1 << i for i, (_, t) in enumerate(facts)
+                   if len(set(t)) < m]
+    verdicts = set()
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        x = sum(bit for bit, b in zip(free, bits) if b)
+        for loop in loops:
+            want = _holds_copy(old, m, old_table, gathers, x | loop)
+            assert _holds_copy(new, m, new_table, gathers, x | loop) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_universe_space_is_bounded():
-    # metric r=12 has 24 facts on a pair: 2^24 fact sets exceed the budget
+    # metric r=12 has 24 facts on a pair: its pair step has 2^24 choices,
+    # more than the budget, so the type space is refused before they are
+    # checked
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="universe space 2\\^24"):
-        metric.metric_instance(12)
+    with pytest.raises(BudgetExceeded, match="2\\^24"):
+        realized_type_space(metric.metric_instance(12))
     assert time.perf_counter() - start < 1
+
+
+def test_metric_r8_builds_without_walking_its_universe():
+    # the universe is declared, not walked: 2^16 fact sets on a pair
+    start = time.perf_counter()
+    H = metric.metric_instance(8)
+    assert time.perf_counter() - start < 0.2
+    assert sorted(realized_type_space(H)) == sorted(
+        metric.distance_type(8, i) for i in range(1, 9))

@@ -20,13 +20,13 @@ j-set in exactly one k-block (covering k points, or any j-set when n = k)
 has its count as degree, and the largest counts through each vertex follow
 in closed form from where the vertex's r-subset can sit in a k-block; the
 other j-sets are added into every block through int vertex keys.
-Independence is one lookup per block. The vertex list, and edges as
-frozensets of located types, are built only when read.
+Independence is one lookup per block. The vertex list is built on first
+read, and a block's edges as frozensets of located types only when
+ContainerHypergraph.block_edges is asked for that block.
 """
 
 import itertools
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
@@ -46,10 +46,9 @@ class ContainerHypergraph(object):
 
     `rel_edges` lists the edges of the block {1..k}: tuples of type ids
     (the block kernel's, `types` maps them back) on the relative r-subsets
-    of {1..k}, in lexicographic order. `edges_by_block` is a lazy mapping:
-    it iterates the k-subsets of {1..n} in lexicographic order, and
-    `[block]` builds that block's edges as frozensets of located types, in
-    the order of `rel_edges`. Co-degrees key a vertex by the int
+    of {1..k}, in lexicographic order; every k-subset of {1..n} holds
+    their relabelings, which `block_edges(block)` builds as frozensets of
+    located types. Co-degrees key a vertex by the int
     `subset_index * width + type_id`, with its r-subset's index in
     r_subsets(n, r) (the indices templates.block_subsets gives); `width`
     exceeds every type id of the vertices. `vertices`, the located realized
@@ -69,12 +68,18 @@ class ContainerHypergraph(object):
         self.types = checker.types        # type id -> QfType
         self.type_ids = checker.type_ids  # QfType -> type id
         self.width = len(self.types)
-        self.edges_by_block = _BlockEdges(self)
         self._rel_counts = {}
 
-    def edges(self):
-        for edges in self.edges_by_block.values():
-            yield from edges
+    def block_edges(self, block):
+        """The edges on the k-subset `block` of {1..n}, increasing, as
+        frozensets of located types, in the order of `rel_edges`."""
+        if not (len(block) == self.k and list(block) == sorted(set(block))
+                and 1 <= block[0] and block[-1] <= self.n):
+            raise InvalidArgument("block must be an increasing k-subset of "
+                                  "{1..%d}, got %r" % (self.n, block))
+        rsubs = list(itertools.combinations(block, self.r))
+        return [frozenset(LocatedType(A, self.types[t]) for A, t in zip(rsubs, e))
+                for e in self.rel_edges]
 
     @cached_property
     def vertices(self):
@@ -106,38 +111,14 @@ class ContainerHypergraph(object):
         return counts
 
 
-class _BlockEdges(Mapping):
-    """ContainerHypergraph.edges_by_block: each block's edges, as frozensets
-    of located types, built on lookup."""
-
-    def __init__(self, Hg):
-        self.Hg = Hg
-
-    def __iter__(self):
-        return itertools.combinations(range(1, self.Hg.n + 1), self.Hg.k)
-
-    def __len__(self):
-        return comb(self.Hg.n, self.Hg.k)
-
-    def __getitem__(self, block):
-        Hg = self.Hg
-        if not (isinstance(block, tuple) and len(block) == Hg.k
-                and list(block) == sorted(set(block))
-                and 1 <= block[0] and block[-1] <= Hg.n):
-            raise KeyError(block)
-        rsubs = list(itertools.combinations(block, Hg.r))
-        return [frozenset(LocatedType(A, Hg.types[t]) for A, t in zip(rsubs, e))
-                for e in Hg.rel_edges]
-
-
-def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
+def build_hypergraph(H, k, n):
     """The hypergraph for containers analysis at size k: the edges of the
     block {1..k}, which every k-subset of {1..n} repeats. They are the type
     assignments of itertools.product over S_r(H) that are not members
     (_BlockChecker.members), in the product's order.
 
-    The budget bounds |S_r(H)|^C(k,r) * C(n,k), the size of the edge space
-    over all blocks."""
+    DEFAULT_EDGE_BUDGET bounds |S_r(H)|^C(k,r) * C(n,k), the size of the
+    edge space over all blocks."""
     r = H.signature.r
     if not H.forbidden:
         raise InvalidArgument("forbidden family must be nonempty")
@@ -146,7 +127,7 @@ def build_hypergraph(H, k, n, budget=DEFAULT_EDGE_BUDGET):
     space = realized_type_space(H)
     s = comb(k, r)
     per_block = len(space) ** s
-    if per_block * comb(n, k) > budget:
+    if per_block * comb(n, k) > DEFAULT_EDGE_BUDGET:
         raise BudgetExceeded("edge space exceeds budget")
     # the type assignments on {1..k} whose merge is not a member
     checker = block_checker(H)
@@ -288,13 +269,13 @@ def max_codegrees(Hg, j):
 
 
 class CodegreeReport(object):
-    def __init__(self, tau, d, delta_j, delta, threshold=None, threshold_met=None):
+    def __init__(self, tau, d, delta_j, delta):
         self.tau = tau
         self.d = d
         self.delta_j = delta_j
         self.delta = delta
-        self.threshold = threshold
-        self.threshold_met = threshold_met
+        self.threshold = None
+        self.threshold_met = None
 
     def __repr__(self):
         return "CodegreeReport(tau=%s, d=%s, delta=%s)" % (
@@ -384,9 +365,9 @@ def independence_check(Hg, M):
     ids = Hg.type_ids
     on = {v.support: ids[v.qftype] for v in entries}
     edge_index = {e: i for i, e in enumerate(Hg.rel_edges)}
-    for block in Hg.edges_by_block:
+    for block in itertools.combinations(range(1, Hg.n + 1), Hg.k):
         i = edge_index.get(tuple(on[A] for A in
                                  itertools.combinations(block, Hg.r)))
         if i is not None:
-            return False, Hg.edges_by_block[block][i]
+            return False, Hg.block_edges(block)[i]
     return True, None

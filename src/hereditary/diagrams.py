@@ -2,7 +2,8 @@
 
 Located types are canonicalized to the sorted enumeration of their support,
 so a diagram is just a set of (support, type) pairs and choice sets are
-plain sets of types.
+plain sets of types. A syntactic m-diagram is in Err_l, l = m its support
+size, when merging its entries' facts meets a conflict (is_error).
 """
 
 import itertools
@@ -136,39 +137,33 @@ def merge_entries(entries, n=None, signature=None):
     return Structure(signature, n, rels)
 
 
-def is_satisfiable(sigma, with_witness=False):
-    """Satisfiability of a syntactic diagram by direct fact-table merging.
+def is_satisfiable(sigma):
+    """Satisfiability of a syntactic m-diagram by direct fact-table merging.
 
-    The empty diagram is satisfiable, with no witness (it has no
-    signature to build one on)."""
+    The empty diagram is satisfiable."""
     if not sigma.is_m_diagram():
         raise InvalidArgument("not a syntactic m-diagram")
-    if not sigma.entries:
-        return (True, None) if with_witness else True
-    witness = merge_entries(sigma.entries)
-    if with_witness:
-        return (witness is not None), witness
-    return witness is not None
+    return not sigma.entries or merge_entries(sigma.entries) is not None
 
 
 def witness_structure(sigma):
-    """A structure N with Diag^tp(N[support]) = sigma, relabeled to {1..m}."""
+    """A structure N with Diag^tp(N[support]) = sigma, relabeled to {1..m};
+    None when sigma is unsatisfiable."""
+    if not sigma.is_m_diagram():
+        raise InvalidArgument("not a syntactic m-diagram")
     if not sigma.entries:
         raise InvalidArgument("the empty diagram has no signature to build "
                               "a witness on")
-    ok, w = is_satisfiable(sigma, with_witness=True)
-    return induced_substructure(w, sigma.support) if ok else None
+    w = merge_entries(sigma.entries)
+    return None if w is None else induced_substructure(w, sigma.support)
 
 
-def is_error(sigma, ell=None):
-    """Membership in Err_l: an unsatisfiable syntactic l-diagram.
+def is_error(sigma):
+    """Membership in Err_l, l the support size of sigma: an unsatisfiable
+    syntactic l-diagram.
 
     The empty diagram is a 0-diagram and never an error.
     """
-    if not sigma.entries:
-        return False
-    if ell is not None and len(sigma.support) != ell:
-        return False
     return not is_satisfiable(sigma)
 
 

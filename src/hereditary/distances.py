@@ -9,7 +9,7 @@ from .diagrams import LocatedType, merge_entries
 from .errors import InvalidArgument
 from .properties import is_member, realized_type_space
 from .qftypes import qftp
-from .templates import Template, is_error_free, is_full_subpattern, sub_count
+from .templates import is_error_free, is_full_subpattern, sub_count
 
 
 def diff(M, N):

@@ -504,7 +504,7 @@ def _near(H, n, epsilon, node_budget):
     return run
 
 
-def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
+def near_extremal_set(H, n, epsilon):
     """All H-random templates with sub >= ex^(1-epsilon), plus the report.
 
     One search finds both (see _search): its floor follows the best product
@@ -513,8 +513,8 @@ def near_extremal_set(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     are those of that one run. At most DEFAULT_CAP templates are kept,
     those of the largest subs first; the list is cut when a template at
     the final floor was not kept, and the report is truncated when one at
-    ex was not."""
-    report, found, _, _ = _near(H, n, epsilon, node_budget)
+    ex was not. The search runs under DEFAULT_NODE_BUDGET."""
+    report, found, _, _ = _near(H, n, epsilon, DEFAULT_NODE_BUDGET)
     return found, report
 
 

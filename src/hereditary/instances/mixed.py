@@ -9,7 +9,6 @@ inside a 4-point block, so choice functions need not produce distinct
 """
 
 import itertools
-import random
 
 from ..properties import HereditaryProperty, INDUCED
 from ..qftypes import type_from_structure
@@ -55,9 +54,9 @@ def error_template():
     return Template(H, 4, choices)
 
 
-def sample_type(rng=None):
-    """A random valid 3-point type: metric distances plus random E-facts."""
-    rng = rng or random.Random()
+def sample_type(rng):
+    """A random valid 3-point type, drawn with the random.Random rng: metric
+    distances plus random E-facts."""
     triples = [(i, j, k) for i in (1, 2, 3) for j in (1, 2, 3)
                for k in (1, 2, 3) if metric.triangle_ok(i, j, k)]
     i, j, k = rng.choice(triples)

@@ -9,7 +9,6 @@ That family has two minimal patterns: the degenerate one on 4 vertices
 
 import itertools
 from functools import lru_cache
-from math import comb
 
 from ..properties import (NON_INDUCED, ForbiddenEntry, HereditaryProperty,
                           universe_entries)

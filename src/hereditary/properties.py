@@ -607,11 +607,13 @@ def realized_type_space(H):
     return list(H._type_space)
 
 
-def closure(H, K, budget=DEFAULT_ENUM_BUDGET):
+def closure(H, K):
     """cl_K(F): size-K non-members, one representative per isomorphism class.
 
     Walks the raw labeled fact space of size-K structures in mask order,
-    so it is budget-guarded; tractable for binary signatures at desk scale.
+    so it raises BudgetExceeded when that space has more than
+    DEFAULT_ENUM_BUDGET masks; tractable for binary signatures at desk
+    scale.
     The representative of a class is its first non-member in that order
     (structures.first_of_classes).
     """
@@ -621,7 +623,7 @@ def closure(H, K, budget=DEFAULT_ENUM_BUDGET):
     for name, arity in H.signature.relations:
         facts.extend((name, t) for t in
                      itertools.product(range(1, K + 1), repeat=arity))
-    if 1 << len(facts) > budget:
+    if 1 << len(facts) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(
             "closure space 2^%d exceeds budget" % len(facts))
     non_members = [

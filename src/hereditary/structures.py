@@ -113,28 +113,20 @@ class Structure(object):
         return "Structure(n=%d, %r)" % (self.n, shown)
 
 
-def induced_substructure(M, A, relabel=True):
-    """M[A], relabeled onto {1..|A|} via the order-preserving bijection.
-
-    With relabel=False the substructure keeps its original labels (domain
-    size stays M.n; elements outside A lose all facts).
-    """
+def induced_substructure(M, A):
+    """M[A], relabeled onto {1..|A|} via the order-preserving bijection."""
     A = sorted(set(A))
     if not A:
         raise InvalidArgument("A must be nonempty")
     if A[0] < 1 or A[-1] > M.n:
         raise InvalidArgument("A out of domain")
     inside = set(A)
-    if relabel:
-        pos = {a: i + 1 for i, a in enumerate(A)}
-        rels = {}
-        for name, ts in M.relations.items():
-            rels[name] = [tuple(pos[x] for x in t) for t in ts
-                          if inside.issuperset(t)]
-        return Structure(M.signature, len(A), rels)
-    rels = {name: [t for t in ts if inside.issuperset(t)]
-            for name, ts in M.relations.items()}
-    return Structure(M.signature, M.n, rels)
+    pos = {a: i + 1 for i, a in enumerate(A)}
+    rels = {}
+    for name, ts in M.relations.items():
+        rels[name] = [tuple(pos[x] for x in t) for t in ts
+                      if inside.issuperset(t)]
+    return Structure(M.signature, len(A), rels)
 
 
 def structure_from_mask(signature, n, facts, mask):

@@ -208,7 +208,11 @@ def _errors(T, cids):
 
 
 def is_error_free(T):
-    return not detect_errors(T)
+    """No error witness (detect_errors); stops at the first one."""
+    _require_complete(T)
+    checker = block_checker(T.property)
+    cids = [checker.set_id(T.choices[A]) for A in T.subsets]
+    return next(_errors(T, cids), None) is None
 
 
 def sub_count(T):

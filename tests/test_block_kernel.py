@@ -192,7 +192,7 @@ def test_hypergraph_edges_are_the_failed_merges(make, k, n):
     assert Hg.alpha == len(failed)
     for block in itertools.combinations(range(1, n + 1), k):
         subsets = [tuple(block[i - 1] for i in A) for A in rel]
-        assert Hg.edges_by_block[block] == [
+        assert Hg.block_edges(block) == [
             frozenset(LocatedType(A, p) for A, p in zip(subsets, types))
             for types in failed]
 

@@ -168,7 +168,7 @@ def _pairwise_closure(H, K):
     return reps
 
 
-def test_closure_matches_pairwise_version():
+def test_closure_matches_pairwise_version(monkeypatch):
     SIG = Signature([("E", 2), ("P", 1)])
     cases = [
         (digraphs.digraph_instance(2), 3),
@@ -181,8 +181,10 @@ def test_closure_matches_pairwise_version():
         reps = closure(H, K)
         assert reps == _pairwise_closure(H, K)
     assert len(closure(digraphs.digraph_instance(2), 3)) == 98
+    # 2^9 fact masks on 3 points against the budget
+    monkeypatch.setattr(properties, "DEFAULT_ENUM_BUDGET", 511)
     with pytest.raises(BudgetExceeded):
-        closure(digraphs.digraph_instance(2), 3, budget=511)
+        closure(digraphs.digraph_instance(2), 3)
 
 
 def test_type_space_bound(monkeypatch):

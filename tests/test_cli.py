@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hereditary import cli, containers, extremal, jsonio
-from hereditary.instances import digraphs, metric
+from hereditary.instances import digraphs, metric, mixed
 
 
 def run(capsys, *argv):
@@ -414,6 +414,31 @@ def test_subcount_and_hrandom(tmp_path, capsys):
     code, out = run(capsys, "hrandom", "--template", path)
     assert code == 0
     assert json.loads(out)["report"]["h_random"]
+
+
+def test_hrandom_names_an_unrealized_type(tmp_path, capsys):
+    # t0, the pair type with no distance, is no metric space's
+    def add_t0(choices):
+        choices["[1,2]"].append("t0")
+    path = write(tmp_path, "t.json", template_with(add_t0))
+    code, out = run(capsys, "hrandom", "--template", path)
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "flaw_free": False, "h_random": False,
+        "diagnostic": ["type outside realized space", "(1, 2)", "t0"]}
+
+
+def test_subcount_and_hrandom_on_a_template_with_an_error(tmp_path, capsys):
+    path = write(tmp_path, "t.json",
+                 jsonio.template_to_json(mixed.error_template()))
+    code, out = run(capsys, "subcount", "--template", path)
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "sub": 0, "choice_count": 1, "error_free": False}
+    code, out = run(capsys, "hrandom", "--template", path)
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "flaw_free": True, "error_free": False, "h_random": False}
 
 
 def test_containers_report(capsys):

@@ -121,7 +121,8 @@ def test_max_codegrees_match_degree_definition(make, k, n):
     Hg = build_hypergraph(make(), k, n)
     for j in range(1, Hg.s + 1):
         # j-sets inside no edge have degree 0
-        inside = {sigma for e in Hg.edges()
+        inside = {sigma for block in itertools.combinations(
+                      range(1, Hg.n + 1), Hg.k) for e in Hg.block_edges(block)
                   for sigma in itertools.combinations(sorted(e), j)}
         want = {v: 0 for v in Hg.vertices}
         for sigma in inside:

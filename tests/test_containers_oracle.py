@@ -13,10 +13,11 @@ from math import comb
 
 import pytest
 
+from hereditary import containers
 from hereditary.containers import (build_hypergraph, codegree_function,
                                    degree, independence_check, max_codegrees)
 from hereditary.diagrams import LocatedType, type_diagram
-from hereditary.errors import BudgetExceeded
+from hereditary.errors import BudgetExceeded, InvalidArgument
 from hereditary.instances import colored, digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, count_members,
@@ -208,11 +209,11 @@ def test_edges_and_witnesses_match_materialized(name, k, n):
     H = FAMILIES[name]()
     Hg = build_hypergraph(H, k, n)
     _, edges_by_block, _ = materialized(H, k, n)
-    assert list(Hg.edges_by_block) == list(edges_by_block)
     for block, edges in edges_by_block.items():
-        assert Hg.edges_by_block[block] == edges
-    assert list(Hg.edges()) == [e for es in edges_by_block.values()
-                                for e in es]
+        assert Hg.block_edges(block) == edges
+    for block in (tuple(range(k, 0, -1)), tuple(range(n - k + 2, n + 2))):
+        with pytest.raises(InvalidArgument):
+            Hg.block_edges(block)  # not increasing; a point above n
     rng = seeded(812)
     structures = list(itertools.islice(enumerate_members(H, n), 40))
     structures += [random_structure(H.signature, n, rng, density)
@@ -223,14 +224,16 @@ def test_edges_and_witnesses_match_materialized(name, k, n):
         assert ok == is_member(H, M)
 
 
-def test_edge_budget_is_unchanged():
+def test_edge_budget_is_unchanged(monkeypatch):
     H = digraphs.digraph_instance(2)
-    # 4^3 type assignments per block: C(n, 3) * 64 against the budget
-    assert build_hypergraph(H, 3, 10, budget=64 * comb(10, 3)).alpha == 43
-    with pytest.raises(BudgetExceeded):
-        build_hypergraph(H, 3, 10, budget=64 * comb(10, 3) - 1)
     with pytest.raises(BudgetExceeded):
         build_hypergraph(H, 3, 100)
+    # 4^3 type assignments per block: C(n, 3) * 64 against the budget
+    monkeypatch.setattr(containers, "DEFAULT_EDGE_BUDGET", 64 * comb(10, 3))
+    assert build_hypergraph(H, 3, 10).alpha == 43
+    monkeypatch.setattr(containers, "DEFAULT_EDGE_BUDGET", 64 * comb(10, 3) - 1)
+    with pytest.raises(BudgetExceeded):
+        build_hypergraph(H, 3, 10)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["colored"])

@@ -30,8 +30,7 @@ def test_type_diagram_round_trip():
         sigma = type_diagram(M)
         assert sigma.is_m_diagram()
         assert len(sigma) == 6
-        ok, w = is_satisfiable(sigma, with_witness=True)
-        assert ok
+        assert is_satisfiable(sigma)
         # witness realizes the diagram exactly (Obs: N satisfies sigma^N)
         assert type_diagram(witness_structure(sigma)) == sigma
 
@@ -55,7 +54,6 @@ def test_error_membership():
     good = SyntacticDiagram([arc])
     assert not is_error(good)
     assert not is_error(SyntacticDiagram(()))  # empty diagram never an error
-    assert not is_error(good, ell=3)  # wrong support size
 
 
 def test_span_enumerates_sub_diagrams():
@@ -82,7 +80,7 @@ def test_satisfiable_is_not_error_over_a_span():
     for s in diagrams:
         assert is_satisfiable(s) == (not is_error(s))
     empty_diagram = SyntacticDiagram(())
-    assert is_satisfiable(empty_diagram, with_witness=True) == (True, None)
+    assert is_satisfiable(empty_diagram) is True
     with pytest.raises(InvalidArgument):
         witness_structure(empty_diagram)
 

@@ -16,7 +16,12 @@ property the fast paths are checked against their direct definitions:
   length of the stream; on 4 points, count_members against the length of
   the stream where the count is at most 10^4 and takes at most 10^4 units
   of its budget. Entries on 3 or 4 points have no facts of their own over
-  E/2, so their checks ride on the steps of their top two points.
+  E/2, so their checks ride on the steps of their top two points;
+- the containers hypergraph on blocks of 3 of {1..4}, where |S_r(H)|^3
+  is at most 10^4: alpha and every block's edges against the type
+  assignments on the pairs of {1..3} whose merge (merge_entries) is
+  unsatisfiable or not a member (is_member), and the largest co-degrees
+  against the materialized oracle of tests/test_containers_oracle.py.
 """
 
 import itertools
@@ -24,11 +29,14 @@ from math import comb
 
 import pytest
 
+from hereditary.containers import build_hypergraph, max_codegrees
+from hereditary.diagrams import LocatedType, merge_entries
 from hereditary.errors import BudgetExceeded
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, _fact_index,
                                    count_members, enumerate_members,
-                                   mask_is_member, realized_type_space)
+                                   is_member, mask_is_member,
+                                   realized_type_space)
 from hereditary.qftypes import qftp, type_space
 from hereditary.structures import Signature, Structure
 from hereditary.templates import (Template, block_checker, is_h_random,
@@ -36,6 +44,7 @@ from hereditary.templates import (Template, block_checker, is_h_random,
                                   validate_template)
 
 from helpers import random_structure, seeded
+from test_containers_oracle import oracle_max_codegrees
 
 SIG = Signature([("E", 2), ("P", 1)])
 REDUCTS = [SIG, Signature([("E", 2)]), Signature([("P", 1)])]
@@ -128,3 +137,38 @@ def test_member_walk_matches_membership(seed):
         return
     if count <= MAX_ASSIGNMENTS:
         assert count == sum(1 for _ in enumerate_members(H, 4))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hypergraph_matches_direct_merges(seed):
+    # the property of test_fast_paths_match_the_direct_definitions
+    H = random_property(seeded(seed))
+    space = realized_type_space(H)
+    if len(space) ** 3 > MAX_ASSIGNMENTS:
+        return
+    k, n = 3, 4
+    Hg = build_hypergraph(H, k, n)
+    # the assignments on the pairs of {1..3} that are edges, merged directly
+    rel = list(itertools.combinations(range(1, k + 1), 2))
+    failed = []
+    for types in itertools.product(space, repeat=len(rel)):
+        merged = merge_entries(map(LocatedType, rel, types))
+        if merged is None or not is_member(H, merged):
+            failed.append(types)
+    assert Hg.alpha == len(failed)
+    # every block of {1..n} holds them on its own pairs; a located type is
+    # read as (pair, index in space), which hashes fast
+    index = {p: i for i, p in enumerate(space)}
+    edges = {}
+    for block in itertools.combinations(range(1, n + 1), k):
+        pairs = list(itertools.combinations(block, 2))
+        edges[block] = [frozenset(zip(pairs, map(index.get, types)))
+                        for types in failed]
+        assert [frozenset((v.support, index[v.qftype]) for v in e)
+                for e in Hg.block_edges(block)] == edges[block]
+    vertices = [(A, i) for A in itertools.combinations(range(1, n + 1), 2)
+                for i in range(len(space))]
+    for j in range(1, Hg.s + 1):
+        assert {(v.support, index[v.qftype]): d
+                for v, d in max_codegrees(Hg, j).items()} == \
+            oracle_max_codegrees(vertices, edges, j)

@@ -17,7 +17,7 @@ from .structures import Structure, induced_substructure
 class LocatedType(object):
     """A type bound to the sorted enumeration of an r-subset of a domain."""
 
-    __slots__ = ("support", "qftype")
+    __slots__ = ("support", "qftype", "_hash")
 
     def __init__(self, support, qftype):
         support = tuple(sorted(set(support)))
@@ -25,6 +25,7 @@ class LocatedType(object):
             raise InvalidArgument("support size must equal the type arity")
         self.support = support
         self.qftype = qftype
+        self._hash = hash((support, qftype))
 
     def facts(self):
         """Instantiated facts: {(relation, element tuple): truth value}."""
@@ -38,7 +39,7 @@ class LocatedType(object):
         return (self.support, self.qftype.facts) < (other.support, other.qftype.facts)
 
     def __hash__(self):
-        return hash((self.support, self.qftype))
+        return self._hash
 
     def __repr__(self):
         return "%s@%s" % (self.qftype.id(), list(self.support))

@@ -12,20 +12,22 @@ each node tests one bit per candidate. (e) Relabeling the points of
 the search visits only templates that are lex-least under the point
 transpositions (x, x + 1) (lex-leader symmetry breaking, Crawford,
 Ginsberg, Luks and Roy 1996): a candidate is refused as soon as some
-transposed vector is below the current one. At a leaf that is the least
-of its S_n orbit, the orbit is expanded back into its labeled leaves, so
-every labeled H-random template at or above the floor is still found once.
-The expansion closes the leaf under two relabelings that generate S_n, the
-transposition (1 2) and the n-cycle (1 2 ... n), while the DFS's test
-uses the adjacent transpositions. Each relabeling is one table built
-straight from its point permutation (_SearchEngine._relabeling), read
-through the block kernel's action of an order of 1..r on choice sets.
+transposed vector is below the current one. A leaf that is the least of
+its S_n orbit is expanded back into its labeled leaves, so every labeled
+H-random template at the final floor is still found once. The expansion
+closes the leaf under two relabelings that generate S_n, the transposition
+(1 2) and the n-cycle (1 2 ... n), while the DFS's test uses the adjacent
+transpositions. Each relabeling is one table built straight from its point
+permutation (_SearchEngine._relabeling), read through the block kernel's
+action of an order of 1..r on choice sets.
 
 search_extremal, near_extremal_set and stability_probe each make one
 search (_search). Its floor follows the best product found so far: the
 least v with v^b >= best^a for 1 - epsilon = a/b, which is best itself for
-the exact search. Leaves stay choice-set id vectors, and the run keeps
-those at the current floor, at most DEFAULT_CAP of them, the largest
+the exact search. Orbits are expanded only for the DFS leaves at or above
+the floor when a stash of DEFAULT_CAP leaves fills or the run ends. Leaves
+stay vectors of candidate positions, and the run keeps those at the
+current floor, at most DEFAULT_CAP of them, grouped by orbit, the largest
 products first; a list is truncated when a leaf at its floor was not kept.
 Under the cap, the leaves kept among those tied at the least kept product
 are the first ones found, so they depend on the order in which orbits are
@@ -33,10 +35,10 @@ met. Templates are built only for the leaves returned, and each report's
 stats count that one search: `nodes` is the nodes visited plus the
 labeled leaves of each expanded orbit after its first, and `pruned` the
 candidates cut by a check, by the product bound or by the symmetry test.
-Leaves are sorted by the ranks of their ids, which keep the order of the
-ids' sorted fact vectors. The stability probe measures distances as
-Hamming distances between the id vectors, in integers, with one Fraction
-per row.
+Leaves are sorted by the ranks of their candidates, which keep the order
+of their sorted fact vectors. The stability probe measures distances as
+Hamming distances between the position vectors, in integers, with one
+Fraction per orbit.
 """
 
 import itertools
@@ -145,6 +147,7 @@ class _SearchEngine(object):
         # (size, choice-set id) per candidate, and each id's set
         self.cands = [(len(c), self.checker.set_id(c)) for c in cands]
         self.sets = {cid: c for (_, cid), c in zip(self.cands, cands)}
+        self.cand_sets = cands  # each candidate's choice set, by position
         self.max_card = max(len(c) for c in cands)
         self.type_mask = 0  # every candidate's types
         for _, cid in self.cands:
@@ -227,6 +230,16 @@ class _SearchEngine(object):
                     todo.append(w)
         return sorted(seen)
 
+    def expand(self, leaf):
+        """_orbit(leaf), counting each labeled leaf after the first as a
+        node; BudgetExceeded when that passes the node budget."""
+        orbit = self._orbit(leaf)
+        if orbit:
+            self.nodes += len(orbit) - 1
+            if self.nodes > self.node_budget:
+                raise BudgetExceeded("search node budget exhausted")
+        return orbit
+
     def _fit(self, types):
         """The candidates whose types all lie in the type mask `types`."""
         out = self.fits.get(types)
@@ -251,22 +264,23 @@ class _SearchEngine(object):
                 types |= 1 << t
         return self._fit(types)
 
-    def template(self, cids):
-        """The template with the choice sets `cids` on self.subsets."""
-        return Template(self.H, self.n, {A: self.sets[c]
-                                         for A, c in zip(self.subsets, cids)})
+    def template(self, leaf):
+        """The template with the candidates at the positions `leaf` on
+        self.subsets."""
+        return Template(self.H, self.n, dict(zip(
+            self.subsets, map(self.cand_sets.__getitem__, leaf))))
 
     def run(self, collect):
         """Generic DFS over the lex-least templates under relabeling of [n].
 
-        collect(cids, product): called once for every labeled H-random
-        leaf at or above the floor, with its choice-set id vector (a tuple
-        over self.subsets); it may raise self.floor. Subtrees whose bound
-        is below the floor are cut, so every leaf reached has product >=
-        floor (the last step's bound is the product itself). Every leaf is
-        error-free, so its product is sub(T): the error-pair masks checked
-        every error partner, or no candidate type has a fact on fewer than
-        r points.
+        collect(leaf, product): called for every DFS leaf in increasing
+        order, with its candidate position vector (a tuple over
+        self.subsets); it may raise self.floor and expand leaves (expand).
+        Subtrees whose bound is below the floor are cut, so every leaf
+        reached has product >= floor (the last step's bound is the product
+        itself). Every leaf is error-free, so its product is sub(T): the
+        error-pair masks checked every error partner, or no candidate type
+        has a fact on fewer than r points.
 
         Relabeling the points keeps H-randomness and the product, so the
         DFS compares the vectors v and tau v of candidate positions for
@@ -276,17 +290,14 @@ class _SearchEngine(object):
         j it moves, in order, while v[j] and (tau v)[j] are both assigned
         and equal; it is saved and restored on backtrack, and it jumps to
         the end once tau v > v, for the subtree. A leaf reached passes these
-        tests; if it is the least vector of its S_n orbit, the whole orbit
-        is collected, in increasing order, and each leaf after the first
-        counts as a node. The least vector of every orbit of H-random
-        leaves at or above the floor is reached: its product is the
+        tests. The least vector of every orbit of H-random leaves at or
+        above the floor is reached, first of its orbit: its product is the
         orbit's, and no tau v is below it.
         """
         cands, checks = self.cands, self.checks
         depth, width, budget = len(self.subsets), len(cands), self.node_budget
         caps = [self.max_card ** (depth - i - 1) for i in range(depth)]
         every = (1 << width) - 1
-        cids = [cid for _, cid in cands]
         cur = [None] * depth  # choice-set ids of subsets[0..i]
         at = [None] * depth  # their candidate positions
         # Per transposition: an entry (ready, j, src, act) for every j
@@ -310,13 +321,11 @@ class _SearchEngine(object):
             if nodes > budget:
                 raise BudgetExceeded("search node budget exhausted")
             if i == depth:
-                for k, leaf in enumerate(self._orbit(tuple(at)) or ()):
-                    if k:
-                        nodes += 1
-                        if nodes > budget:
-                            raise BudgetExceeded(
-                                "search node budget exhausted")
-                    collect(tuple(map(cids.__getitem__, leaf)), product)
+                self.nodes = nodes  # expand counts on self.nodes
+                try:
+                    collect(tuple(at), product)
+                finally:
+                    nodes = self.nodes
                 return
             mask = every
             for memo, get, miss in checks[i]:
@@ -399,70 +408,96 @@ def _search(H, n, frac, node_budget):
     near-extremal set at frac = 1 - epsilon.
 
     The floor follows the best product found so far (_floor), so it only
-    rises: the run keeps each (id vector, product) leaf that reaches the
-    current floor and drops the kept leaves below it when it rises. At
-    frac = 1 the floor is the best product itself, the exact search's rule.
-    At most DEFAULT_CAP leaves are kept; when that many are kept, a leaf
-    above the least kept product replaces the last one kept with it, so
-    the kept leaves at best are the first ones found. `overflow` is the
-    largest product of a leaf not kept (0 when every leaf was), so the
-    kept leaves are all the leaves at the final floor unless overflow
-    reaches it, and all the leaves at best unless overflow equals best.
+    rises. DFS leaves are stashed, and a flush, when DEFAULT_CAP are
+    stashed and after the run, drops the kept leaves below the floor and
+    expands the orbit of each stashed leaf at or above it that is its
+    orbit's least (_SearchEngine.expand). The labeled leaves then pass
+    in order through the cap rule: at most DEFAULT_CAP are kept, and
+    when that many are, a leaf above the least kept product replaces the
+    last one kept with it, so the kept leaves at best are the first ones
+    found. `overflow` is the largest product of a leaf not kept (0 when
+    every leaf was), so the kept leaves are all the leaves at the final
+    floor unless overflow reaches it, and all the leaves at best unless
+    overflow equals best. A leaf below the final floor never displaces one
+    at or above it, so expanding late keeps the same leaves and flags as
+    expanding each orbit when met. At frac = 1 the floor is the best
+    product itself, the exact search's rule.
 
     Returns (report, found, leaves, truncated). found lists (Template,
     product) for the kept leaves at the final floor, by decreasing product
-    and then by Template.canonical_key, which is read from the ids here
-    (per id, the sorted fact vectors of its types); leaves holds their id
-    vectors in the same order. The report's ex is best, its maximizers are
-    the leading templates of found at best, and its stats count this run;
-    exact is False when the node budget ran out, and found holds the
-    leaves met until then. truncated says whether found was cut at the cap.
+    and then by Template.canonical_key, read here from the candidates'
+    sorted fact vectors; leaves holds (position vector, least vector of
+    its orbit) in the same order. The report's ex is best, its maximizers
+    are the leading templates of found at best, and its stats count this
+    run; exact is False when the node budget ran out, and found holds the
+    leaves flushed until then. truncated says whether found was cut at the
+    cap.
     """
     if n < H.signature.r:
         raise InvalidArgument("n must be at least r")
     engine = _SearchEngine(H, n, node_budget)
-    kept = {}  # product -> the id vectors kept with it, all >= the floor
+    stash = []  # (position vector, product) per DFS leaf not yet flushed
+    kept = {}  # product -> its kept orbits, each a list of labeled leaves
     best = overflow = count = 0
 
-    def collect(cids, value):
-        nonlocal best, overflow, count
+    def collect(leaf, value):
+        nonlocal best
         if value > best:
             best = value
             engine.floor = _floor(best, frac)
-            for low in [p for p in kept if p < engine.floor]:
-                count -= len(kept.pop(low))
-        if count == DEFAULT_CAP:
-            low = min(kept)
-            overflow = max(overflow, min(value, low))
-            if value <= low:
-                return
-            kept[low].pop()
-            if not kept[low]:
-                del kept[low]
-            count -= 1
-        kept.setdefault(value, []).append(cids)
-        count += 1
+        stash.append((leaf, value))
+        if len(stash) == DEFAULT_CAP:
+            flush()
+
+    def flush():
+        nonlocal overflow, count
+        for low in [p for p in kept if p < engine.floor]:
+            count -= sum(map(len, kept.pop(low)))
+        for leaf, value in stash:
+            orbit = engine.expand(leaf) if value >= engine.floor else None
+            group = None
+            for labeled in orbit or ():
+                if count == DEFAULT_CAP:
+                    low = min(kept)
+                    overflow = max(overflow, min(value, low))
+                    if value <= low:
+                        break
+                    orbits = kept[low]
+                    orbits[-1].pop()
+                    if not orbits[-1]:
+                        orbits.pop()
+                        if not orbits:
+                            del kept[low]
+                    count -= 1
+                if group is None:
+                    group = []
+                    kept.setdefault(value, []).append(group)
+                group.append(labeled)
+                count += 1
+        stash.clear()
 
     exact = True
     try:
         engine.run(collect)
+        flush()
     except BudgetExceeded:
         exact = False
-    # distinct ids have distinct fact vectors, so ranking the ids by them
-    # keeps the order of the canonical keys
-    facts = {cid: tuple(sorted(p.facts for p in types))
-             for cid, types in engine.sets.items()}
-    rank = {cid: i for i, cid in enumerate(sorted(facts, key=facts.get))}
-    leaves = sorted(((value, cids) for value, group in kept.items()
-                     for cids in group),
-                    key=lambda leaf: (-leaf[0], tuple(map(rank.get,
-                                                          leaf[1]))))
-    found = [(engine.template(cids), value) for value, cids in leaves]
+    # distinct candidates have distinct fact vectors, so ranking the
+    # candidates by them keeps the order of the canonical keys
+    facts = [tuple(sorted(p.facts for p in c)) for c in engine.cand_sets]
+    ranked = {key: i for i, key in enumerate(sorted(facts))}
+    rank = [ranked[key] for key in facts]
+    rows = sorted(((value, labeled, orbit[0])
+                   for value, orbits in kept.items() for orbit in orbits
+                   for labeled in orbit),
+                  key=lambda row: (-row[0], tuple(map(rank.__getitem__,
+                                                      row[1]))))
+    found = [(engine.template(leaf), value) for value, leaf, _ in rows]
     stats = {"nodes": engine.nodes, "pruned": engine.pruned}
     maximizers = [T for T, value in found if value == best]
     report = ExtremalReport(n, best, maximizers, H.signature.r, stats,
                             exact=exact, truncated=0 < best == overflow)
-    return (report, found, [cids for _, cids in leaves],
+    return (report, found, [(leaf, least) for _, leaf, least in rows],
             0 < engine.floor <= overflow)
 
 
@@ -525,28 +560,37 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     The rows are near_extremal_set's templates, in its order, from the
     same single search, and `truncated` is its cap rule: when it holds,
     some near-extremal template (and maybe some maximizer) is missing, so
-    worst_gap may be off. Gaps are read from the search's id vectors: a
-    vector is an int with one bit per (position, choice-set id), so the
-    number of r-subsets where two templates differ
+    worst_gap may be off. Gaps are read from the search's candidate
+    position vectors: a vector is an int with one bit per (r-subset,
+    candidate), so the number of r-subsets where two templates differ
     (distances.template_diff) is half the popcount of the XOR of their
-    ints. `stats` counts the nodes and prunes of that search.
+    ints. One gap per orbit, at its least vector (always kept): relabeling
+    moves a template and the maximizer set alike, and that set is closed
+    under relabeling unless the cap cut it, and then every row is in it.
+    `stats` counts the nodes and prunes of that search.
     """
     report, found, leaves, truncated = _near(H, n, epsilon, node_budget)
-    width = len(block_checker(H).sets)
+    width = 2 ** len(realized_type_space(H)) - 1  # the candidates
     total = math.comb(n, H.signature.r)
     offsets = range(0, total * width, width)
 
-    def bits(cids):
-        return sum(map((1).__lshift__, map(add, offsets, cids)))
+    def bits(leaf):
+        return sum(map((1).__lshift__, map(add, offsets, leaf)))
 
-    vectors = list(map(bits, leaves))
-    extremal = vectors[:len(report.extremal_templates)]
-    gaps = [min(map(int.bit_count, map(vec.__xor__, extremal))) // 2
-            for vec in vectors]
-    rows = [(T, value, Fraction(gap, total))
-            for (T, value), gap in zip(found, gaps)]
+    extremal = [bits(leaf)
+                for leaf, _ in leaves[:len(report.extremal_templates)]]
+    gaps = {}
+
+    def gap(least):
+        if least not in gaps:
+            gaps[least] = Fraction(min(map(int.bit_count, map(
+                bits(least).__xor__, extremal))) // 2, total)
+        return gaps[least]
+
+    rows = [(T, value, gap(least))
+            for (T, value), (_, least) in zip(found, leaves)]
     return StabilityProbe(n, Fraction(epsilon), rows,
-                          Fraction(max(gaps, default=0), total),
+                          max(gaps.values(), default=Fraction(0)),
                           report.stats, truncated)
 
 

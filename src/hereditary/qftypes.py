@@ -29,7 +29,7 @@ def atoms(signature):
 class QfType(object):
     """A complete proper quantifier-free r-type, r = signature.r."""
 
-    __slots__ = ("signature", "r", "facts")
+    __slots__ = ("signature", "r", "facts", "_hash")
 
     def __init__(self, signature, facts):
         facts = tuple(bool(b) for b in facts)
@@ -38,6 +38,7 @@ class QfType(object):
         self.signature = signature
         self.r = signature.r
         self.facts = facts
+        self._hash = hash((signature, self.r, facts))
 
     def fact(self, name, varmap):
         return self.facts[atom_index(self.signature)[(name, tuple(varmap))]]
@@ -65,7 +66,7 @@ class QfType(object):
         return self.facts < other.facts
 
     def __hash__(self):
-        return hash((self.signature, self.r, self.facts))
+        return self._hash
 
     def __repr__(self):
         true = [("%s(%s)" % (name, ",".join(map(str, vm))))

@@ -14,6 +14,8 @@ from .errors import InvalidArgument
 class Signature(object):
     """An ordered list of relation symbols with arities; r is the max arity."""
 
+    __slots__ = ("relations", "arities", "r", "_hash")
+
     def __init__(self, relations):
         relations = tuple((str(name), int(arity)) for name, arity in relations)
         if not relations:
@@ -26,6 +28,7 @@ class Signature(object):
         self.relations = relations
         self.arities = dict(relations)
         self.r = max(arity for _, arity in relations)
+        self._hash = hash(relations)
 
     def arity(self, name):
         try:
@@ -40,7 +43,7 @@ class Signature(object):
         return isinstance(other, Signature) and self.relations == other.relations
 
     def __hash__(self):
-        return hash(self.relations)
+        return self._hash
 
     def __repr__(self):
         return "Signature(%s)" % (", ".join("%s/%d" % rel for rel in self.relations))

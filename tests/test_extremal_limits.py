@@ -59,7 +59,7 @@ def test_maximizer_cap_truncates(monkeypatch):
     rep = search_extremal(digraphs.digraph_instance(2), 5)
     assert (rep.ex, rep.exact, rep.truncated) == (729, True, True)
     assert len(rep.extremal_templates) == 3
-    assert rep.stats == {"nodes": 3075, "pruned": 42824}
+    assert rep.stats == {"nodes": 3071, "pruned": 42824}
     found, _ = near_extremal_set(metric.metric_instance(3), 5,
                                  Fraction(1, 10))
     assert len(found) == 3

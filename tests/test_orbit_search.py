@@ -1,16 +1,16 @@
 """The extremal search's symmetry cut against oracles that do not use it.
 
 The search visits only templates that are lex-least under the point
-transpositions (x, x + 1) of {1..n} and expands each orbit back to its
-labeled templates. None of the oracles here goes through _SearchEngine:
-the kernel's action of an order of the variables is checked against qftp
-of the realizing structure read in that order, the near-extremal sets
-against a brute force over every complete template, and the pinned
-maximizer lists, the engine's relabeling tables (_relabeling) and its
-orbit expansion (_orbit, which closes a leaf under (1 2) and the n-cycle)
-against a Template relabeling built from qftp. Oriented triples, whose
-types the orders of 1..3 permute without commuting, pin the direction of
-the action.
+transpositions (x, x + 1) of {1..n} and expands the orbits at its final
+floor back to their labeled templates. None of the oracles here goes
+through _SearchEngine: the kernel's action of an order of the variables
+is checked against qftp of the realizing structure read in that order,
+the near-extremal sets against a brute force over every complete
+template, and the pinned maximizer lists, the engine's relabeling tables
+(_relabeling) and its orbit expansion (_orbit, which closes a leaf under
+(1 2) and the n-cycle) against a Template relabeling built from qftp.
+Oriented triples, whose types the orders of 1..3 permute without
+commuting, pin the direction of the action.
 """
 
 import itertools
@@ -183,15 +183,18 @@ def test_relabel_moves_types_with_their_points():
 @lru_cache(maxsize=None)
 def sampled_leaves(name, n):
     """An engine of EVERY_FAMILY[name] on {1..n}, run once, and the choice-
-    set id vectors of its first 20 labeled leaves, then every 997th."""
+    set id vectors of its first 20 labeled leaves, then every 997th: the
+    orbits of the DFS leaves, expanded in order by _orbit."""
     engine = _SearchEngine(EVERY_FAMILY[name](), n)
+    ids = [cid for _, cid in engine.cands]
     leaves = []
     count = itertools.count()
 
-    def collect(cids, product):
-        i = next(count)
-        if i < 20 or (i - 20) % 997 == 0:
-            leaves.append(cids)
+    def collect(leaf, product):
+        for labeled in engine._orbit(leaf) or ():
+            i = next(count)
+            if i < 20 or (i - 20) % 997 == 0:
+                leaves.append(tuple(ids[pos] for pos in labeled))
 
     engine.run(collect)
     return engine, leaves
@@ -201,7 +204,7 @@ def relabeled_positions(engine, cids, values):
     """The candidate positions of relabel(T, perm) on engine.subsets, for
     the template T of the ids `cids` and the point a renamed values[a-1]."""
     pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
-    U = relabel(engine.template(cids),
+    U = relabel(engine.template([pos[c] for c in cids]),
                 dict(zip(range(1, engine.n + 1), values)))
     return tuple(pos[engine.checker.set_id(U.choices[A])]
                  for A in engine.subsets)

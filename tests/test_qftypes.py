@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
+from hereditary.diagrams import LocatedType
 from hereditary.errors import BudgetExceeded, InvalidArgument
+from hereditary.properties import realized_type_space
 from hereditary.qftypes import (QfType, atoms, qftp, type_by_id,
                                 type_from_structure, type_space)
 from hereditary.structures import Signature, Structure
 
 from helpers import DIGRAPH_SIG, random_structure, seeded
+from test_mask_kernel import FAMILIES, MIXED
 
 
 def test_atoms_digraph():
@@ -66,3 +71,18 @@ def test_type_by_id_validation():
         type_by_id(DIGRAPH_SIG, "x3")
     with pytest.raises(InvalidArgument):
         type_by_id(DIGRAPH_SIG, "t16")
+
+
+@pytest.mark.parametrize("name", sorted({**FAMILIES, **MIXED}))
+def test_cached_hashes_are_the_tuple_hashes(name):
+    # a hash cached at construction has the value the tuple hash had, so
+    # every set and dict of types iterates in the same order
+    H = {**FAMILIES, **MIXED}[name]()
+    sig = H.signature
+    assert hash(sig) == hash(sig.relations)
+    points = tuple(range(1, sig.r + 2))
+    for p in realized_type_space(H):
+        assert hash(p) == hash((p.signature, p.r, p.facts))
+        for A in itertools.combinations(points, sig.r):
+            located = LocatedType(A, p)
+            assert hash(located) == hash((located.support, located.qftype))

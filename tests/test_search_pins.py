@@ -3,8 +3,9 @@
 The maximizers and near-extremal rows were recorded from the search
 before its block kernel worked on bit masks, and the trees (nodes,
 prunes) from the search that visits only lex-least templates under the
-point transpositions; any change to the tree, the maximizers or the
-near-extremal rows shows here. Templates are written with their types
+point transpositions and expands only the orbits at its final floor back
+into their labeled templates; any change to the tree, the maximizers or
+the near-extremal rows shows here. Templates are written with their types
 named by position in realized_type_space, and long lists are pinned by a
 digest of their repr.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from hereditary import extremal
 from hereditary.distances import template_dist
 from hereditary.extremal import search_extremal, stability_probe
 from hereditary.instances import digraphs, metric, triples
@@ -85,13 +87,13 @@ def test_digraph_n5_tree_and_maximizers():
     rep = search_extremal(digraphs.digraph_instance(2), 5)
     assert rep.exact and not rep.truncated
     assert (rep.ex, rep.stats["nodes"], rep.stats["pruned"]) == (
-        729, 3075, 42824)
+        729, 3071, 42824)
     assert [named(T) for T in rep.extremal_templates] == DIGRAPH_N5_MAXIMIZERS
     assert digest(DIGRAPH_N5_MAXIMIZERS) == "32b198182ce9f04f"
 
 
 @pytest.mark.parametrize("make, n, want, count, keys", [
-    (lambda: metric.metric_instance(3), 6, (110592, 7221, 40305), 15,
+    (lambda: metric.metric_instance(3), 6, (110592, 6743, 40305), 15,
      "836ffdf1e392b4e7"),
     (loop_arcs, 3, (1, 27, 263), 8, "fad2926d2a0c36f4"),
     (loop_triangles, 3, (1, 26, 264), 7, "7885bcc949969a75"),
@@ -142,6 +144,36 @@ def test_stability_rows_are_pinned(make, n, eps, count, worst, gaps, subs,
     assert probe.worst_gap == worst
     assert {g for _, _, g in found} == gaps
     assert {v for _, v, _ in found} == subs
+    assert digest(found) == rows
+
+
+@pytest.mark.parametrize("make, n, eps, cap, worst, rows", [
+    (lambda: metric.metric_instance(3), 5, Fraction(1, 10), 50,
+     Fraction(1, 5), "92c8b3ce96130109"),
+    (lambda: metric.metric_instance(3), 5, Fraction(1, 10), 3, 0,
+     "b6776d046adff17c"),
+    (lambda: metric.metric_instance(4), 5, Fraction(1, 10), 50,
+     Fraction(1, 5), "c0168e752d5dc56d"),
+    (lambda: digraphs.digraph_instance(2), 4, Fraction(1, 4), 50,
+     Fraction(1, 3), "cc688d1b4e50555d"),
+    # here the cap drops a leaf while more than one orbit holds the least
+    # kept sub: the last leaf kept goes
+    (lambda: metric.metric_instance(3), 3, Fraction(1, 2), 50, 1,
+     "f75a5558d6d8a304"),
+    (lambda: digraphs.digraph_instance(3), 4, Fraction(1, 10), 50,
+     Fraction(1, 2), "3544f199b0ddaf53"),
+], ids=["metric-r3-n5-cap50", "metric-r3-n5-cap3", "metric-r4-n5-cap50",
+        "digraph-k2-n4-cap50", "metric-r3-n3-cap50", "digraph-k3-n4-cap50"])
+def test_capped_stability_rows_are_pinned(monkeypatch, make, n, eps, cap,
+                                          worst, rows):
+    # which rows tied at the least kept sub survive the cap depends on the
+    # order in which the labeled leaves reach it; recorded from the search
+    # that expanded every orbit as soon as it was met
+    monkeypatch.setattr(extremal, "DEFAULT_CAP", cap)
+    probe = stability_probe(make(), n, eps)
+    found = [(named(T), v, g) for T, v, g in probe.near_extremal]
+    assert probe.truncated and len(found) == cap
+    assert probe.worst_gap == worst
     assert digest(found) == rows
 
 

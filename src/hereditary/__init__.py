@@ -22,8 +22,8 @@ from .properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                          universe_entries)
 from .templates import (Template, choice_count, detect_errors,
                         full_subpatterns, is_error_free, is_flaw_free,
-                        is_full_subpattern, is_h_random, is_h_random_direct,
-                        restrict, r_subsets, sub_count,
+                        is_full_subpattern, is_h_random, restrict,
+                        r_subsets, sub_count,
                         template_from_structure, validate_template)
 from .extremal import (ExtremalReport, StabilityProbe, density_sequence,
                        e_delta_membership, e_membership, near_extremal_set,

@@ -1,13 +1,13 @@
 """Extremal search over H-random templates, density sequence, stability.
 
 The search assigns choice sets to r-subsets in colexicographic order with
-(a) candidate sets drawn from the realized type space, (b) a partial-product
-upper bound against the incumbent, (c) one candidate mask per newly
-completed block of size <= k, read from the block kernel's allowed types
-(see templates._BlockChecker), and (d) when some realized type has a fact
-on fewer than r points, one candidate mask per earlier r-subset in the
-error window, from fact-mask agreement. The masks of a step are ANDed, so
-each node tests one bit per candidate. (e) Relabeling the points of
+(a) choice sets held as type masks, (b) a partial-product upper bound
+against the incumbent, (c) one type mask per newly completed block of size
+<= k, the block kernel's allowed types (see templates._BlockChecker), and
+(d) when some realized type has a fact on fewer than r points, one type
+mask per earlier r-subset in the error window, from fact-mask agreement.
+A step's candidates are the nonempty subsets of the AND of its masks and
+S_r(H), listed lazily, largest first. (e) Relabeling the points of
 {1..n} keeps H-randomness and sub, since H is closed under isomorphism, so
 the search visits only templates that are lex-least under the point
 transpositions (x, x + 1) (lex-leader symmetry breaking, Crawford,
@@ -19,44 +19,43 @@ closes the leaf under two relabelings that generate S_n, the transposition
 (1 2) and the n-cycle (1 2 ... n), while the DFS's test uses the adjacent
 transpositions. Each relabeling is one table built straight from its point
 permutation (_SearchEngine._relabeling), read through the block kernel's
-action of an order of 1..r on choice sets.
+action of an order of 1..r on choice-set masks.
 
 search_extremal, near_extremal_set and stability_probe each make one
 search (_search). Its floor follows the best product found so far: the
 least v with v^b >= best^a for 1 - epsilon = a/b, which is best itself for
 the exact search. Orbits are expanded only for the DFS leaves at or above
-the floor when a stash of DEFAULT_CAP leaves fills or the run ends. Leaves
-stay vectors of candidate positions, and the run keeps those at the
-current floor, at most DEFAULT_CAP of them, grouped by orbit, the largest
-products first; a list is truncated when a leaf at its floor was not kept.
-Under the cap, the leaves kept among those tied at the least kept product
-are the first ones found, so they depend on the order in which orbits are
-met. Templates are built only for the leaves returned, and each report's
-stats count that one search: `nodes` is the nodes visited plus the
-labeled leaves of each expanded orbit after its first, and `pruned` the
-candidates cut by a check, by the product bound or by the symmetry test.
-Leaves are sorted by the ranks of their candidates, which keep the order
-of their sorted fact vectors. The stability probe measures distances as
-Hamming distances between the position vectors, in integers, with one
-Fraction per orbit.
+the floor when a stash of DEFAULT_CAP leaves fills or the run ends. A leaf
+is a vector of int keys, one per r-subset, that sort as the candidates are
+visited. The run keeps the leaves at the current floor, at most
+DEFAULT_CAP of them, grouped by orbit, the largest products first; a list
+is truncated when a leaf at its floor was not kept. Under the cap, the
+leaves kept among those tied at the least kept product are the first ones
+found, so they depend on the order in which orbits are met. Templates are
+built only for the leaves returned, sorted by the ranks of their keys,
+which keep the order of their choice sets' sorted fact vectors. Each
+report's stats count that one search: `nodes` is the nodes visited plus
+the labeled leaves of each expanded orbit after its first, and `pruned`
+the candidates cut by a check, by the product bound or by the symmetry
+test. The stability probe's distances are Hamming distances between key
+vectors, with one Fraction per orbit.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import partial
-from operator import add, itemgetter
+from operator import itemgetter, ne
 
 from .distances import dist, transfer_subpattern
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import realized_type_space
 from .templates import (Template, block_checker, closing_blocks, error_pairs,
-                        is_full_subpattern, located_agree, r_subsets,
-                        template_from_structure, tuple_getter)
+                        is_full_subpattern, located_agree, mask_bits,
+                        r_subsets, template_from_structure, tuple_getter)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CAP = 10 ** 4
-MAX_TYPES_FOR_SEARCH = 12
 
 
 class ExtremalReport(object):
@@ -113,12 +112,9 @@ def pow_geq(x, p, y, q):
 
 
 def candidate_sets(H):
-    """All nonempty subsets of S_r(H), largest first, deterministic order."""
+    """All nonempty subsets of S_r(H), largest first, then in combinations
+    order: the order of a step's candidates in the search (_SearchEngine)."""
     space = realized_type_space(H)
-    if len(space) > MAX_TYPES_FOR_SEARCH:
-        raise BudgetExceeded(
-            "realized type space too large for generic search (%d types)"
-            % len(space))
     return [frozenset(combo) for m in range(len(space), 0, -1)
             for combo in itertools.combinations(space, m)]
 
@@ -126,15 +122,19 @@ def candidate_sets(H):
 class _SearchEngine(object):
     """DFS over choice-set assignments, read through the block kernel.
 
-    The current assignment is an int array of choice-set ids, one per
-    r-subset. At step i the candidates that pass are one bit mask over the
-    candidate list, the AND of one mask per check of the step. A check is
-    a block closing at step i, whose mask holds the candidates inside the
-    kernel's allowed types for the block's other choice sets; or, when
-    some type has a fact on fewer than r points, an error partner j (a
-    pair (j, i) of templates.error_pairs), whose mask holds the candidates
-    whose every type agrees with every type of the choice set on
-    subsets[j]. Each check memoizes its masks by the ids it reads.
+    A choice set is a mask of the kernel's type ids, one per r-subset. The
+    candidates of step i are the nonempty subsets of the AND of S_r(H) and
+    one type mask per check of the step, memoized by the masks it reads: a
+    block closing at step i (the kernel's allowed types for the block's
+    other choice sets), or, when some type has a fact on fewer than r
+    points, an error partner j (a pair (j, i) of templates.error_pairs;
+    the types that agree with every type of the choice set on subsets[j]).
+
+    They are listed lazily, once per step mask (_listing), in
+    candidate_sets' order, and a leaf is a vector of int keys that sort in
+    that order: with bit b for the b-th of the w realized types, a set S
+    has the key ((w - |S|) << w) | (full ^ reverse(S)), where reverse moves
+    bit b to w - 1 - b (_rank).
     """
 
     def __init__(self, H, n, node_budget=DEFAULT_NODE_BUDGET):
@@ -143,35 +143,35 @@ class _SearchEngine(object):
         self.r = H.signature.r
         self.subsets = r_subsets(n, self.r)
         self.checker = block_checker(H)
-        cands = candidate_sets(H)
-        # (size, choice-set id) per candidate, and each id's set
-        self.cands = [(len(c), self.checker.set_id(c)) for c in cands]
-        self.sets = {cid: c for (_, cid), c in zip(self.cands, cands)}
-        self.cand_sets = cands  # each candidate's choice set, by position
-        self.max_card = max(len(c) for c in cands)
-        self.type_mask = 0  # every candidate's types
-        for _, cid in self.cands:
-            self.type_mask |= self.checker.set_masks[cid]
-        self.fits = {}  # type mask -> the candidates inside it
-        # per step: (memo, getter of the ids read, mask of those ids)
+        space = realized_type_space(H)
+        self.width = len(space)
+        self.full = (1 << self.width) - 1
+        # type id -> the bit of its type in reverse(S)
+        self.rev = {self.checker.type_id(p): 1 << (self.width - 1 - b)
+                    for b, p in enumerate(space)}
+        self.every = sum(1 << t for t in self.rev)  # S_r(H) as a type mask
+        self.lists = {}  # step mask -> (candidates listed, lister of more)
+        self.choices = {}  # key -> its choice set, for every key in acts
+        # per step: (memo, getter of the masks read, the check's type mask)
         self.checks = [[] for _ in self.subsets]
         block_masks = {}  # shared by the blocks of one size
         for i, blocks in enumerate(closing_blocks(n, self.r, H.k)):
             for size, get in blocks:
-                self.checks[i].append((block_masks.setdefault(size, {}), get,
-                                       partial(self._block_mask, size)))
-        self.mixed = any(self.checker.set_low[cid] for _, cid in self.cands)
+                self.checks[i].append((
+                    block_masks.setdefault(size, {}), get,
+                    partial(self.checker.allowed, size, need=self.every)))
+        self.mixed = bool(self.every & self.checker.low)
         if self.mixed:
             for j, i in error_pairs(n, self.r):
                 self.checks[i].append(({}, itemgetter(j),
-                                       partial(self._pair_mask, j, i)))
+                                       partial(self._pair_mask, j, i, {})))
         # size-r validity is structural: candidates are subsets of S_r(H)
         points = tuple(range(1, n + 1))
-        self.index = {A: j for j, A in enumerate(self.subsets)}
-        self.pos = {cid: p for p, (_, cid) in enumerate(self.cands)}
-        # order of 1..r -> its act list; the identity's is `same`
-        self.same = list(range(len(self.cands)))
-        self.acts = {points[:self.r]: self.same}
+        # order of 1..r -> its action on the keys listed (_key); the
+        # identity's is `same`
+        self.acts = {order: {} for order in
+                     itertools.permutations(range(1, self.r + 1))}
+        self.same = self.acts[points[:self.r]]
         self.transpositions = [
             self._relabeling(points[:x - 1] + (x + 1, x) + points[x + 1:])
             for x in range(1, n)]
@@ -185,37 +185,71 @@ class _SearchEngine(object):
         self.pruned = 0
         self.floor = 0
 
+    def _rank(self, mask):
+        """The key of the choice set `mask` (see the class docstring)."""
+        bits = mask_bits(mask)
+        return ((self.width - len(bits)) << self.width | self.full
+                ^ sum(map(self.rev.__getitem__, bits)))
+
+    def _key(self, mask):
+        """_rank(mask); on first sight, the images of `mask` under the
+        orders of 1..r enter self.choices and the action of every order
+        (self.acts). Reading in order s and then in order t is reading in
+        the order (s[t[0] - 1], ..., s[t[r-1] - 1])."""
+        key = self._rank(mask)
+        if key not in self.same:
+            images = {order: self.checker.relabeled_set(order, mask)
+                      for order in self.acts}
+            keys = {order: self._rank(image) for order, image in images.items()}
+            for s, at in keys.items():
+                self.choices[at] = frozenset(
+                    map(self.checker.types.__getitem__, mask_bits(images[s])))
+                for t, act in self.acts.items():
+                    act[at] = keys[tuple(s[v - 1] for v in t)]
+        return key
+
+    def _listing(self, mask):
+        """(listed, lister) for a step with type mask `mask`: listed holds
+        (size, choice-set mask, key) per candidate so far, in visiting
+        order, and each next(lister) appends the next one, if any."""
+        listed = []
+        # in realized_type_space order, not in the order of the type ids
+        types = sorted(mask_bits(mask), key=self.rev.get, reverse=True)
+
+        def lister():
+            for size in range(len(types), 0, -1):
+                for combo in itertools.combinations(types, size):
+                    chosen = sum(map((1).__lshift__, combo))
+                    listed.append((size, chosen, self._key(chosen)))
+                    yield True
+
+        self.lists[mask] = listed, lister()
+        return self.lists[mask]
+
     def _relabeling(self, perm):
-        """The action on vectors of candidate positions of renaming each
-        point a of {1..n} to perm[a - 1]: (srcs, acts) with (g v)[j] =
-        acts[j][v[srcs[j]]].
+        """The action on key vectors of renaming each point a of {1..n} to
+        perm[a - 1]: (srcs, acts) with (g v)[j] = acts[j][v[srcs[j]]].
 
         The renaming moves the choice set on an r-subset A to A's image
         subsets[j], where subsets[srcs[j]] = A is the preimage of
         subsets[j], and reads its types in the order in which A's points
         land on subsets[j] (_BlockChecker.relabeled_set). Each order has
-        one act list, shared by every subset and relabeling (self.acts).
+        one action, shared by every subset and relabeling (self.acts).
         """
         inverse = {b: a for a, b in enumerate(perm, 1)}
         srcs, acts = [], []
         for B in self.subsets:
             A = tuple(sorted(inverse[b] for b in B))
-            order = tuple(A.index(inverse[b]) + 1 for b in B)
-            act = self.acts.get(order)
-            if act is None:
-                act = self.acts[order] = [
-                    self.pos[self.checker.relabeled_set(order, cid)]
-                    for _, cid in self.cands]
-            srcs.append(self.index[A])
-            acts.append(act)
+            srcs.append(self.subsets.index(A))
+            acts.append(self.acts[tuple(A.index(inverse[b]) + 1 for b in B)])
         return srcs, acts
 
     def _orbit(self, leaf):
-        """The S_n orbit of the position vector `leaf`, sorted: its closure
+        """The S_n orbit of the key vector `leaf`, sorted: its closure
         under the relabelings (1 2) and (1 2 ... n) (self.moves, built by
         _relabeling). None as soon as it holds a vector below `leaf`, which
         then is not the orbit's lex-least element."""
-        get = list.__getitem__
+        get = dict.__getitem__
         moves = self.moves
         seen = {leaf}
         todo = [leaf]
@@ -240,79 +274,69 @@ class _SearchEngine(object):
                 raise BudgetExceeded("search node budget exhausted")
         return orbit
 
-    def _fit(self, types):
-        """The candidates whose types all lie in the type mask `types`."""
-        out = self.fits.get(types)
-        if out is None:
-            masks = self.checker.set_masks
-            out = self.fits[types] = sum(
-                1 << pos for pos, (_, cid) in enumerate(self.cands)
-                if not masks[cid] & ~types)
+    def _pair_mask(self, j, i, agreeing, mask):
+        """The types of S_r(H) on subsets[i] that agree with every type of
+        `mask` on subsets[j]; agreeing memoizes them per type."""
+        signature, n, types = self.H.signature, self.n, self.checker.types
+        out = self.every
+        for t in mask_bits(mask):
+            if t not in agreeing:
+                agreeing[t] = sum(
+                    1 << q for q in mask_bits(self.every)
+                    if located_agree(signature, n, self.subsets[j], types[t],
+                                     self.subsets[i], types[q]))
+            out &= agreeing[t]
         return out
 
-    def _block_mask(self, size, prefix):
-        return self._fit(self.checker.allowed(size, prefix, self.type_mask))
-
-    def _pair_mask(self, j, i, cid):
-        signature, n = self.H.signature, self.n
-        B, A = self.subsets[j], self.subsets[i]
-        types = 0
-        for t, q in enumerate(self.checker.types):
-            if self.type_mask >> t & 1 and all(
-                    located_agree(signature, n, B, p, A, q)
-                    for p in self.sets[cid]):
-                types |= 1 << t
-        return self._fit(types)
-
     def template(self, leaf):
-        """The template with the candidates at the positions `leaf` on
+        """The template with the choice sets of the keys `leaf` on
         self.subsets."""
         return Template(self.H, self.n, dict(zip(
-            self.subsets, map(self.cand_sets.__getitem__, leaf))))
+            self.subsets, map(self.choices.__getitem__, leaf))))
 
     def run(self, collect):
         """Generic DFS over the lex-least templates under relabeling of [n].
 
         collect(leaf, product): called for every DFS leaf in increasing
-        order, with its candidate position vector (a tuple over
-        self.subsets); it may raise self.floor and expand leaves (expand).
-        Subtrees whose bound is below the floor are cut, so every leaf
-        reached has product >= floor (the last step's bound is the product
-        itself). Every leaf is error-free, so its product is sub(T): the
-        error-pair masks checked every error partner, or no candidate type
-        has a fact on fewer than r points.
+        order, with its key vector (a tuple over self.subsets); it may
+        raise self.floor and expand leaves (expand). Subtrees whose bound
+        is below the floor are cut, so every leaf reached has product >=
+        floor (the last step's bound is the product itself). Every leaf is
+        error-free, so its product is sub(T): the error-pair masks checked
+        every error partner, or no realized type has a fact on fewer than r
+        points.
 
         Relabeling the points keeps H-randomness and the product, so the
-        DFS compares the vectors v and tau v of candidate positions for
-        every point transposition tau = (x, x + 1) (see _relabeling),
-        and refuses a candidate as soon as tau v < v, counted in
-        `pruned`. Per transposition a pointer walks through the positions
-        j it moves, in order, while v[j] and (tau v)[j] are both assigned
-        and equal; it is saved and restored on backtrack, and it jumps to
-        the end once tau v > v, for the subtree. A leaf reached passes these
-        tests. The least vector of every orbit of H-random leaves at or
+        DFS refuses a candidate as soon as tau v < v for some point
+        transposition tau = (x, x + 1) (see _relabeling), counted in
+        `pruned`. The least vector of every orbit of H-random leaves at or
         above the floor is reached, first of its orbit: its product is the
         orbit's, and no tau v is below it.
         """
-        cands, checks = self.cands, self.checks
-        depth, width, budget = len(self.subsets), len(cands), self.node_budget
-        caps = [self.max_card ** (depth - i - 1) for i in range(depth)]
-        every = (1 << width) - 1
-        cur = [None] * depth  # choice-set ids of subsets[0..i]
-        at = [None] * depth  # their candidate positions
+        checks, lists, every = self.checks, self.lists, self.every
+        depth, budget = len(self.subsets), self.node_budget
+        caps = [self.width ** (depth - i - 1) for i in range(depth)]
+        cur = [None] * depth  # choice-set masks of subsets[0..i]
+        at = [None] * depth  # their keys
         # Per transposition: an entry (ready, j, src, act) for every j
         # whose subset it moves (from another subset, or in an order that
         # is not the identity), by increasing j, where ready = max(j, src)
         # is the step at which v[j] and (tau v)[j] = act[v[src]] are both
-        # assigned; then a sentinel that is never ready. Its pointer is the
-        # index of the next entry to compare.
+        # assigned; then a sentinel that is never ready. Its pointer, saved
+        # and restored on backtrack, is the index of the next entry to
+        # compare: it walks on while v[j] and (tau v)[j] are assigned and
+        # equal, and jumps to the sentinel once tau v > v.
         tables = [[(max(j, src), j, src, act)
                    for j, (src, act) in enumerate(zip(srcs, acts))
                    if src != j or act is not self.same]
                   + [(depth, 0, 0, None)]
                   for srcs, acts in self.transpositions]
-        ends = [len(table) - 1 for table in tables]
         ptrs = [0] * len(tables)
+        # per step: the transpositions with an entry ready there, the only
+        # ones whose pointer can stop there
+        ready = [[t for t, table in enumerate(tables)
+                  if any(entry[0] == i for entry in table)]
+                 for i in range(depth)]
         nodes, pruned = self.nodes, self.pruned
 
         def rec(i, product):
@@ -335,46 +359,38 @@ class _SearchEngine(object):
                     m = memo[key] = miss(key)
                 mask &= m
             # the transpositions with a comparison that step i makes ready
-            active = [(t, p) for t, p in enumerate(ptrs)
-                      if tables[t][p][0] == i]
-            # Candidates are visited in list order. One that fails a check
-            # is pruned; so is every candidate from the first one below the
-            # bound on, since sizes never grow along cands. Only the
-            # candidates in the mask are tested against the bound: the
-            # floor moves only in a child, and a size below the bound at a
-            # failed candidate is below it at the next one in the mask too.
+            active = [(t, ptrs[t]) for t in ready[i]
+                      if tables[t][ptrs[t]][0] == i]
+            # Sizes never grow along the order, so the first candidate below
+            # the bound ends the loop. Every candidate not entered, in the
+            # mask or not, counts as pruned.
+            listed, more = lists.get(mask) or self._listing(mask)
             cap = caps[i]
-            nxt = 0  # the position after the last candidate visited
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                pos = low.bit_length() - 1
-                size, cid = cands[pos]
+            entered = k = 0
+            while k < len(listed) or next(more, False):
+                size, cur[i], at[i] = listed[k]
+                k += 1
                 if product * size * cap < self.floor:
                     break
-                pruned += pos - nxt
-                nxt = pos + 1
-                at[i] = pos
                 for t, p in active:
                     table = tables[t]
-                    ready, j, src, act = table[p]
-                    while ready <= i:
+                    stop, j, src, act = table[p]
+                    while stop <= i:
                         a, b = at[j], act[at[src]]
                         if a != b:
                             break
                         p += 1
-                        ready, j, src, act = table[p]
+                        stop, j, src, act = table[p]
                     else:
                         ptrs[t] = p
                         continue
                     if a > b:  # tau v < v
-                        pruned += 1
                         break
-                    ptrs[t] = ends[t]  # tau v > v
+                    ptrs[t] = -1  # tau v > v: the sentinel
                 else:
-                    cur[i] = cid
+                    entered += 1
                     rec(i + 1, product * size)
-            pruned += width - nxt
+            pruned += self.full - entered
             for t, p in active:
                 ptrs[t] = p
 
@@ -425,8 +441,8 @@ def _search(H, n, frac, node_budget):
 
     Returns (report, found, leaves, truncated). found lists (Template,
     product) for the kept leaves at the final floor, by decreasing product
-    and then by Template.canonical_key, read here from the candidates'
-    sorted fact vectors; leaves holds (position vector, least vector of
+    and then by Template.canonical_key, read here from the choice sets'
+    sorted fact vectors; leaves holds (key vector, least vector of
     its orbit) in the same order. The report's ex is best, its maximizers
     are the leading templates of found at best, and its stats count this
     run; exact is False when the node budget ran out, and found holds the
@@ -436,7 +452,7 @@ def _search(H, n, frac, node_budget):
     if n < H.signature.r:
         raise InvalidArgument("n must be at least r")
     engine = _SearchEngine(H, n, node_budget)
-    stash = []  # (position vector, product) per DFS leaf not yet flushed
+    stash = []  # (key vector, product) per DFS leaf not yet flushed
     kept = {}  # product -> its kept orbits, each a list of labeled leaves
     best = overflow = count = 0
 
@@ -482,16 +498,15 @@ def _search(H, n, frac, node_budget):
         flush()
     except BudgetExceeded:
         exact = False
-    # distinct candidates have distinct fact vectors, so ranking the
-    # candidates by them keeps the order of the canonical keys
-    facts = [tuple(sorted(p.facts for p in c)) for c in engine.cand_sets]
-    ranked = {key: i for i, key in enumerate(sorted(facts))}
-    rank = [ranked[key] for key in facts]
-    rows = sorted(((value, labeled, orbit[0])
-                   for value, orbits in kept.items() for orbit in orbits
-                   for labeled in orbit),
-                  key=lambda row: (-row[0], tuple(map(rank.__getitem__,
-                                                      row[1]))))
+    # distinct choice sets have distinct fact vectors, so ranking the keys
+    # of the kept leaves by them keeps the order of the canonical keys
+    rows = [(value, labeled, orbit[0]) for value, orbits in kept.items()
+            for orbit in orbits for labeled in orbit]
+    facts = {key: tuple(sorted(p.facts for p in engine.choices[key]))
+             for key in {key for _, labeled, _ in rows for key in labeled}}
+    rank = {key: i for i, key in enumerate(sorted(facts, key=facts.get))}
+    rows.sort(key=lambda row: (-row[0], tuple(map(rank.__getitem__,
+                                                  row[1]))))
     found = [(engine.template(leaf), value) for value, leaf, _ in rows]
     stats = {"nodes": engine.nodes, "pruned": engine.pruned}
     maximizers = [T for T, value in found if value == best]
@@ -560,31 +575,23 @@ def stability_probe(H, n, epsilon, node_budget=DEFAULT_NODE_BUDGET):
     The rows are near_extremal_set's templates, in its order, from the
     same single search, and `truncated` is its cap rule: when it holds,
     some near-extremal template (and maybe some maximizer) is missing, so
-    worst_gap may be off. Gaps are read from the search's candidate
-    position vectors: a vector is an int with one bit per (r-subset,
-    candidate), so the number of r-subsets where two templates differ
-    (distances.template_diff) is half the popcount of the XOR of their
-    ints. One gap per orbit, at its least vector (always kept): relabeling
+    worst_gap may be off. Gaps are read from the search's key vectors:
+    the number of r-subsets where two templates differ
+    (distances.template_diff) is the number of positions where their
+    vectors differ. One gap per orbit, at its least vector (always kept): relabeling
     moves a template and the maximizer set alike, and that set is closed
     under relabeling unless the cap cut it, and then every row is in it.
     `stats` counts the nodes and prunes of that search.
     """
     report, found, leaves, truncated = _near(H, n, epsilon, node_budget)
-    width = 2 ** len(realized_type_space(H)) - 1  # the candidates
     total = math.comb(n, H.signature.r)
-    offsets = range(0, total * width, width)
-
-    def bits(leaf):
-        return sum(map((1).__lshift__, map(add, offsets, leaf)))
-
-    extremal = [bits(leaf)
-                for leaf, _ in leaves[:len(report.extremal_templates)]]
+    extremal = [leaf for leaf, _ in leaves[:len(report.extremal_templates)]]
     gaps = {}
 
     def gap(least):
         if least not in gaps:
-            gaps[least] = Fraction(min(map(int.bit_count, map(
-                bits(least).__xor__, extremal))) // 2, total)
+            gaps[least] = Fraction(min(sum(map(ne, least, leaf))
+                                       for leaf in extremal), total)
         return gaps[least]
 
     rows = [(T, value, gap(least))

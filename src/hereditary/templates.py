@@ -8,38 +8,30 @@ over subsets and lexicographic over type fact-vectors, for determinism.
 The block kernel (_BlockChecker, one per property) answers the question
 that H-randomness, the extremal search and the containers hypergraph share:
 does every choice of types on the r-subsets of a small block merge to a
-member? It works on ints and bit masks only. Types and choice sets are
-interned as small ints, and a choice set is also a mask of type ids. A
-located type is a pair of fact masks (true facts, false facts), so a merge
-is an OR of pairs, unsatisfiable when the two ORs meet, and its membership
-is read from the copy tables (properties.mask_is_member); no Structure is
-built. Per block size, the kernel keeps the mask pair of every type on
-every relative r-subset and memoizes membership per merged true mask; per
-block size and choice sets on all but the block's last r-subset, it keeps
-the mask of the types allowed on the last one. Above r points it is asked
-about realized types (S_r(H)) only: is_h_random checks every type at size
-r first, and the search and the containers hypergraph take their types
-from S_r(H). block_subsets gives the r-subset indices of every block;
+member? It works on ints and bit masks only: types are interned as small
+ints, a choice set is the bit mask of its type ids, and a located type is
+a pair of fact masks (true facts, false facts), so a merge is an OR of
+pairs whose membership is read from the copy tables; no Structure is
+built. block_subsets gives the r-subset indices of every block;
 closing_blocks, the one block schedule of every walk over a template or a
-block, lists per r-subset the larger blocks it closes (is the
-colex-last r-subset of), each with a getter of its other entries. Two
-located types agree when neither's true facts meet the other's false
-facts (located_agree); errors are disagreements on the pairs of r-subsets
-in error_pairs. A permutation of the points of {1..n} carries the type of
-an r-subset A to A's image, read in the order in which A's points land
-there: its variables are permuted by that order of 1..r. The kernel keeps
-that action of every order on choice-set ids (_BlockChecker.relabeled_set).
+block, lists per r-subset the larger blocks it closes (is the colex-last
+r-subset of), each with a getter of its other entries. Two located types
+agree when neither's true facts meet the other's false facts
+(located_agree); errors are disagreements on the pairs of r-subsets in
+error_pairs. A permutation of the points of {1..n} carries the type of an
+r-subset A to A's image, read in the order in which A's points land there:
+its variables are permuted by that order of 1..r (relabeled_set).
 """
 
 import itertools
 import math
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 
 from .diagrams import located_facts
 from .errors import BudgetExceeded, InvalidArgument
 from .properties import (_fact_index, _facts, _gathers, _holds_copy,
-                         copy_table, is_member, mask_is_member)
+                         copy_table, is_member)
 from .qftypes import QfType, atom_index, atoms, qftp
 from .structures import structure_from_mask
 
@@ -149,7 +141,7 @@ def has_low_facts(p):
 
     Only such facts are shared by two distinct r-subsets, so located types
     without one always merge: errors need a true low fact somewhere. The
-    kernel computes this once per type (_BlockChecker.set_low).
+    kernel computes this once per type (_BlockChecker.low).
     """
     return any(b and len(set(varmap)) < p.r
                for (_, varmap), b in zip(atoms(p.signature), p.facts))
@@ -183,17 +175,17 @@ def detect_errors(T):
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
     checker = block_checker(T.property)
-    return list(_errors(T, [checker.set_id(T.choices[A]) for A in T.subsets]))
+    return list(_errors(T, [checker.set_mask(T.choices[A]) for A in T.subsets]))
 
 
-def _errors(T, cids):
-    """detect_errors' witnesses, one by one; cids are the block kernel's
-    choice-set ids on T.subsets. Only templates with a low fact in some
+def _errors(T, masks):
+    """detect_errors' witnesses, one by one; masks are the block kernel's
+    choice-set masks on T.subsets. Only templates with a low fact in some
     choice set can have errors."""
     signature = T.property.signature
     r = signature.r
-    set_low = block_checker(T.property).set_low
-    if not any(set_low[c] for c in cids):
+    low = block_checker(T.property).low
+    if not any(mask & low for mask in masks):
         return
     seen = set()
     for j, i in error_pairs(T.n, r):
@@ -211,8 +203,8 @@ def is_error_free(T):
     """No error witness (detect_errors); stops at the first one."""
     _require_complete(T)
     checker = block_checker(T.property)
-    cids = [checker.set_id(T.choices[A]) for A in T.subsets]
-    return next(_errors(T, cids), None) is None
+    masks = [checker.set_mask(T.choices[A]) for A in T.subsets]
+    return next(_errors(T, masks), None) is None
 
 
 def sub_count(T):
@@ -290,6 +282,17 @@ def _atom_perm(signature, order):
                  for name, varmap in atoms(signature))
 
 
+@lru_cache(maxsize=1 << 12)
+def mask_bits(mask):
+    """The indices of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _join(merges, pool):
     """The ORs of a (true facts, false facts) mask pair in `merges` with
     one in `pool` that are satisfiable: their true facts miss their false
@@ -301,16 +304,17 @@ def _join(merges, pool):
 class _BlockChecker(object):
     """The compiled block kernel of one property (see block_checker).
 
-    Types and choice sets get small int ids on first sight; the kernel
-    never enumerates S_r(H) itself, since is_h_random and detect_errors
-    also serve properties whose type space is out of reach (mixed has
-    about 3 * 10^9 members on 3 points). A type outside S_r(H) is one
-    more id, and its size-r outcome is False; on more than r points the
-    kernel answers for realized types only, the only ones its callers
-    ask about there. A choice set is also a bit
-    mask over type ids (`set_masks`). For a block of s points, an
-    assignment is a tuple of ids on the relative r-subsets of {1..s}
-    (lexicographic, so the colex-last subset comes last).
+    Types get small int ids on first sight, and a choice set is the bit
+    mask of its type ids (set_mask); `low` is the mask of the types with
+    a fact on fewer than r points (has_low_facts). The kernel never
+    enumerates S_r(H) itself, since is_h_random and detect_errors also
+    serve properties whose type space is out of reach (mixed has about
+    3 * 10^9 members on 3 points). A type outside S_r(H) is one more id,
+    and its size-r outcome is False; on more than r points the kernel
+    answers for realized types only, the only ones its callers ask about
+    there. For a block of s points, an assignment is a tuple of ids on the
+    relative r-subsets of {1..s} (lexicographic, so the colex-last subset
+    comes last).
 
     Per block size s, two tables are built on first use (see _size): the
     located (true facts, false facts) mask pair of every type id on every
@@ -322,7 +326,7 @@ class _BlockChecker(object):
     that type's own. So only the entry sizes m > r are checked there. The
     checks of a merge are memoized per size by its true mask.
 
-    `cache`, keyed by (s, choice-set ids of all but the last subset),
+    `cache`, keyed by (s, choice-set masks of all but the last subset),
     holds the types allowed on the last subset: those whose every
     completion by a choice from the others does not merge to a
     non-member. It is filled type by type, as [types checked, types
@@ -338,8 +342,9 @@ class _BlockChecker(object):
     `members`, since its edges include the unsatisfiable merges, which
     allowed lets through (errors are checked apart).
 
-    `relabeled_set` is the action on choice-set ids of an order of the
-    variables; the extremal search reads it to relabel id vectors.
+    `relabeled_set` is the action on choice-set masks of an order of the
+    variables, through one permutation of type ids per order; the extremal
+    search reads it to relabel its candidates.
     """
 
     def __init__(self, H):
@@ -347,50 +352,48 @@ class _BlockChecker(object):
         self.r = H.signature.r
         self.types = []      # type id -> QfType
         self.type_ids = {}   # QfType -> type id
-        self.sets = []       # choice-set id -> tuple of type ids
-        self.set_ids = {}    # frozenset of types -> choice-set id
-        self.set_masks = []  # choice-set id -> bit mask of its type ids
-        self.set_low = []    # choice-set id -> has_low_facts of some type
+        self.masks = {}      # frozenset of types -> its choice-set mask
+        self.low = 0         # mask of the types with has_low_facts
         self.sizes = {}      # s -> the tables of block size s (see _size)
         self.cache = {}
-        self.relabelings = {}  # (order, choice-set id) -> its image
+        self.type_perms = {}  # order -> type id -> id of its image
 
     def type_id(self, p):
         t = self.type_ids.get(p)
         if t is None:
             t = self.type_ids[p] = len(self.types)
             self.types.append(p)
+            if has_low_facts(p):
+                self.low |= 1 << t
             for s in self.sizes:
                 self._locate(s, t)
         return t
 
-    def set_id(self, types):
-        """The id of a choice set (any iterable of types). New types get
+    def set_mask(self, types):
+        """The mask of a choice set (any iterable of types). New types get
         ids in fact order, so ids do not depend on hashing."""
         types = frozenset(types)
-        c = self.set_ids.get(types)
-        if c is None:
-            c = self.set_ids[types] = len(self.sets)
-            ids = tuple(map(self.type_id, sorted(types)))
-            self.sets.append(ids)
-            self.set_masks.append(sum(1 << t for t in ids))
-            self.set_low.append(any(map(has_low_facts, types)))
-        return c
+        mask = self.masks.get(types)
+        if mask is None:
+            mask = self.masks[types] = sum(
+                1 << self.type_id(p) for p in sorted(types))
+        return mask
 
-    def relabeled_set(self, order, c):
-        """The id of choice set c with each type p read in `order`, an
-        order of 1..r: the set of qftp(p.realizing_structure(), order),
+    def relabeled_set(self, order, mask):
+        """The mask of choice set `mask` with each type p read in `order`,
+        an order of 1..r: the set of qftp(p.realizing_structure(), order),
         which a point permutation moving the points of an r-subset in that
         order puts on the subset's image. A type's image permutes its fact
-        vector through atoms (_atom_perm)."""
-        out = self.relabelings.get((order, c))
-        if out is None:
-            perm = _atom_perm(self.H.signature, order)
-            out = self.relabelings[order, c] = self.set_id(
-                QfType(self.H.signature,
-                       [self.types[t].facts[a] for a in perm])
-                for t in self.sets[c])
-        return out
+        vector through atoms (_atom_perm); the images of the type ids are
+        listed per order as types get ids."""
+        perm = self.type_perms.setdefault(order, [])
+        if mask >> len(perm):
+            atom_perm = _atom_perm(self.H.signature, order)
+            while len(perm) < len(self.types):  # an image may be a new type
+                facts = self.types[len(perm)].facts
+                perm.append(self.type_id(QfType(
+                    self.H.signature, [facts[a] for a in atom_perm])))
+        return sum(1 << perm[t] for t in mask_bits(mask))
 
     def _size(self, s):
         """The tables of block size s, built on first use: (located,
@@ -463,9 +466,8 @@ class _BlockChecker(object):
         if s == r:
             # allowed returns its whole cached mask: keep only `ids`
             need &= self.allowed(r, (), need)
-        single = {t: self.set_id((self.types[t],)) for t in ids}
         steps = list(zip(closing_blocks(s, r, self.H.k), rows))
-        cids = [None] * len(steps)
+        masks = [None] * len(steps)
         chosen = [None] * len(steps)
         lexical = tuple_getter(order)
         out = []
@@ -474,16 +476,13 @@ class _BlockChecker(object):
             blocks, row = steps[i]
             todo = need
             for size, get in blocks:
-                todo &= self.allowed(size, get(cids), todo)
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                t = low.bit_length() - 1
+                todo &= self.allowed(size, get(masks), todo)
+            for t in mask_bits(todo):
                 pt, pf = row[t]
                 mt, mf = true | pt, false | pf
                 if mt & mf:
                     continue
-                cids[i], chosen[i] = single[t], t
+                masks[i], chosen[i] = 1 << t, t
                 if i + 1 < len(steps):
                     extend(i + 1, mt, mf)
                 else:
@@ -504,11 +503,10 @@ class _BlockChecker(object):
         if todo:
             located, _, memo = self._size(s)
             merges = [(0, 0)]
-            for row, c in zip(located, prefix):
-                merges = _join(merges, [row[t] for t in self.sets[c]])
-            while todo:
-                low = todo & -todo
-                pt, pf = located[-1][low.bit_length() - 1]
+            for row, mask in zip(located, prefix):
+                merges = _join(merges, [row[t] for t in mask_bits(mask)])
+            for t in mask_bits(todo):
+                pt, pf = located[-1][t]
                 for mt, mf in merges:
                     true = mt | pt
                     if not true & (mf | pf):
@@ -520,24 +518,23 @@ class _BlockChecker(object):
                         if non_member:
                             break
                 else:
-                    entry[1] |= low
-                entry[0] |= low
-                todo ^= low
+                    entry[1] |= 1 << t
+            entry[0] |= todo
         return entry[1]
 
-    def block_verdict(self, s, cids):
-        """Does no choice from the choice sets `cids` on the relative
+    def block_verdict(self, s, masks):
+        """Does no choice from the choice sets `masks` on the relative
         r-subsets of {1..s} merge to a non-member? One read of allowed."""
-        need = self.set_masks[cids[-1]]
-        return not need & ~self.allowed(s, cids[:-1], need)
+        need = masks[-1]
+        return not need & ~self.allowed(s, masks[:-1], need)
 
     def block_ok(self, block, choice_map):
         """block_verdict for callers holding a choice map: block is a sorted
         point tuple, choice_map maps its r-subsets to sets of types. No
         library path calls it; bench/layers.py times it as a layer."""
-        cids = tuple(self.set_id(choice_map[A])
-                     for A in itertools.combinations(block, self.r))
-        return self.block_verdict(len(block), cids)
+        masks = tuple(self.set_mask(choice_map[A])
+                      for A in itertools.combinations(block, self.r))
+        return self.block_verdict(len(block), masks)
 
 
 def block_checker(H):
@@ -556,26 +553,20 @@ def is_h_random(T):
     H = T.property
     r = H.signature.r
     checker = block_checker(H)
-    cids = [checker.set_id(T.choices[A]) for A in T.subsets]
-    if next(_errors(T, cids), None) is not None:
+    masks = [checker.set_mask(T.choices[A]) for A in T.subsets]
+    if next(_errors(T, masks), None) is not None:
         return False
     # every chosen type against {1..r}, then each subset's types against
     # the blocks it closes
-    allowed, masks = checker.allowed, checker.set_masks
-    need = 0
-    for c in cids:
-        need |= masks[c]
+    allowed = checker.allowed
+    need = reduce(or_, masks)
     if need & ~allowed(r, (), need):
         return False
-    for blocks, c in zip(closing_blocks(T.n, r, H.k), cids):
-        need = masks[c]
+    for blocks, need in zip(closing_blocks(T.n, r, H.k), masks):
         for size, get in blocks:
-            if need & ~allowed(size, get(cids), need):
+            if need & ~allowed(size, get(masks), need):
                 return False
     return True
-
-
-_mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
 
 
 def _merges(T):
@@ -604,15 +595,6 @@ def _merges(T):
             raise BudgetExceeded("partial merges over budget (%d)" % formed)
         merges = _join(merges, pool)
     return [t for t, _ in merges]
-
-
-def is_h_random_direct(T):
-    """Direct-definition oracle: every choice function merges to a member.
-    Each merge is checked with properties.mask_is_member, memoized by mask
-    since templates share them."""
-    merges = _merges(T)
-    return len(merges) == choice_count(T) and all(
-        _mask_is_member(T.property, T.n, t) for t in merges)
 
 
 def restrict(T, A):

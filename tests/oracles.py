@@ -12,8 +12,9 @@ These are second, independent paths, kept here as oracles:
 - colored: a brute force over set-colorings, directly on colorings
   (max_product, max_density_log2);
 - templates: every choice function and its merge (choice_functions,
-  subpattern_of_choice), and the geometric-mean identity of sub counts
-  (geometric_mean_identity_gap);
+  subpattern_of_choice), H-randomness by its definition on the merges of
+  every choice function (is_h_random_direct), and the geometric-mean
+  identity of sub counts (geometric_mean_identity_gap);
 - properties: the induced entries a universe entry stands for, one per
   isomorphism class of the fact sets it does not allow
   (universe_bad_classes, expanded), and copy tables read back in that
@@ -29,9 +30,11 @@ from hereditary.diagrams import LocatedType, merge_entries
 from hereditary.errors import BudgetExceeded, InvalidArgument
 from hereditary.instances.metric import triangle_ok
 from hereditary.properties import (DEFAULT_ENUM_BUDGET, INDUCED,
-                                   ForbiddenEntry, UniverseEntry)
+                                   ForbiddenEntry, UniverseEntry,
+                                   mask_is_member)
 from hereditary.structures import first_of_classes, structure_from_mask
-from hereditary.templates import _require_complete, restrict, sub_count
+from hereditary.templates import (_merges, _require_complete, choice_count,
+                                  restrict, sub_count)
 
 
 # ---------- digraphs: T_{k+1}-free digraphs ----------
@@ -260,6 +263,18 @@ def subpattern_of_choice(T, chi):
     """Merge the located choices of chi; None when unsatisfiable."""
     entries = [LocatedType(A, p) for A, p in chi.items()]
     return merge_entries(entries, n=T.n, signature=T.property.signature)
+
+
+_mask_is_member = lru_cache(maxsize=1 << 16)(mask_is_member)
+
+
+def is_h_random_direct(T):
+    """Direct-definition oracle: every choice function merges to a member.
+    Each merge is checked with properties.mask_is_member, memoized by mask
+    since templates share them."""
+    merges = _merges(T)
+    return len(merges) == choice_count(T) and all(
+        _mask_is_member(T.property, T.n, t) for t in merges)
 
 
 def geometric_mean_identity_gap(T):

@@ -16,8 +16,7 @@ from hereditary.instances import colored, digraphs, metric, mixed, triples
 from hereditary.instances.colored import all_one_triangle
 from hereditary.properties import count_members, enumerate_members
 from hereditary.templates import (Template, choice_count, is_error_free,
-                                  is_h_random, is_h_random_direct, r_subsets,
-                                  sub_count)
+                                  is_h_random, r_subsets, sub_count)
 
 import oracles
 from helpers import random_structure, seeded
@@ -145,7 +144,7 @@ def _agreement(H, n, sample, rng_seed):
         T = Template(H, n, dict(zip(subsets, sets)))
         if choice_count(T) > 10 ** 5:
             continue
-        if is_h_random(T) != is_h_random_direct(T):
+        if is_h_random(T) != oracles.is_h_random_direct(T):
             mismatches += 1
     return mismatches
 

@@ -1,7 +1,7 @@
 """The block kernel (templates._BlockChecker) against direct merges.
 
 The kernel memoizes membership per merged true mask and, per block size
-and prefix of choice-set ids, the mask of allowed types. The oracles are
+and prefix of choice-set masks, the mask of allowed types. The oracles are
 `merge_entries` plus `is_member` on every assignment, and
 `is_h_random_direct` on whole templates.
 """
@@ -21,10 +21,10 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
 from hereditary.qftypes import QfType, atoms, type_from_structure
 from hereditary.structures import Structure
 from hereditary.templates import (Template, block_checker, block_subsets,
-                                  closing_blocks, is_h_random,
-                                  is_h_random_direct, r_subsets)
+                                  closing_blocks, is_h_random, r_subsets)
 
 from helpers import seeded
+from oracles import is_h_random_direct
 
 
 def loop_digraphs():
@@ -60,14 +60,14 @@ def test_every_type_assignment_matches_direct_merge(name):
     r = H.signature.r
     space = realized_type_space(H)
     checker = block_checker(H)
-    singletons = {p: checker.set_id({p}) for p in space}
+    singletons = {p: checker.set_mask({p}) for p in space}
     for size in range(r, max(H.k, r) + 1):
         for types in itertools.product(space, repeat=comb(size, r)):
             want = direct(H, size, types)
             ids = tuple(checker.type_id(p) for p in types)
             assert checker.outcome(size, ids) is want
-            cids = tuple(singletons[p] for p in types)
-            assert checker.block_verdict(size, cids) == (want is not False)
+            masks = tuple(singletons[p] for p in types)
+            assert checker.block_verdict(size, masks) == (want is not False)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["loop-digraphs"])
@@ -87,8 +87,8 @@ def test_choice_set_verdicts_are_the_and_over_the_product(name):
             sets = [rng.choice(options) for _ in rel]
             want = all(direct(H, size, types) is not False
                        for types in itertools.product(*sets))
-            cids = tuple(checker.set_id(c) for c in sets)
-            assert checker.block_verdict(size, cids) == want
+            masks = tuple(checker.set_mask(c) for c in sets)
+            assert checker.block_verdict(size, masks) == want
             choice_map = {tuple(block[i - 1] for i in A): c
                           for A, c in zip(rel, sets)}
             assert checker.block_ok(block, choice_map) == want
@@ -166,10 +166,11 @@ def test_low_facts_are_flagged_per_choice_set():
     checker = block_checker(H)
     loop = type_from_structure(Structure(digraphs.SIG, 2, {"E": [(1, 1)]}))
     empty = type_from_structure(Structure(digraphs.SIG, 2))
-    assert checker.set_low[checker.set_id({loop, empty})]
-    assert not checker.set_low[checker.set_id({empty})]
+    # a mask first: its new types enter `low` as they get ids
+    assert checker.set_mask({loop, empty}) & checker.low
+    assert not checker.set_mask({empty}) & checker.low
     M = metric.metric_instance(3)
-    assert not any(block_checker(M).set_low[block_checker(M).set_id({p})]
+    assert not any(block_checker(M).set_mask({p}) & block_checker(M).low
                    for p in realized_type_space(M))
 
 

@@ -24,11 +24,11 @@ from hereditary.qftypes import QfType
 from hereditary.templates import (DEFAULT_CHI_BUDGET, Template, choice_count,
                                   detect_errors, error_pairs,
                                   full_subpatterns, has_low_facts,
-                                  is_h_random_direct, located_agree,
-                                  r_subsets, sub_count)
+                                  located_agree, r_subsets, sub_count)
 
 from helpers import seeded
-from oracles import choice_functions, subpattern_of_choice
+from oracles import (choice_functions, is_h_random_direct,
+                     subpattern_of_choice)
 
 
 def loop_digraphs():

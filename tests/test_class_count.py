@@ -23,11 +23,11 @@ from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    count_members, enumerate_members,
                                    is_member, realized_type_space)
 from hereditary.structures import Signature, Structure, is_isomorphic
-from hereditary.templates import (Template, choice_count,
-                                  is_h_random_direct, r_subsets)
+from hereditary.templates import Template, choice_count, r_subsets
 
 from helpers import DIGRAPH_SIG, seeded
-from oracles import choice_functions, expanded, subpattern_of_choice
+from oracles import (choice_functions, expanded, is_h_random_direct,
+                     subpattern_of_choice)
 
 # name -> (property, largest n checked against the labeled stream). mixed
 # stops at n = 2: E is free, so it has about 3 * 10^9 members on 3 points.

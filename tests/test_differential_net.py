@@ -21,7 +21,12 @@ property the fast paths are checked against their direct definitions:
   is at most 10^4: alpha and every block's edges against the type
   assignments on the pairs of {1..3} whose merge (merge_entries) is
   unsatisfiable or not a member (is_member), and the largest co-degrees
-  against the materialized oracle of tests/test_containers_oracle.py.
+  against the materialized oracle of tests/test_containers_oracle.py;
+- the extremal search: on 2 points, where every nonempty subset of
+  S_r(H) is an H-random choice set, ex = |S_r(H)| with the whole space as
+  the one maximizer, on every draw with a realized type (4 to 64 of them);
+  and where |S_r(H)| is at most 9, the density sequence to n = 4, whose
+  ex(n) counts distinct members, so it is at most count_members.
 """
 
 import itertools
@@ -32,6 +37,7 @@ import pytest
 from hereditary.containers import build_hypergraph, max_codegrees
 from hereditary.diagrams import LocatedType, merge_entries
 from hereditary.errors import BudgetExceeded
+from hereditary.extremal import density_sequence, search_extremal
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, _fact_index,
                                    count_members, enumerate_members,
@@ -40,10 +46,11 @@ from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
 from hereditary.qftypes import qftp, type_space
 from hereditary.structures import Signature, Structure
 from hereditary.templates import (Template, block_checker, is_h_random,
-                                  is_h_random_direct, r_subsets,
+                                  r_subsets,
                                   validate_template)
 
 from helpers import random_structure, seeded
+from oracles import is_h_random_direct
 from test_containers_oracle import oracle_max_codegrees
 
 SIG = Signature([("E", 2), ("P", 1)])
@@ -172,3 +179,29 @@ def test_hypergraph_matches_direct_merges(seed):
         assert {(v.support, index[v.qftype]): d
                 for v, d in max_codegrees(Hg, j).items()} == \
             oracle_max_codegrees(vertices, edges, j)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_search_on_r_points_takes_every_realized_type(seed):
+    # the property of test_fast_paths_match_the_direct_definitions
+    H = random_property(seeded(seed))
+    space = realized_type_space(H)
+    if not space:
+        return
+    rep = search_extremal(H, SIG.r)
+    assert (rep.ex, rep.exact, rep.truncated) == (len(space), True, False)
+    assert [T.choices for T in rep.extremal_templates] == [
+        {(1, 2): frozenset(space)}]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_density_sequence_is_at_most_the_member_counts(seed):
+    # the property of test_fast_paths_match_the_direct_definitions; the
+    # choice functions of an H-random template merge to distinct members
+    H = random_property(seeded(seed))
+    if not 0 < len(realized_type_space(H)) <= 9:
+        return
+    reports = density_sequence(H, 4)
+    assert [rep.n for rep in reports] == [2, 3, 4]
+    for rep in reports:
+        assert count_members(H, rep.n) >= rep.ex

@@ -16,17 +16,18 @@ import pytest
 
 from hereditary import diagrams, properties, templates
 from hereditary.diagrams import LocatedType, merge_entries
-from hereditary.extremal import _SearchEngine, search_extremal
+from hereditary.extremal import (_SearchEngine, candidate_sets,
+                                 search_extremal)
 from hereditary.instances import colored, digraphs, metric, triples
 from hereditary.properties import (NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, realized_type_space)
 from hereditary.qftypes import QfType, type_space
 from hereditary.structures import Structure
 from hereditary.templates import (Template, block_checker, is_h_random,
-                                  is_h_random_direct, located_agree,
-                                  r_subsets)
+                                  located_agree, r_subsets)
 
 from helpers import seeded
+from oracles import is_h_random_direct
 
 FAMILIES = {
     "metric-r3": lambda: metric.metric_instance(3),
@@ -42,7 +43,8 @@ FAMILIES = {
 }
 ARC = Structure(digraphs.SIG, 2, {"E": [(1, 2)]})
 LOOPS = Structure(digraphs.SIG, 3, {"E": [(1, 1), (2, 2), (3, 3)]})
-# Mixed properties with at most 12 types, so the search runs on them.
+# Mixed properties: a loop is a fact on one point, so the search checks
+# error partners on them.
 MIXED = {
     "loop-arcs": lambda: HereditaryProperty(
         digraphs.SIG, [ForbiddenEntry(ARC, NON_INDUCED)], mode=NON_INDUCED),
@@ -123,7 +125,7 @@ def test_allowed_types_are_the_and_over_the_product(name, fallback,
     for size in range(r, max(H.k, r) + 1):
         for _ in range(15):
             sets = [rng.choice(options) for _ in range(comb(size, r) - 1)]
-            prefix = tuple(checker.set_id(c) for c in sets)
+            prefix = tuple(checker.set_mask(c) for c in sets)
             allowed = checker.allowed(size, prefix, every)
             for q in space:
                 want = all(direct(H, size, types + (q,)) is not False
@@ -132,7 +134,7 @@ def test_allowed_types_are_the_and_over_the_product(name, fallback,
             # a later query reads the same table
             last = frozenset(rng.choice(options))
             assert checker.block_verdict(size, prefix + (
-                checker.set_id(last),)) == all(
+                checker.set_mask(last),)) == all(
                     allowed >> checker.type_id(q) & 1 for q in last)
 
 
@@ -196,7 +198,7 @@ def check_sizes(H, checker, pool, ids, rng, exhaustive):
                     2 if combos < 16 and rng.random() < 0.4 else 1)))
                 sets.append(c)
                 combos *= len(c)
-            prefix = tuple(checker.set_id(c) for c in sets)
+            prefix = tuple(checker.set_mask(c) for c in sets)
             allowed = checker.allowed(size, prefix, every)
             for q in types_here:
                 want = all(direct(H, size, types + (q,)) is not False
@@ -205,7 +207,7 @@ def check_sizes(H, checker, pool, ids, rng, exhaustive):
             last = frozenset(rng.sample(types_here, min(
                 len(types_here), rng.choice([1, 2]))))
             assert checker.block_verdict(size, prefix + (
-                checker.set_id(last),)) == all(
+                checker.set_mask(last),)) == all(
                     allowed >> ids[q] & 1 for q in last)
 
 
@@ -273,29 +275,30 @@ def test_located_agree_is_the_former_pair_ok(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(MIXED))
 def test_search_masks_are_the_former_checks(name, monkeypatch):
     # Every check mask of the search against the former per-candidate
-    # checks: pair_ok over both choice sets, and the block verdict.
+    # checks: pair_ok over both choice sets, and the block verdict. A
+    # candidate passes a check when its types lie inside the check's mask.
     H = fresh(name, monkeypatch, False)
     engine = _SearchEngine(H, 4)
     assert engine.mixed
-    sets, cands = engine.sets, engine.cands
+    checker = engine.checker
+    cands = [(c, checker.set_mask(c)) for c in candidate_sets(H)]
     for i, A in enumerate(engine.subsets):
         for j in range(i):
             B = engine.subsets[j]
-            for _, cid in cands:
-                want = sum(1 << pos for pos, (_, c) in enumerate(cands)
-                           if all(pair_ok(B, p, A, q)
-                                  for p in sets[cid] for q in sets[c]))
-                got = engine._pair_mask(j, i, cid)
-                assert got == want
-    checker = engine.checker
+            for chosen, mask in cands:
+                got = engine._pair_mask(j, i, {}, mask)
+                for c, m in cands:
+                    want = all(pair_ok(B, p, A, q) for p in chosen for q in c)
+                    assert (not m & ~got) == want
     rng = seeded(909)
     for size in range(engine.r + 1, min(H.k, engine.n) + 1):
         for _ in range(20):
             prefix = tuple(rng.choice(cands)[1]
                            for _ in range(comb(size, engine.r) - 1))
-            want = sum(1 << pos for pos, (_, c) in enumerate(cands)
-                       if checker.block_verdict(size, prefix + (c,)))
-            assert engine._block_mask(size, prefix) == want
+            got = checker.allowed(size, prefix, engine.every)
+            for _, m in cands:
+                assert (not m & ~got) == checker.block_verdict(
+                    size, prefix + (m,))
 
 
 @pytest.mark.parametrize("name", ["metric-r3", "digraph-k2", "triples"])

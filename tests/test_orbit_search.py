@@ -8,7 +8,9 @@ is checked against qftp of the realizing structure read in that order,
 the near-extremal sets against a brute force over every complete
 template, and the pinned maximizer lists, the engine's relabeling tables
 (_relabeling) and its orbit expansion (_orbit, which closes a leaf under
-(1 2) and the n-cycle) against a Template relabeling built from qftp.
+(1 2) and the n-cycle) against a Template relabeling built from qftp. The
+engine's keys are checked against the order of candidate_sets, and its
+search against the kernel's order of type ids.
 Oriented triples, whose types the orders of 1..3 permute without
 commuting, pin the direction of the action.
 """
@@ -93,13 +95,13 @@ def test_swapped_types_are_the_swapped_reads(name):
     cands = set(candidate_sets(H))
     for order in itertools.permutations(range(1, r + 1)):
         for p in types:
-            got = checker.relabeled_set(order, checker.set_id({p}))
-            assert checker.sets[got] == (checker.type_id(read(p, order)),)
+            got = checker.relabeled_set(order, checker.set_mask({p}))
+            assert got == 1 << checker.type_id(read(p, order))
         # a set maps to the set of its types' images, inside the candidates
         for c in cands:
-            got = checker.relabeled_set(order, checker.set_id(c))
+            got = checker.relabeled_set(order, checker.set_mask(c))
             want = frozenset(read(p, order) for p in c)
-            assert got == checker.set_id(want) and want in cands
+            assert got == checker.set_mask(want) and want in cands
 
 
 BRUTE = [
@@ -182,11 +184,10 @@ def test_relabel_moves_types_with_their_points():
 
 @lru_cache(maxsize=None)
 def sampled_leaves(name, n):
-    """An engine of EVERY_FAMILY[name] on {1..n}, run once, and the choice-
-    set id vectors of its first 20 labeled leaves, then every 997th: the
-    orbits of the DFS leaves, expanded in order by _orbit."""
+    """An engine of EVERY_FAMILY[name] on {1..n}, run once, and the key
+    vectors of its first 20 labeled leaves, then every 997th: the orbits
+    of the DFS leaves, expanded in order by _orbit."""
     engine = _SearchEngine(EVERY_FAMILY[name](), n)
-    ids = [cid for _, cid in engine.cands]
     leaves = []
     count = itertools.count()
 
@@ -194,20 +195,24 @@ def sampled_leaves(name, n):
         for labeled in engine._orbit(leaf) or ():
             i = next(count)
             if i < 20 or (i - 20) % 997 == 0:
-                leaves.append(tuple(ids[pos] for pos in labeled))
+                leaves.append(labeled)
 
     engine.run(collect)
     return engine, leaves
 
 
-def relabeled_positions(engine, cids, values):
-    """The candidate positions of relabel(T, perm) on engine.subsets, for
-    the template T of the ids `cids` and the point a renamed values[a-1]."""
-    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
-    U = relabel(engine.template([pos[c] for c in cids]),
+def key(engine, types):
+    """The engine's key of the choice set `types`."""
+    return engine._key(engine.checker.set_mask(types))
+
+
+def relabeled_keys(engine, leaf, values):
+    """The key vector of relabel(T, perm) on engine.subsets, for the
+    template T of the key vector `leaf` and the point a renamed
+    values[a-1]."""
+    U = relabel(engine.template(leaf),
                 dict(zip(range(1, engine.n + 1), values)))
-    return tuple(pos[engine.checker.set_id(U.choices[A])]
-                 for A in engine.subsets)
+    return tuple(key(engine, U.choices[A]) for A in engine.subsets)
 
 
 RELABELINGS = [(name, n) for name in sorted(FAMILIES)
@@ -220,21 +225,19 @@ RELABELINGS = [(name, n) for name in sorted(FAMILIES)
                          ids=["%s-n%d" % c for c in RELABELINGS])
 def test_relabeling_tables_are_the_relabelings(name, n):
     if (name, n) == ("oriented-triples", 4):
-        # every template is H-random there: 127^4 leaves, so sample ids
+        # every template is H-random there: 127^4 leaves, so sample sets
         engine = _SearchEngine(oriented_triples(), n)
         rng = random.Random(4)
-        ids = [cid for _, cid in engine.cands]
-        leaves = [tuple(rng.choice(ids) for _ in engine.subsets)
+        cands = candidate_sets(engine.H)
+        leaves = [tuple(key(engine, rng.choice(cands)) for _ in engine.subsets)
                   for _ in range(40)]
     else:
         engine, leaves = sampled_leaves(name, n)
-    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
     for values in itertools.permutations(range(1, n + 1)):
         srcs, acts = engine._relabeling(values)
-        for cids in leaves:
-            v = [pos[c] for c in cids]
+        for v in leaves:
             got = tuple(act[v[src]] for src, act in zip(srcs, acts))
-            assert got == relabeled_positions(engine, cids, values)
+            assert got == relabeled_keys(engine, v, values)
 
 
 ORBITS = [(name, n) for name in sorted(FAMILIES)
@@ -245,11 +248,9 @@ ORBITS = [(name, n) for name in sorted(FAMILIES)
 @pytest.mark.parametrize("name, n", ORBITS, ids=["%s-n%d" % c for c in ORBITS])
 def test_orbit_is_the_set_of_relabelings(name, n):
     engine, leaves = sampled_leaves(name, n)
-    pos = {cid: p for p, (_, cid) in enumerate(engine.cands)}
     outcomes = set()
-    for cids in leaves:
-        leaf = tuple(pos[c] for c in cids)
-        orbit = {relabeled_positions(engine, cids, values)
+    for leaf in leaves:
+        orbit = {relabeled_keys(engine, leaf, values)
                  for values in itertools.permutations(range(1, n + 1))}
         got = engine._orbit(leaf)
         if min(orbit) < leaf:
@@ -259,3 +260,46 @@ def test_orbit_is_the_set_of_relabelings(name, n):
         outcomes.add(got is None)
     # past n = r some sampled leaf is not the least of its orbit
     assert n == engine.r or outcomes == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+def test_keys_sort_in_candidate_order(name):
+    # the engine's keys sort as candidate_sets lists the choice sets, and
+    # every key listed has its choice set in engine.choices
+    H = EVERY_FAMILY[name]()
+    engine = _SearchEngine(H, H.signature.r)
+    cands = candidate_sets(H)
+    keys = [key(engine, c) for c in cands]
+    assert keys == sorted(set(keys))
+    assert [engine.choices[k] for k in keys] == cands
+
+
+# uncached copies: reordering a property's kernel ids would otherwise
+# reach every later test of the shared instance
+UNCACHED = {"metric-r3": (lambda: metric.metric_instance.__wrapped__(3), 5),
+            "loop-triangles": (loop_triangles, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(UNCACHED))
+def test_search_does_not_read_the_kernel_id_order(name):
+    # One template checked first gives the last realized type the kernel's
+    # type id 0, so the ids no longer follow realized_type_space; the
+    # search still visits the candidates in its order, so the tree and
+    # the maximizers are those of a fresh property.
+    make, n = UNCACHED[name]
+
+    def search(H):
+        rep = search_extremal(H, n)
+        return (rep.ex, rep.stats,
+                [T.canonical_key() for T in rep.extremal_templates])
+
+    H = make()
+    space = realized_type_space(H)
+    r = H.signature.r
+    assert is_h_random(Template(H, r, {tuple(range(1, r + 1)): {space[-1]}}))
+    checker = block_checker(H)
+    assert [checker.type_id(p) for p in space] == [*range(1, len(space)), 0]
+    got = search(H)
+    assert got == search(make())
+    if name == "metric-r3":
+        assert (got[0], got[1]) == (2304, {"nodes": 611, "pruned": 3541})

@@ -11,12 +11,12 @@ from hereditary.structures import Structure
 from hereditary.templates import (Template, choice_count, detect_errors,
                                   full_subpatterns, is_error_free,
                                   is_flaw_free, is_full_subpattern,
-                                  is_h_random, is_h_random_direct, restrict,
-                                  r_subsets, sub_count,
+                                  is_h_random, restrict, r_subsets, sub_count,
                                   template_from_structure, validate_template)
 
 from helpers import seeded
-from oracles import choice_functions, geometric_mean_identity_gap
+from oracles import (choice_functions, geometric_mean_identity_gap,
+                     is_h_random_direct)
 
 
 def _digraph_template(n, sets):

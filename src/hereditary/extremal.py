@@ -33,7 +33,8 @@ is truncated when a leaf at its floor was not kept. Under the cap, the
 leaves kept among those tied at the least kept product are the first ones
 found, so they depend on the order in which orbits are met. Templates are
 built only for the leaves returned, sorted by the ranks of their keys,
-which keep the order of their choice sets' sorted fact vectors. Each
+which keep the order of their choice sets' sorted fact vectors; each
+takes its keys' choice-set masks as they are (Template.from_masks). Each
 report's stats count that one search: `nodes` is the nodes visited plus
 the labeled leaves of each expanded orbit after its first, and `pruned`
 the candidates cut by a check, by the product bound or by the symmetry
@@ -151,7 +152,7 @@ class _SearchEngine(object):
                     for b, p in enumerate(space)}
         self.every = sum(1 << t for t in self.rev)  # S_r(H) as a type mask
         self.lists = {}  # step mask -> (candidates listed, lister of more)
-        self.choices = {}  # key -> its choice set, for every key in acts
+        self.masks = {}  # key -> its choice-set mask, for every key in acts
         # per step: (memo, getter of the masks read, the check's type mask)
         self.checks = [[] for _ in self.subsets]
         block_masks = {}  # shared by the blocks of one size
@@ -193,7 +194,7 @@ class _SearchEngine(object):
 
     def _key(self, mask):
         """_rank(mask); on first sight, the images of `mask` under the
-        orders of 1..r enter self.choices and the action of every order
+        orders of 1..r enter self.masks and the action of every order
         (self.acts). Reading in order s and then in order t is reading in
         the order (s[t[0] - 1], ..., s[t[r-1] - 1])."""
         key = self._rank(mask)
@@ -202,8 +203,7 @@ class _SearchEngine(object):
                       for order in self.acts}
             keys = {order: self._rank(image) for order, image in images.items()}
             for s, at in keys.items():
-                self.choices[at] = frozenset(
-                    map(self.checker.types.__getitem__, mask_bits(images[s])))
+                self.masks[at] = images[s]
                 for t, act in self.acts.items():
                     act[at] = keys[tuple(s[v - 1] for v in t)]
         return key
@@ -290,9 +290,9 @@ class _SearchEngine(object):
 
     def template(self, leaf):
         """The template with the choice sets of the keys `leaf` on
-        self.subsets."""
-        return Template(self.H, self.n, dict(zip(
-            self.subsets, map(self.choices.__getitem__, leaf))))
+        self.subsets, built from their masks."""
+        return Template.from_masks(self.H, self.n,
+                                   tuple(map(self.masks.__getitem__, leaf)))
 
     def run(self, collect):
         """Generic DFS over the lex-least templates under relabeling of [n].
@@ -502,7 +502,9 @@ def _search(H, n, frac, node_budget):
     # of the kept leaves by them keeps the order of the canonical keys
     rows = [(value, labeled, orbit[0]) for value, orbits in kept.items()
             for orbit in orbits for labeled in orbit]
-    facts = {key: tuple(sorted(p.facts for p in engine.choices[key]))
+    types = engine.checker.types
+    facts = {key: tuple(sorted(types[t].facts
+                               for t in mask_bits(engine.masks[key])))
              for key in {key for _, labeled, _ in rows for key in labeled}}
     rank = {key: i for i, key in enumerate(sorted(facts, key=facts.get))}
     rows.sort(key=lambda row: (-row[0], tuple(map(rank.__getitem__,

@@ -2,8 +2,12 @@
 flaw checks, H-randomness, restriction, and the block kernel.
 
 A template maps each r-subset of {1..n} to a nonempty set of realized types
-(canonical sorted-support form). Iteration order is always colexicographic
-over subsets and lexicographic over type fact-vectors, for determinism.
+(canonical sorted-support form). It holds them in the block kernel's form,
+one choice-set mask per r-subset in colex order (Template.masks), which
+every kernel reader takes as it is; the map of frozensets
+(Template.choices) is built on first read. Iteration order is always
+colexicographic over subsets and lexicographic over type fact-vectors, for
+determinism.
 
 The block kernel (_BlockChecker, one per property) answers the question
 that H-randomness, the extremal search and the containers hypergraph share:
@@ -27,6 +31,7 @@ import itertools
 import math
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
+from types import MappingProxyType
 
 from .diagrams import located_facts
 from .errors import BudgetExceeded, InvalidArgument
@@ -52,9 +57,9 @@ def _subset_order(n, r):
 
 
 @lru_cache(maxsize=256)
-def _subset_keys(n, r):
-    """The keys of _subset_order(n, r) as a set: the canonical r-subsets."""
-    return frozenset(_subset_order(n, r))
+def _subset_index(n, r):
+    """The index of each r-subset in _subset_order(n, r)."""
+    return {A: i for i, A in enumerate(_subset_order(n, r))}
 
 
 @lru_cache(maxsize=256)
@@ -68,48 +73,88 @@ def error_pairs(n, r):
 
 
 class Template(object):
-    """A complete-or-partial choice-set map over the r-subsets of {1..n}."""
+    """A complete-or-partial choice-set map over the r-subsets of {1..n}.
+
+    It is held in the block kernel's form: `masks` has one choice-set mask
+    (_BlockChecker.set_mask) per r-subset, in the colex order of
+    `subsets`, and 0 where a subset has no choice. `choices`, the
+    read-only map from each subset with a choice to its frozenset of
+    types, is built from the masks on first read. Template(H, n, choices)
+    checks every key; from_masks takes a mask tuple as it is.
+    """
+
+    __slots__ = ("property", "n", "masks", "_choices")
 
     def __init__(self, H, n, choices):
         r = H.signature.r
         if n < r:
             raise InvalidArgument("template domain smaller than r")
-        canonical = _subset_keys(n, r)
-        normalized = {}
+        index = _subset_index(n, r)
+        sets = [()] * len(index)
         for A, types in choices.items():
-            # a sorted in-range tuple is stored as it is; a list key is
+            # a sorted in-range tuple is looked up as it is; a list key is
             # not hashable, so only tuples are looked up
-            if type(A) is not tuple or A not in canonical:
-                A = tuple(sorted(A))
-                if len(A) != r or A[0] < 1 or A[-1] > n:
+            i = index.get(A) if type(A) is tuple else None
+            if i is None:
+                i = index.get(tuple(sorted(A)))
+                if i is None:
                     raise InvalidArgument("bad r-subset %r" % (A,))
-            normalized[A] = frozenset(types)
+            sets[i] = types
         self.property = H
         self.n = n
-        self.choices = normalized
-        self.subsets = _subset_order(n, r)
+        # new types get kernel ids in the colex order of their subsets
+        self.masks = tuple(map(block_checker(H).set_mask, sets))
+
+    @classmethod
+    def from_masks(cls, H, n, masks):
+        """The template with the choice-set masks `masks`, a tuple over
+        r_subsets(n, r), taken as it is."""
+        T = cls.__new__(cls)
+        T.property = H
+        T.n = n
+        T.masks = masks
+        return T
+
+    @property
+    def subsets(self):
+        """r_subsets(n, r) as a tuple, shared by every Template on {1..n}."""
+        return _subset_order(self.n, self.property.signature.r)
+
+    @property
+    def choices(self):
+        """{r-subset: frozenset of types} for the subsets with a choice,
+        read-only; built from the masks on first read."""
+        try:
+            return self._choices
+        except AttributeError:  # first read
+            types = block_checker(self.property).types
+            self._choices = MappingProxyType({
+                A: frozenset(map(types.__getitem__, mask_bits(mask)))
+                for A, mask in zip(self.subsets, self.masks) if mask})
+            return self._choices
 
     def choice(self, A):
         return self.choices.get(tuple(sorted(A)), frozenset())
 
     def is_complete(self):
-        return all(self.choices.get(A) for A in self.subsets)
+        return all(self.masks)
 
     def canonical_key(self):
-        return tuple(tuple(sorted(t.facts for t in self.choices.get(A, ())))
-                     for A in self.subsets)
+        types = block_checker(self.property).types
+        return tuple(tuple(sorted(types[t].facts for t in mask_bits(mask)))
+                     for mask in self.masks)
 
     def __eq__(self, other):
         return (isinstance(other, Template) and self.n == other.n
                 and self.property is other.property
-                and self.choices == other.choices)
+                and self.masks == other.masks)
 
     def __hash__(self):
         return hash((self.n, self.canonical_key()))
 
     def __repr__(self):
-        parts = ", ".join("%s:%s" % (list(A), sorted(t.id() for t in self.choices[A]))
-                          for A in self.subsets if A in self.choices)
+        parts = ", ".join("%s:%s" % (list(A), sorted(t.id() for t in types))
+                          for A, types in self.choices.items())
         return "Template(n=%d, {%s})" % (self.n, parts)
 
 
@@ -130,10 +175,7 @@ def _require_complete(T):
 def choice_count(T):
     """Product of choice-set sizes, exact big integer."""
     _require_complete(T)
-    out = 1
-    for A in T.subsets:
-        out *= len(T.choices[A])
-    return out
+    return math.prod(mask.bit_count() for mask in T.masks)
 
 
 def has_low_facts(p):
@@ -174,25 +216,24 @@ def detect_errors(T):
     """All error witnesses: subsets X, r < |X| < 2r, carrying two located
     choices on overlapping r-subsets covering X with unsatisfiable union."""
     _require_complete(T)
-    checker = block_checker(T.property)
-    return list(_errors(T, [checker.set_mask(T.choices[A]) for A in T.subsets]))
+    return list(_errors(T))
 
 
-def _errors(T, masks):
-    """detect_errors' witnesses, one by one; masks are the block kernel's
-    choice-set masks on T.subsets. Only templates with a low fact in some
-    choice set can have errors."""
+def _errors(T):
+    """detect_errors' witnesses, one by one, read from T.masks. Only
+    templates with a low fact in some choice set can have errors."""
     signature = T.property.signature
-    r = signature.r
-    low = block_checker(T.property).low
-    if not any(mask & low for mask in masks):
+    checker = block_checker(T.property)
+    masks = T.masks
+    if not any(mask & checker.low for mask in masks):
         return
+    types, subsets = checker.types, T.subsets
     seen = set()
-    for j, i in error_pairs(T.n, r):
-        A1, A2 = T.subsets[j], T.subsets[i]
+    for j, i in error_pairs(T.n, signature.r):
+        A1, A2 = subsets[j], subsets[i]
         union = tuple(sorted(set(A1) | set(A2)))
-        for p in sorted(T.choices[A1]):
-            for q in sorted(T.choices[A2]):
+        for p in sorted(map(types.__getitem__, mask_bits(masks[j]))):
+            for q in sorted(map(types.__getitem__, mask_bits(masks[i]))):
                 if not located_agree(signature, T.n, A1, p, A2, q):
                     if union not in seen:
                         seen.add(union)
@@ -202,9 +243,7 @@ def _errors(T, masks):
 def is_error_free(T):
     """No error witness (detect_errors); stops at the first one."""
     _require_complete(T)
-    checker = block_checker(T.property)
-    masks = [checker.set_mask(T.choices[A]) for A in T.subsets]
-    return next(_errors(T, masks), None) is None
+    return next(_errors(T), None) is None
 
 
 def sub_count(T):
@@ -229,13 +268,13 @@ def validate_template(T):
     """
     checker = block_checker(T.property)
     r = T.property.signature.r
-    for A in T.subsets:
-        types = T.choices.get(A)
-        if not types:
+    types = checker.types
+    for A, mask in zip(T.subsets, T.masks):
+        if not mask:
             return False, ("incomplete", A)
-        for p in sorted(types):
-            if not checker.outcome(r, (checker.type_id(p),)):
-                return False, ("type outside realized space", A, p.id())
+        for t in sorted(mask_bits(mask), key=types.__getitem__):
+            if not checker.outcome(r, (t,)):
+                return False, ("type outside realized space", A, types[t].id())
     return True, None
 
 
@@ -552,13 +591,12 @@ def is_h_random(T):
     _require_complete(T)
     H = T.property
     r = H.signature.r
-    checker = block_checker(H)
-    masks = [checker.set_mask(T.choices[A]) for A in T.subsets]
-    if next(_errors(T, masks), None) is not None:
+    if next(_errors(T), None) is not None:
         return False
     # every chosen type against {1..r}, then each subset's types against
     # the blocks it closes
-    allowed = checker.allowed
+    masks = T.masks
+    allowed = block_checker(H).allowed
     need = reduce(or_, masks)
     if need & ~allowed(r, (), need):
         return False
@@ -603,12 +641,12 @@ def restrict(T, A):
     r = T.property.signature.r
     if len(A) < r:
         raise InvalidArgument("restriction smaller than r")
-    pos = {a: i + 1 for i, a in enumerate(A)}
-    choices = {}
-    for S in itertools.combinations(A, r):
-        if tuple(S) in T.choices:
-            choices[tuple(pos[a] for a in S)] = T.choices[tuple(S)]
-    return Template(T.property, len(A), choices)
+    if A[0] < 1 or A[-1] > T.n:
+        raise InvalidArgument("restriction outside {1..n}")
+    index = _subset_index(T.n, r)
+    return Template.from_masks(T.property, len(A), tuple(
+        T.masks[index[tuple(A[b - 1] for b in B)]]
+        for B in _subset_order(len(A), r)))
 
 
 def full_subpatterns(T):

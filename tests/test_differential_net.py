@@ -26,18 +26,26 @@ property the fast paths are checked against their direct definitions:
   S_r(H) is an H-random choice set, ex = |S_r(H)| with the whole space as
   the one maximizer, on every draw with a realized type (4 to 64 of them);
   and where |S_r(H)| is at most 9, the density sequence to n = 4, whose
-  ex(n) counts distinct members, so it is at most count_members.
+  ex(n) counts distinct members, so it is at most count_members;
+- on the four draws with 4 realized types, at n = 3: search_extremal,
+  near_extremal_set and stability_probe against a brute force over the
+  15^3 complete templates whose choice sets are nonempty subsets of
+  S_r(H), H-random by is_h_random_direct, with sub the number of
+  satisfiable choice functions (_merges) and gaps from template_diff.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hereditary.containers import build_hypergraph, max_codegrees
 from hereditary.diagrams import LocatedType, merge_entries
+from hereditary.distances import template_diff
 from hereditary.errors import BudgetExceeded
-from hereditary.extremal import density_sequence, search_extremal
+from hereditary.extremal import (density_sequence, near_extremal_set,
+                                 search_extremal, stability_probe)
 from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                                    HereditaryProperty, _fact_index,
                                    count_members, enumerate_members,
@@ -45,9 +53,8 @@ from hereditary.properties import (INDUCED, NON_INDUCED, ForbiddenEntry,
                                    realized_type_space)
 from hereditary.qftypes import qftp, type_space
 from hereditary.structures import Signature, Structure
-from hereditary.templates import (Template, block_checker, is_h_random,
-                                  r_subsets,
-                                  validate_template)
+from hereditary.templates import (Template, _merges, block_checker,
+                                  is_h_random, r_subsets, validate_template)
 
 from helpers import random_structure, seeded
 from oracles import is_h_random_direct
@@ -205,3 +212,47 @@ def test_density_sequence_is_at_most_the_member_counts(seed):
     assert [rep.n for rep in reports] == [2, 3, 4]
     for rep in reports:
         assert count_members(H, rep.n) >= rep.ex
+
+
+# the draws with 4 realized types, and their ex(3)
+FOUR_TYPES = {25: 64, 29: 1, 42: 64, 44: 64}
+
+
+@pytest.mark.parametrize("seed", sorted(FOUR_TYPES))
+def test_three_point_search_and_probe_match_the_brute_force(seed):
+    # the property of test_fast_paths_match_the_direct_definitions
+    H = random_property(seeded(seed))
+    space = realized_type_space(H)
+    assert len(space) == 4
+    sets = [frozenset(c) for m in range(1, 5)
+            for c in itertools.combinations(space, m)]
+    subsets = r_subsets(3, SIG.r)
+    every = []  # (sub, fact vectors of the choice sets, template)
+    for chosen in itertools.product(sets, repeat=len(subsets)):
+        T = Template(H, 3, dict(zip(subsets, chosen)))
+        if is_h_random_direct(T):
+            every.append((len(_merges(T)), tuple(
+                tuple(sorted(p.facts for p in c)) for c in chosen), T))
+    every.sort(key=lambda row: (-row[0], row[1]))
+    ex = every[0][0]
+    assert ex == FOUR_TYPES[seed]
+
+    def near(eps):
+        a, b = (1 - eps).numerator, (1 - eps).denominator
+        return [(T, value) for value, _, T in every
+                if value ** b >= ex ** a]
+
+    maximizers = [T for T, _ in near(Fraction(0))]
+    rep = search_extremal(H, 3)
+    assert (rep.ex, rep.exact, rep.truncated) == (ex, True, False)
+    assert rep.extremal_templates == maximizers
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        found, report = near_extremal_set(H, 3, eps)
+        assert found == near(eps)
+        assert (report.ex, report.extremal_templates) == (ex, maximizers)
+    rows = [(T, value, Fraction(min(len(template_diff(T, E))
+                                    for E in maximizers), len(subsets)))
+            for T, value in near(Fraction(1, 2))]
+    probe = stability_probe(H, 3, Fraction(1, 2))
+    assert not probe.truncated and probe.near_extremal == rows
+    assert probe.worst_gap == max(gap for _, _, gap in rows)

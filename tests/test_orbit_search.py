@@ -265,13 +265,14 @@ def test_orbit_is_the_set_of_relabelings(name, n):
 @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
 def test_keys_sort_in_candidate_order(name):
     # the engine's keys sort as candidate_sets lists the choice sets, and
-    # every key listed has its choice set in engine.choices
+    # every key listed has its choice set's mask in engine.masks
     H = EVERY_FAMILY[name]()
     engine = _SearchEngine(H, H.signature.r)
     cands = candidate_sets(H)
     keys = [key(engine, c) for c in cands]
     assert keys == sorted(set(keys))
-    assert [engine.choices[k] for k in keys] == cands
+    assert [engine.masks[k] for k in keys] == list(
+        map(engine.checker.set_mask, cands))
 
 
 # uncached copies: reordering a property's kernel ids would otherwise

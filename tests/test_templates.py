@@ -48,7 +48,7 @@ def test_template_normalization_and_validation():
 
     assert Template(H, 3, ListKeyed()).choices == {
         (1, 3): frozenset({digraphs.P1})}
-    for bad in [(1, 4), (0, 1), (1,)]:
+    for bad in [(1, 4), (0, 1), (1,), (2, 2)]:
         with pytest.raises(InvalidArgument):
             Template(H, 3, {bad: {digraphs.P1}})
 
@@ -165,6 +165,9 @@ def test_restriction_preserves_h_randomness():
         S = restrict(T, A)
         assert S.is_complete()
         assert is_h_random(S)
+    for A in [(0, 1, 2), (2, 3, 5)]:  # a point outside {1..4}
+        with pytest.raises(InvalidArgument):
+            restrict(T, A)
 
 
 def test_geometric_mean_identity():
